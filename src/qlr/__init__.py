@@ -39,11 +39,10 @@ from .classical import (
     mean_range_posterior,
     naive_posterior,
 )
+from .checks import CheckResult, ConstraintReport
 from .quantum import (
-    CheckResult,
     CoefficientDiagnostics,
     CoefficientSolution,
-    ConstraintReport,
     OverlapMatrix,
     hbar_moderated_coefficients,
     overlap_coefficients,

@@ -18,10 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .errors import BadIndex, DegenerateRange, InvalidPriors, Unsupported
-from .tables import ContingencyTable, CountTable, PRIOR_SUM_TOL, intersection_range
+from .errors import BadIndex, DegenerateRange, Unsupported
+from .tables import ContingencyTable, CountTable, intersection_range
 
 METHODS = frozenset(
     {"bayes", "naive", "mean_frequency", "mean_range", "quantum", "wavefunction", "oracle_mean"}
@@ -51,39 +49,39 @@ class PosteriorDistribution:
             raise ValueError(f"probabilities must lie in [0, 1], got {p}")
         if abs(sum(p) - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities must sum to 1 within {_SUM_TOL}, got {sum(p)!r}")
-        if self.argmax_index != _argmax(p):
+        if self.argmax_index != self.argmax_of(p):
             raise ValueError("argmax_index must be the smallest index attaining the maximum")
 
     @property
     def n(self) -> int:
         return len(self.probabilities)
 
+    @staticmethod
+    def argmax_of(values: Sequence[float]) -> int:
+        """The smallest index attaining the maximum of ``values``."""
+        return max(range(len(values)), key=lambda k: (values[k], -k))
 
-def _argmax(values: Sequence[float]) -> int:
-    return max(range(len(values)), key=lambda k: (values[k], -k))
+    @classmethod
+    def from_probabilities(
+        cls, probabilities: Sequence[float], method: str
+    ) -> "PosteriorDistribution":
+        """Tag already-normalized probabilities, deriving ``argmax_index``."""
+        probs = tuple(probabilities)
+        return cls(probs, method, cls.argmax_of(probs))
 
+    @classmethod
+    def from_weights(
+        cls, weights: Sequence[float], method: str
+    ) -> "PosteriorDistribution":
+        """Normalize nonnegative weights into a posterior.
 
-def _from_weights(weights: Sequence[float], method: str) -> PosteriorDistribution:
-    """Normalize nonnegative weights into a posterior."""
-    total = sum(weights)
-    if not total > 0.0:
-        raise DegenerateRange(f"cannot normalize weights with total {total!r}")
-    probs = tuple(w / total for w in weights)
-    return PosteriorDistribution(probs, method, _argmax(probs))
-
-
-def _resolved_priors(counts: CountTable, priors: Sequence[float] | None) -> np.ndarray:
-    """Explicit priors, or population shares when omitted."""
-    if priors is None:
-        return counts.populations / counts.populations.sum()
-    arr = np.asarray(priors, dtype=float)
-    if arr.shape != (counts.n,):
-        raise InvalidPriors(f"priors must have length {counts.n}, got shape {arr.shape}")
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-        raise InvalidPriors(f"priors must be finite and nonnegative, got {arr.tolist()}")
-    if abs(float(arr.sum()) - 1.0) > PRIOR_SUM_TOL:
-        raise InvalidPriors(f"priors must sum to 1 within {PRIOR_SUM_TOL}")
-    return arr
+        Raises:
+            DegenerateRange: the weights do not have a positive total.
+        """
+        total = sum(weights)
+        if not total > 0.0:
+            raise DegenerateRange(f"cannot normalize weights with total {total!r}")
+        return cls.from_probabilities([w / total for w in weights], method)
 
 
 def bayes_posterior(table: ContingencyTable, feature: int) -> PosteriorDistribution:
@@ -96,7 +94,7 @@ def bayes_posterior(table: ContingencyTable, feature: int) -> PosteriorDistribut
     if not 0 <= feature < table.m:
         raise BadIndex(f"feature index {feature} out of range for m={table.m}")
     weights = [float(table.priors[a]) * float(table.x[feature, a]) for a in range(table.n)]
-    return _from_weights(weights, "bayes")
+    return PosteriorDistribution.from_weights(weights, "bayes")
 
 
 def naive_posterior(table: ContingencyTable) -> PosteriorDistribution:
@@ -109,7 +107,7 @@ def naive_posterior(table: ContingencyTable) -> PosteriorDistribution:
         for i in range(table.m):
             w *= float(table.x[i, a])
         weights.append(w)
-    return _from_weights(weights, "naive")
+    return PosteriorDistribution.from_weights(weights, "naive")
 
 
 def mean_frequency_posterior(
@@ -129,13 +127,13 @@ def mean_frequency_posterior(
         raise Unsupported(f"mean-frequency estimator needs exactly 2 features, got {counts.m}")
     if counts.n < 2:
         raise Unsupported(f"need at least 2 hypotheses, got {counts.n}")
-    w = _resolved_priors(counts, priors)
+    w = counts.resolve_priors(priors)
     weights = []
     for a in range(counts.n):
         r = intersection_range(counts, a, 0, 1)
         mu = (r.lo + r.hi) / 2 / int(counts.populations[a])
         weights.append(float(w[a]) * mu)
-    return _from_weights(weights, "mean_frequency")
+    return PosteriorDistribution.from_weights(weights, "mean_frequency")
 
 
 def mean_range_posterior(
@@ -156,15 +154,14 @@ def mean_range_posterior(
         raise Unsupported(
             f"mean-range estimator needs 2 features x 2 hypotheses, got {counts.m}x{counts.n}"
         )
-    w = _resolved_priors(counts, priors)
+    w = counts.resolve_priors(priors)
     r1 = intersection_range(counts, 0, 0, 1)
     r2 = intersection_range(counts, 1, 0, 1)
     p1, p2 = (int(v) for v in counts.populations)
     low = _weighted_count_ratio(r1.lo, r2.hi, p1, p2, float(w[0]), float(w[1]))
     high = _weighted_count_ratio(r1.hi, r2.lo, p1, p2, float(w[0]), float(w[1]))
     prob1 = (low + high) / 2
-    probs = (prob1, 1.0 - prob1)
-    return PosteriorDistribution(probs, "mean_range", _argmax(probs))
+    return PosteriorDistribution.from_probabilities((prob1, 1.0 - prob1), "mean_range")
 
 
 def _weighted_count_ratio(k1: int, k2: int, pop1: int, pop2: int, w1: float, w2: float) -> float:

@@ -14,10 +14,13 @@ optional ``features``/``hypotheses``/``priors``) or ``"kind": "counts"``
 
 Exit codes
 ----------
-0 success; 2 invalid input (unparseable file, out-of-range values, bad
-flags); 3 input that is valid but cannot support the request (wrong shape
-for an estimator, probability-only file given to ``ranges``, zero counts
-under a probability-based method).
+0 success; 1 ``verify`` found a failing check; otherwise the ``exit_code``
+of the :class:`~qlr.errors.QlrError` raised: 2 invalid input (unparseable
+file, out-of-range values, bad flags), 3 input that is valid but cannot
+support the request (wrong shape for an estimator, probability-only file
+given to ``ranges``, zero counts under a probability-based method).  An
+unreadable file exits 2.  Under ``--method all`` an exit-3 failure of one
+estimator becomes a ``skipped <method>: ...`` warning instead.
 
 JSON output is canonical: keys sorted, floats carrying 10 significant
 digits, so identical inputs produce byte-identical reports.
@@ -31,6 +34,7 @@ import io
 import json
 import re
 import sys
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Any, Sequence
 
@@ -43,21 +47,7 @@ from .classical import (
     mean_range_posterior,
     naive_posterior,
 )
-from .errors import (
-    BadIndex,
-    BadShape,
-    DegenerateRange,
-    InvalidCell,
-    InvalidHbar,
-    InvalidOverlap,
-    InvalidPriors,
-    NonPositiveTotal,
-    NotCounts,
-    NotPositiveDefinite,
-    ParseError,
-    QlrError,
-    Unsupported,
-)
+from .errors import BadIndex, InvalidPriors, NotCounts, ParseError, QlrError, Unsupported
 from .quantum import (
     OverlapMatrix,
     hbar_moderated_coefficients,
@@ -75,19 +65,18 @@ _POPULATION_LABEL = "__population__"
 _BASE_METHODS = ("naive", "mean-freq", "mean-range", "quantum", "wavefunction")
 
 
+@dataclass(frozen=True)
 class _LoadedInput:
     """A parsed input file: always labels, counts when the file carries them,
     and a probability matrix when the file carries that instead."""
 
-    def __init__(self, path, kind, features, hypotheses, values=None,
-                 count_table=None, file_priors=None):
-        self.path = path
-        self.kind = kind
-        self.features = features
-        self.hypotheses = hypotheses
-        self.values = values
-        self.count_table = count_table
-        self.file_priors = file_priors
+    path: str
+    kind: str
+    features: tuple[str, ...]
+    hypotheses: tuple[str, ...]
+    values: list[list[float]] | None = None
+    count_table: CountTable | None = None
+    file_priors: list[float] | None = None
 
     @property
     def m(self) -> int:
@@ -310,14 +299,13 @@ def _format_float(value: float) -> str:
     return f"{value:.10g}"
 
 
+@dataclass
 class _MethodPlan:
-    """One requested estimator: its canonical selector name, whether the user
-    asked for it by name (skipping is then an error, not a warning), and how
-    to run it."""
+    """One requested estimator: its canonical selector name and whether the
+    user asked for it by name (skipping is then an error, not a warning)."""
 
-    def __init__(self, selector: str, explicit: bool):
-        self.selector = selector
-        self.explicit = explicit
+    selector: str
+    explicit: bool
 
 
 def _expand_selectors(raw_methods: Sequence[str], m: int) -> list[_MethodPlan]:
@@ -363,36 +351,28 @@ class _AnalysisRun:
         self.warnings: list[str] = []
         self.diagnostics: dict[str, Any] | None = None
         self._prob_table: ContingencyTable | None = None
-        self._solution = None
+        self._pair: tuple[float, float] | None = None
 
     def prob_table(self) -> ContingencyTable:
         """The probability-matrix view of the input, built on first use.
 
         For counts input a zero count makes this view unavailable; that is a
-        capability gap of the request, not a defect of the file, so the
-        zero-cell rejection is re-raised as Unsupported.
+        capability gap of the request, not a defect of the file, so it is
+        reported as Unsupported.
         """
         if self._prob_table is not None:
             return self._prob_table
         loaded = self.loaded
         if loaded.kind == "counts":
-            try:
-                base = from_counts(
-                    loaded.count_table,
-                    features=loaded.features,
-                    hypotheses=loaded.hypotheses,
-                )
-            except InvalidCell as exc:
-                raise Unsupported(
-                    f"probability-based methods need nonzero counts ({exc})"
-                ) from exc
+            if not loaded.count_table.counts.all():
+                raise Unsupported("probability-based methods need nonzero counts")
+            base = from_counts(
+                loaded.count_table,
+                features=loaded.features,
+                hypotheses=loaded.hypotheses,
+            )
             if self.priors_flag is not None:
-                base = new_table(
-                    base.x,
-                    self.priors_flag,
-                    features=loaded.features,
-                    hypotheses=loaded.hypotheses,
-                )
+                base = replace(base, priors=self.priors_flag)
         else:
             priors = self.priors_flag
             if priors is None:
@@ -406,36 +386,31 @@ class _AnalysisRun:
         self._prob_table = base
         return base
 
-    def coefficient_solution(self):
-        if self._solution is None:
-            table = self.prob_table()
-            if (table.m, table.n) != (2, 2):
-                raise Unsupported(
-                    f"overlap coefficients need a 2x2 table, got {table.m}x{table.n}"
-                )
-            self._solution = overlap_coefficients(table)
-            diag = self._solution.diagnostics
+    def overlap_pair(self) -> tuple[float, float]:
+        """The solved 2x2 overlap coefficients, moderated when ``--hbar`` is
+        given.  The first call records diagnostics and warnings."""
+        if self._pair is None:
+            solution = overlap_coefficients(self.prob_table())
+            diag = solution.diagnostics
             self.diagnostics = {
-                "c1": self._solution.c1,
-                "c2": self._solution.c2,
+                "c1": solution.c1,
+                "c2": solution.c2,
                 "within_unit_interval": diag.all_within_unit_interval,
                 "gram_positive_definite": list(diag.gram_positive_definite),
             }
             if not diag.all_within_unit_interval:
                 self.warnings.append(
                     "overlap coefficient magnitude >= 1 "
-                    f"(c1={_format_float(self._solution.c1)}, "
-                    f"c2={_format_float(self._solution.c2)}); "
+                    f"(c1={_format_float(solution.c1)}, "
+                    f"c2={_format_float(solution.c2)}); "
                     "state-vector cross-check may be unavailable"
                 )
+            self._pair = (solution.c1, solution.c2)
             if self.hbar is not None:
-                c1m, c2m = hbar_moderated_coefficients(
-                    self._solution.c1, self._solution.c2, self.hbar
-                )
+                self._pair = hbar_moderated_coefficients(*self._pair, self.hbar)
                 self.diagnostics["hbar"] = self.hbar
-                self.diagnostics["c1_moderated"] = c1m
-                self.diagnostics["c2_moderated"] = c2m
-        return self._solution
+                self.diagnostics["c1_moderated"], self.diagnostics["c2_moderated"] = self._pair
+        return self._pair
 
     def run_method(self, selector: str):
         loaded = self.loaded
@@ -458,16 +433,11 @@ class _AnalysisRun:
                 raise Unsupported("mean-range needs integer counts with populations")
             return mean_range_posterior(loaded.count_table, self.priors_flag)
         if selector == "quantum":
-            table = self.prob_table()
-            self.coefficient_solution()
-            return posterior_2x2(table, self.hbar)
+            self.overlap_pair()
+            return posterior_2x2(self.prob_table(), self.hbar)
         if selector == "wavefunction":
-            table = self.prob_table()
-            solution = self.coefficient_solution()
-            c1, c2 = solution.c1, solution.c2
-            if self.hbar is not None:
-                c1, c2 = hbar_moderated_coefficients(c1, c2, self.hbar)
-            return posterior_via_wavefunction(table, OverlapMatrix.from_pair(c1, c2))
+            overlap = OverlapMatrix.from_pair(*self.overlap_pair())
+            return posterior_via_wavefunction(self.prob_table(), overlap)
         raise ParseError(f"unknown method {selector!r}")
 
 
@@ -476,21 +446,18 @@ def _echo_priors(run: _AnalysisRun) -> list[float]:
     if run.priors_flag is not None:
         return list(run.priors_flag)
     if loaded.kind == "counts":
-        pops = loaded.count_table.populations
-        return [float(v) for v in pops / pops.sum()]
+        return [float(v) for v in loaded.count_table.population_shares]
     if loaded.file_priors is not None:
         return list(loaded.file_priors)
     return [1.0 / loaded.n] * loaded.n
 
 
-def _input_echo(run: _AnalysisRun) -> dict[str, Any]:
-    loaded = run.loaded
+def _input_echo(loaded: _LoadedInput) -> dict[str, Any]:
     echo: dict[str, Any] = {
         "path": loaded.path,
         "kind": loaded.kind,
         "features": list(loaded.features),
         "hypotheses": list(loaded.hypotheses),
-        "priors": _echo_priors(run),
     }
     if loaded.kind == "counts":
         echo["counts"] = [[int(v) for v in row] for row in loaded.count_table.counts]
@@ -517,6 +484,14 @@ def _ranges_payload(loaded: _LoadedInput) -> list[dict[str, Any]]:
     return payload
 
 
+def _range_lines(ranges: list[dict[str, Any]], indent: str) -> list[str]:
+    return [
+        f"{indent}{entry['hypothesis']}: {' & '.join(entry['features'])} "
+        f"in [{entry['lo']}, {entry['hi']}]"
+        for entry in ranges
+    ]
+
+
 def _posterior_payload(pd, hypotheses) -> dict[str, Any]:
     return {
         "method": pd.method,
@@ -541,9 +516,8 @@ def cmd_analyze(args) -> int:
     for plan in plans:
         try:
             pd = run.run_method(plan.selector)
-        except (Unsupported, DegenerateRange, NotPositiveDefinite,
-                NonPositiveTotal, BadIndex) as exc:
-            if plan.explicit:
+        except QlrError as exc:
+            if plan.explicit or exc.exit_code != 3:
                 raise
             run.warnings.append(f"skipped {plan.selector}: {exc}")
             continue
@@ -552,7 +526,7 @@ def cmd_analyze(args) -> int:
     report: dict[str, Any] = {
         "command": "analyze",
         "version": __version__,
-        "input": _input_echo(run),
+        "input": {**_input_echo(loaded), "priors": _echo_priors(run)},
         "methods": methods,
         "warnings": run.warnings,
     }
@@ -579,11 +553,7 @@ def _analyze_text(report: dict) -> str:
     lines.append("priors: " + ", ".join(_format_float(v) for v in echo["priors"]))
     if report.get("ranges"):
         lines.append("ranges:")
-        for entry in report["ranges"]:
-            pair = " & ".join(entry["features"])
-            lines.append(
-                f"  {entry['hypothesis']}: {pair} in [{entry['lo']}, {entry['hi']}]"
-            )
+        lines.extend(_range_lines(report["ranges"], "  "))
     lines.append("posteriors:")
     for selector in sorted(report["methods"]):
         entry = report["methods"][selector]
@@ -623,25 +593,13 @@ def cmd_ranges(args) -> int:
     report = {
         "command": "ranges",
         "version": __version__,
-        "input": {
-            "path": loaded.path,
-            "kind": loaded.kind,
-            "features": list(loaded.features),
-            "hypotheses": list(loaded.hypotheses),
-            "counts": [[int(v) for v in row] for row in loaded.count_table.counts],
-            "populations": [int(v) for v in loaded.count_table.populations],
-        },
+        "input": _input_echo(loaded),
         "ranges": payload,
     }
     if args.format == "json":
         sys.stdout.write(render_json(report))
     else:
-        lines = [f"qlr ranges (version {report['version']})"]
-        for entry in payload:
-            pair = " & ".join(entry["features"])
-            lines.append(
-                f"{entry['hypothesis']}: {pair} in [{entry['lo']}, {entry['hi']}]"
-            )
+        lines = [f"qlr ranges (version {report['version']})", *_range_lines(payload, "")]
         sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -747,18 +705,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "ranges":
             return cmd_ranges(args)
         return cmd_verify(args)
-    except (ParseError, BadShape, InvalidCell, InvalidPriors, InvalidHbar,
-            InvalidOverlap) as exc:
-        print(f"qlr: error: {exc}", file=sys.stderr)
-        return 2
-    except (Unsupported, NotCounts, DegenerateRange, NotPositiveDefinite,
-            NonPositiveTotal, BadIndex) as exc:
-        print(f"qlr: error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"qlr: error: {exc}", file=sys.stderr)
-        return 2
     except QlrError as exc:
+        print(f"qlr: error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"qlr: error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,6 +4,10 @@ Every error raised by this package derives from :class:`QlrError`, so callers
 can catch the package's failures with a single handler.  Validation failures
 additionally derive from the matching builtin (``ValueError`` / ``IndexError``)
 so that generic handlers keep working.
+
+Each class also carries the command line's exit status as ``exit_code``: 2
+for invalid input, 3 for valid input that cannot support the request.  A
+subclass inherits its parent's code unless it sets its own.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ from __future__ import annotations
 
 class QlrError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class BadShape(QlrError, ValueError):
@@ -29,13 +35,19 @@ class BadIndex(QlrError, IndexError):
     """A feature or hypothesis index is out of range (or i == j where distinct
     features are required)."""
 
+    exit_code = 3
+
 
 class Unsupported(QlrError, ValueError):
     """The requested estimator does not support this table shape."""
 
+    exit_code = 3
+
 
 class DegenerateRange(QlrError, ValueError):
     """An intersection-range estimator hit an all-zero denominator."""
+
+    exit_code = 3
 
 
 class ShapeMismatch(QlrError, ValueError):
@@ -51,6 +63,8 @@ class NonPositiveTotal(QlrError, ValueError):
     """A per-hypothesis amplitude-block sum is not positive, so no posterior
     can be normalized."""
 
+    exit_code = 3
+
 
 class InvalidHbar(QlrError, ValueError):
     """The moderation scale must be a finite nonnegative number."""
@@ -63,6 +77,8 @@ class NotPositiveDefinite(QlrError, ValueError):
     Attributes:
         hypothesis: index of the offending hypothesis.
     """
+
+    exit_code = 3
 
     def __init__(self, hypothesis: int, message: str | None = None):
         self.hypothesis = hypothesis
@@ -95,3 +111,5 @@ class ParseError(QlrError, ValueError):
 class NotCounts(QlrError, ValueError):
     """The operation needs integer count data but the input carries only
     probabilities."""
+
+    exit_code = 3

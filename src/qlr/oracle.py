@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classical import PosteriorDistribution, _argmax, _from_weights, _resolved_priors
+from .classical import PosteriorDistribution
 from .errors import DegenerateRange, Unsupported
-from .tables import CountTable, _check_pair
+from .tables import CountTable
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def enumerate_joint_counts(
     Raises:
         BadIndex: invalid hypothesis or feature indices, or i == j.
     """
-    _check_pair(counts, hypothesis, i, j)
+    counts.check_pair(hypothesis, i, j)
     c_i = int(counts.counts[i, hypothesis])
     c_j = int(counts.counts[j, hypothesis])
     pop = int(counts.populations[hypothesis])
@@ -106,7 +106,7 @@ def oracle_mean_estimators(counts, priors=None) -> OracleEstimates:
         raise Unsupported(f"enumeration needs exactly 2 features, got {counts.m}")
     if counts.n < 2:
         raise Unsupported(f"enumeration needs at least 2 hypotheses, got {counts.n}")
-    w = _resolved_priors(counts, priors)
+    w = counts.resolve_priors(priors)
     enum = enumerate_table(counts, 0, 1)
 
     weights = [
@@ -115,8 +115,9 @@ def oracle_mean_estimators(counts, priors=None) -> OracleEstimates:
     total = sum(weights)
     if not total > 0.0:
         raise DegenerateRange("every hypothesis has mean joint frequency zero")
-    probs = tuple(v / total for v in weights)
-    mean_frequency = PosteriorDistribution(probs, "mean_frequency", _argmax(probs))
+    mean_frequency = PosteriorDistribution.from_probabilities(
+        [v / total for v in weights], "mean_frequency"
+    )
 
     if counts.n != 2:
         return OracleEstimates(mean_frequency, None, None, 0)
@@ -143,8 +144,7 @@ def oracle_mean_estimators(counts, priors=None) -> OracleEstimates:
         r for k1 in f1 for k2 in f2 if (r := weighted_ratio(k1, k2)) is not None
     ]
     prob1 = (min(ratios) + max(ratios)) / 2
-    range_probs = (prob1, 1.0 - prob1)
-    mean_range = PosteriorDistribution(range_probs, "mean_range", _argmax(range_probs))
+    mean_range = PosteriorDistribution.from_probabilities((prob1, 1.0 - prob1), "mean_range")
 
     plain = []
     skipped = 0
@@ -157,9 +157,8 @@ def oracle_mean_estimators(counts, priors=None) -> OracleEstimates:
     if not plain:
         raise DegenerateRange("every feasible joint-count pair sums to zero")
     mean1 = sum(plain) / len(plain)
-    enum_probs = (mean1, 1.0 - mean1)
-    enumeration_mean = PosteriorDistribution(
-        enum_probs, "oracle_mean", _argmax(enum_probs)
+    enumeration_mean = PosteriorDistribution.from_probabilities(
+        (mean1, 1.0 - mean1), "oracle_mean"
     )
 
     return OracleEstimates(mean_frequency, mean_range, enumeration_mean, skipped)

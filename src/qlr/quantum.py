@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from functools import cached_property
+from typing import Any
 
 import numpy as np
 
-from .classical import PosteriorDistribution, _argmax, _from_weights
+from .checks import ConstraintReport, accumulators
+from .classical import PosteriorDistribution
 from .errors import (
     InvalidHbar,
     InvalidOverlap,
@@ -77,6 +79,18 @@ class OverlapMatrix:
     def m(self) -> int:
         """Number of features."""
         return self.c.shape[1]
+
+    def check_fits(self, table: ContingencyTable) -> None:
+        """Require one m x m matrix per hypothesis of ``table``.
+
+        Raises:
+            ShapeMismatch: the overlap dimensions disagree with the table.
+        """
+        if self.c.shape != (table.n, table.m, table.m):
+            raise ShapeMismatch(
+                f"overlap shape {self.c.shape} does not match "
+                f"{(table.n, table.m, table.m)} for a {table.m}x{table.n} table"
+            )
 
     @classmethod
     def identity(cls, n_hypotheses: int, m_features: int) -> "OverlapMatrix":
@@ -134,11 +148,15 @@ class CoefficientDiagnostics:
 
 @dataclass(frozen=True)
 class CoefficientSolution:
-    """Closed-form overlap coefficients for a 2x2 table, with diagnostics."""
+    """Closed-form overlap coefficients for a 2x2 table, with diagnostics
+    computed on first access."""
 
     c1: float
     c2: float
-    diagnostics: CoefficientDiagnostics
+
+    @cached_property
+    def diagnostics(self) -> CoefficientDiagnostics:
+        return CoefficientDiagnostics.from_overlap(self.overlap_matrix())
 
     def overlap_matrix(self) -> OverlapMatrix:
         return OverlapMatrix.from_pair(self.c1, self.c2)
@@ -160,6 +178,7 @@ def overlap_coefficients(table: ContingencyTable) -> CoefficientSolution:
 
     Raises:
         Unsupported: table shape is not 2x2.
+        InvalidOverlap: a coefficient is not finite (cell products too small).
     """
     if (table.m, table.n) != (2, 2):
         raise Unsupported(
@@ -169,8 +188,17 @@ def overlap_coefficients(table: ContingencyTable) -> CoefficientSolution:
     x2, y2 = float(table.x[0, 1]), float(table.x[1, 1])
     c1 = math.sqrt(x1 * y1) / (2.0 * x2 * y2)
     c2 = math.sqrt(x2 * y2) / (2.0 * x1 * y1)
-    overlap = OverlapMatrix.from_pair(c1, c2)
-    return CoefficientSolution(c1, c2, CoefficientDiagnostics.from_overlap(overlap))
+    if not (math.isfinite(c1) and math.isfinite(c2)):
+        raise InvalidOverlap(f"overlap coefficients must be finite, got c1={c1!r}, c2={c2!r}")
+    return CoefficientSolution(c1, c2)
+
+
+def _moderation_scale(hbar: float) -> float:
+    """``1 - exp(-hbar)``; raises InvalidHbar unless hbar is finite and >= 0."""
+    h = float(hbar)
+    if not math.isfinite(h) or h < 0.0:
+        raise InvalidHbar(f"moderation scale must be finite and nonnegative, got {hbar!r}")
+    return -math.expm1(-h)
 
 
 def hbar_moderated_coefficients(c1: float, c2: float, hbar: float) -> tuple[float, float]:
@@ -182,10 +210,7 @@ def hbar_moderated_coefficients(c1: float, c2: float, hbar: float) -> tuple[floa
     Raises:
         InvalidHbar: negative or non-finite moderation scale.
     """
-    h = float(hbar)
-    if not math.isfinite(h) or h < 0.0:
-        raise InvalidHbar(f"moderation scale must be finite and nonnegative, got {hbar!r}")
-    scale = -math.expm1(-h)
+    scale = _moderation_scale(hbar)
     return (c1 * scale, c2 * scale)
 
 
@@ -227,11 +252,7 @@ def posterior_general(
     """
     if not isinstance(overlap, OverlapMatrix):
         overlap = OverlapMatrix(np.asarray(overlap, dtype=float))
-    if overlap.c.shape != (table.n, table.m, table.m):
-        raise ShapeMismatch(
-            f"overlap shape {overlap.c.shape} does not match "
-            f"{(table.n, table.m, table.m)} for a {table.m}x{table.n} table"
-        )
+    overlap.check_fits(table)
     blocks = _block_sums(table, overlap)
     for a, block in enumerate(blocks):
         if block <= 0.0:
@@ -240,121 +261,46 @@ def posterior_general(
                 "overlaps are too negative for this table"
             )
     w = _prior_weights(table)
-    return _from_weights([float(w[a]) * blocks[a] for a in range(table.n)], "quantum")
+    return PosteriorDistribution.from_weights(
+        [float(w[a]) * blocks[a] for a in range(table.n)], "quantum"
+    )
 
 
 def posterior_2x2(table: ContingencyTable, hbar: float | None = None) -> PosteriorDistribution:
     """Closed-form posterior for a 2x2 table under the solved coefficients.
 
-    With ``r = x1*y1 / (x2*y2)`` the per-hypothesis blocks collapse to
+    With ``r = x1*y1 / (x2*y2)`` and ``s = 1 - exp(-hbar)`` (``s = 1`` when
+    ``hbar`` is omitted) the per-hypothesis blocks collapse to
 
-        block1 = r + x1 + y1        block2 = 1/r + x2 + y2
+        block1 = s*r + x1 + y1        block2 = s/r + x2 + y2
 
-    and ``P(H_1) = w1*block1 / (w1*block1 + w2*block2)``.  Supplying ``hbar``
-    moderates the coefficients by ``1 - exp(-hbar)`` first and evaluates
-    through :func:`posterior_general`; ``hbar = 0`` therefore yields the
-    independent-feature (column-sum) reduction.
+    and ``P(H_1) = w1*block1 / (w1*block1 + w2*block2)``.  ``hbar = 0``
+    therefore yields the independent-feature (column-sum) reduction.
 
     Raises:
         Unsupported: table shape is not 2x2.
-        InvalidHbar: negative moderation scale.
+        InvalidHbar: negative or non-finite moderation scale.
+        InvalidOverlap: a block is not finite (cell products too small).
     """
     if (table.m, table.n) != (2, 2):
         raise Unsupported(
             f"closed-form posterior exists only for 2x2 tables, got {table.m}x{table.n}"
         )
-    if hbar is not None:
-        solution = overlap_coefficients(table)
-        c1, c2 = hbar_moderated_coefficients(solution.c1, solution.c2, hbar)
-        return posterior_general(table, OverlapMatrix.from_pair(c1, c2))
+    scale = 1.0 if hbar is None else _moderation_scale(hbar)
     x1, y1 = float(table.x[0, 0]), float(table.x[1, 0])
     x2, y2 = float(table.x[0, 1]), float(table.x[1, 1])
-    block1 = (x1 * y1) / (x2 * y2) + x1 + y1
-    block2 = (x2 * y2) / (x1 * y1) + x2 + y2
+    block1 = scale * ((x1 * y1) / (x2 * y2)) + x1 + y1
+    block2 = scale * ((x2 * y2) / (x1 * y1)) + x2 + y2
+    if not (math.isfinite(block1) and math.isfinite(block2)):
+        raise InvalidOverlap(
+            f"overlap blocks must be finite, got {block1!r} and {block2!r}"
+        )
     w1 = float(table.priors[0]) * 2.0
     w2 = float(table.priors[1]) * 2.0
     total = w1 * block1 + w2 * block2
-    probs = (w1 * block1 / total, w2 * block2 / total)
-    return PosteriorDistribution(probs, "quantum", _argmax(probs))
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one randomized constraint check."""
-
-    name: str
-    description: str
-    samples: int
-    passes: int
-    max_deviation: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.passes == self.samples
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "samples": self.samples,
-            "passes": self.passes,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class ConstraintReport:
-    """Aggregate of all constraint checks from one suite run."""
-
-    checks: tuple[CheckResult, ...]
-    sample_count: int
-    seed: int
-
-    @property
-    def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-    @property
-    def max_deviation(self) -> float:
-        return max(check.max_deviation for check in self.checks)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "checks": [check.to_dict() for check in self.checks],
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
-
-
-class _CheckAccumulator:
-    def __init__(self, name: str, description: str, tolerance: float):
-        self.name = name
-        self.description = description
-        self.tolerance = tolerance
-        self.samples = 0
-        self.passes = 0
-        self.max_deviation = 0.0
-
-    def record(self, deviation: float) -> None:
-        self.samples += 1
-        if deviation <= self.tolerance:
-            self.passes += 1
-        if deviation > self.max_deviation:
-            self.max_deviation = deviation
-
-    def result(self) -> CheckResult:
-        return CheckResult(
-            self.name,
-            self.description,
-            self.samples,
-            self.passes,
-            self.max_deviation,
-            self.tolerance,
-        )
+    return PosteriorDistribution.from_probabilities(
+        (w1 * block1 / total, w2 * block2 / total), "quantum"
+    )
 
 
 def verify_constraint_suite(sample_count: int, seed: int) -> ConstraintReport:
@@ -375,32 +321,16 @@ def verify_constraint_suite(sample_count: int, seed: int) -> ConstraintReport:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     rng = np.random.default_rng(seed)
     known_tol = 1e-10
-    checks = {
-        "known_top_ones": _CheckAccumulator(
-            "known_top_ones", "rows (1,1);(m,n) give P1 = m/(m+n)", known_tol
-        ),
-        "known_bottom_ones": _CheckAccumulator(
-            "known_bottom_ones", "rows (m,n);(1,1) give P1 = m/(m+n)", known_tol
-        ),
-        "known_antisymmetric": _CheckAccumulator(
-            "known_antisymmetric", "rows (n,m);(m,n) give P1 = 1/2", known_tol
-        ),
-        "known_equal_columns": _CheckAccumulator(
-            "known_equal_columns", "rows (n,n);(m,m) give P1 = 1/2", known_tol
-        ),
-        "known_constant": _CheckAccumulator(
-            "known_constant", "rows (m,m);(m,m) give P1 = 1/2", known_tol
-        ),
-        "row_swap": _CheckAccumulator(
-            "row_swap", "swapping the two feature rows leaves P unchanged", 1e-12
-        ),
-        "column_swap": _CheckAccumulator(
-            "column_swap", "swapping hypothesis columns exchanges P1 and P2", 0.0
-        ),
-        "complementarity": _CheckAccumulator(
-            "complementarity", "P1 + P2 = 1", 1e-12
-        ),
-    }
+    checks = accumulators(
+        ("known_top_ones", "rows (1,1);(m,n) give P1 = m/(m+n)", known_tol),
+        ("known_bottom_ones", "rows (m,n);(1,1) give P1 = m/(m+n)", known_tol),
+        ("known_antisymmetric", "rows (n,m);(m,n) give P1 = 1/2", known_tol),
+        ("known_equal_columns", "rows (n,n);(m,m) give P1 = 1/2", known_tol),
+        ("known_constant", "rows (m,m);(m,m) give P1 = 1/2", known_tol),
+        ("row_swap", "swapping the two feature rows leaves P unchanged", 1e-12),
+        ("column_swap", "swapping hypothesis columns exchanges P1 and P2", 0.0),
+        ("complementarity", "P1 + P2 = 1", 1e-12),
+    )
 
     def p1(rows) -> float:
         return posterior_2x2(new_table(rows)).probabilities[0]

@@ -40,6 +40,23 @@ def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{k + 1}" for k in range(count))
 
 
+def _validated_priors(priors: Sequence[float], n: int) -> np.ndarray:
+    """The prior rule: n finite nonnegative weights summing to 1.
+
+    Raises:
+        InvalidPriors: wrong length, a negative or non-finite weight, or a
+            sum differing from 1 beyond ``PRIOR_SUM_TOL``.
+    """
+    arr = np.asarray(priors, dtype=float)
+    if arr.shape != (n,):
+        raise InvalidPriors(f"priors must have length {n}, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+        raise InvalidPriors(f"priors must be finite and nonnegative, got {arr.tolist()}")
+    if abs(float(arr.sum()) - 1.0) > PRIOR_SUM_TOL:
+        raise InvalidPriors(f"priors must sum to 1 within {PRIOR_SUM_TOL}, got {float(arr.sum())!r}")
+    return arr
+
+
 @dataclass(frozen=True)
 class ContingencyTable:
     """Grid of conditional probabilities ``x[i, a]`` plus prior weights.
@@ -49,6 +66,9 @@ class ContingencyTable:
         hypotheses: n hypothesis labels.
         x: (m, n) matrix of conditional probabilities, each in (0, 1].
         priors: n nonnegative weights summing to 1.
+
+    At construction ``None`` labels default to ``D1..Dm`` / ``H1..Hn`` and
+    ``None`` priors to uniform weights.
     """
 
     features: tuple[str, ...]
@@ -63,9 +83,13 @@ class ContingencyTable:
         m, n = x.shape
         if m < 1 or n < 2:
             raise BadShape(f"need at least 1 feature and 2 hypotheses, got {m}x{n}")
-        if len(self.features) != m or len(self.hypotheses) != n:
+        features = _default_labels("D", m) if self.features is None else tuple(self.features)
+        hypotheses = (
+            _default_labels("H", n) if self.hypotheses is None else tuple(self.hypotheses)
+        )
+        if len(features) != m or len(hypotheses) != n:
             raise BadShape(
-                f"labels ({len(self.features)} features, {len(self.hypotheses)} "
+                f"labels ({len(features)} features, {len(hypotheses)} "
                 f"hypotheses) do not match a {m}x{n} matrix"
             )
         bad = ~((x > 0.0) & (x <= 1.0))
@@ -75,15 +99,9 @@ class ContingencyTable:
                 f"cell [{i}, {a}] = {float(x[i, a])!r} is outside (0, 1] "
                 "(zero and negative cells are rejected at construction)"
             )
-        priors = np.asarray(self.priors, dtype=float)
-        if priors.shape != (n,):
-            raise InvalidPriors(f"priors must have length {n}, got shape {priors.shape}")
-        if not np.all(np.isfinite(priors)) or np.any(priors < 0.0):
-            raise InvalidPriors(f"priors must be finite and nonnegative, got {priors.tolist()}")
-        if abs(float(priors.sum()) - 1.0) > PRIOR_SUM_TOL:
-            raise InvalidPriors(f"priors must sum to 1 within {PRIOR_SUM_TOL}, got {float(priors.sum())!r}")
-        object.__setattr__(self, "features", tuple(str(f) for f in self.features))
-        object.__setattr__(self, "hypotheses", tuple(str(h) for h in self.hypotheses))
+        priors = np.full(n, 1.0 / n) if self.priors is None else _validated_priors(self.priors, n)
+        object.__setattr__(self, "features", tuple(str(f) for f in features))
+        object.__setattr__(self, "hypotheses", tuple(str(h) for h in hypotheses))
         object.__setattr__(self, "x", _frozen_array(x, float))
         object.__setattr__(self, "priors", _frozen_array(priors, float))
 
@@ -146,6 +164,35 @@ class CountTable:
     def n(self) -> int:
         return self.counts.shape[1]
 
+    @property
+    def population_shares(self) -> np.ndarray:
+        """Default priors: each hypothesis's share of the total population."""
+        return self.populations / self.populations.sum()
+
+    def resolve_priors(self, priors: Sequence[float] | None) -> np.ndarray:
+        """Validated explicit priors, or population shares when omitted.
+
+        Raises:
+            InvalidPriors: explicit priors break the prior rule.
+        """
+        if priors is None:
+            return self.population_shares
+        return _validated_priors(priors, self.n)
+
+    def check_pair(self, hypothesis: int, i: int, j: int) -> None:
+        """Validate a hypothesis index and two distinct feature indices.
+
+        Raises:
+            BadIndex: out-of-range indices or ``i == j``.
+        """
+        if not 0 <= hypothesis < self.n:
+            raise BadIndex(f"hypothesis index {hypothesis} out of range for n={self.n}")
+        for name, k in (("i", i), ("j", j)):
+            if not 0 <= k < self.m:
+                raise BadIndex(f"feature index {name}={k} out of range for m={self.m}")
+        if i == j:
+            raise BadIndex(f"feature indices must differ, got i == j == {i}")
+
 
 @dataclass(frozen=True)
 class IntegerRange:
@@ -187,20 +234,7 @@ def new_table(
         InvalidCell: an entry is outside (0, 1].
         InvalidPriors: negative priors or sum differing from 1 beyond 1e-12.
     """
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 2:
-        raise BadShape(f"probability matrix must be 2-D, got {arr.ndim}-D")
-    m, n = arr.shape
-    if priors is None:
-        priors_arr = np.full(n, 1.0 / n)
-    else:
-        priors_arr = np.asarray(priors, dtype=float)
-    return ContingencyTable(
-        features=tuple(features) if features is not None else _default_labels("D", m),
-        hypotheses=tuple(hypotheses) if hypotheses is not None else _default_labels("H", n),
-        x=arr,
-        priors=priors_arr,
-    )
+    return ContingencyTable(features=features, hypotheses=hypotheses, x=x, priors=priors)
 
 
 def from_counts(
@@ -225,24 +259,12 @@ def from_counts(
         raise InvalidCell(
             f"count [{i}, {a}] is zero; zero cells are rejected at construction"
         )
-    x = counts.counts / counts.populations[np.newaxis, :]
-    priors = counts.populations / counts.populations.sum()
     return ContingencyTable(
-        features=tuple(features) if features is not None else _default_labels("D", counts.m),
-        hypotheses=tuple(hypotheses) if hypotheses is not None else _default_labels("H", counts.n),
-        x=x,
-        priors=priors,
+        features=features,
+        hypotheses=hypotheses,
+        x=counts.counts / counts.populations[np.newaxis, :],
+        priors=counts.population_shares,
     )
-
-
-def _check_pair(counts: CountTable, hypothesis: int, i: int, j: int) -> None:
-    if not 0 <= hypothesis < counts.n:
-        raise BadIndex(f"hypothesis index {hypothesis} out of range for n={counts.n}")
-    for name, k in (("i", i), ("j", j)):
-        if not 0 <= k < counts.m:
-            raise BadIndex(f"feature index {name}={k} out of range for m={counts.m}")
-    if i == j:
-        raise BadIndex(f"feature indices must differ, got i == j == {i}")
 
 
 def intersection_range(counts: CountTable, hypothesis: int, i: int, j: int) -> IntegerRange:
@@ -256,7 +278,7 @@ def intersection_range(counts: CountTable, hypothesis: int, i: int, j: int) -> I
     Raises:
         BadIndex: out-of-range indices or ``i == j``.
     """
-    _check_pair(counts, hypothesis, i, j)
+    counts.check_pair(hypothesis, i, j)
     a = int(counts.counts[i, hypothesis])
     b = int(counts.counts[j, hypothesis])
     p = int(counts.populations[hypothesis])

@@ -24,16 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import PosteriorDistribution, _from_weights
+from .checks import ConstraintReport, accumulators
+from .classical import PosteriorDistribution
 from .errors import BadIndex, InvalidBasis, NotPositiveDefinite, ShapeMismatch
-from .quantum import (
-    CheckResult,
-    ConstraintReport,
-    OverlapMatrix,
-    PD_EIGENVALUE_TOL,
-    _CheckAccumulator,
-    posterior_general,
-)
+from .quantum import PD_EIGENVALUE_TOL, OverlapMatrix, posterior_general
 from .tables import ContingencyTable, new_table
 
 # Residual ceiling for the orthonormality and back-substitution identities.
@@ -184,16 +178,12 @@ def posterior_via_wavefunction(
         ShapeMismatch: overlap dimensions disagree with the table.
         NotPositiveDefinite: no orthonormal basis exists for some hypothesis.
     """
-    if overlap.c.shape != (table.n, table.m, table.m):
-        raise ShapeMismatch(
-            f"overlap shape {overlap.c.shape} does not match "
-            f"{(table.n, table.m, table.m)} for a {table.m}x{table.n} table"
-        )
+    overlap.check_fits(table)
     basis = gram_schmidt_basis(overlap)
     state = solve_b_coefficients(table, basis)
     w = table.priors * table.n
     norms = state.hypothesis_norms()
-    return _from_weights(
+    return PosteriorDistribution.from_weights(
         [float(w[a]) * norms[a] for a in range(table.n)], "wavefunction"
     )
 
@@ -216,7 +206,7 @@ def posterior_independent(table: ContingencyTable, feature: int) -> PosteriorDis
         math.sqrt(float(table.priors[a])) * math.sqrt(float(table.x[feature, a]))
         for a in range(table.n)
     ]
-    return _from_weights([amp * amp for amp in amplitudes], "wavefunction")
+    return PosteriorDistribution.from_weights([amp * amp for amp in amplitudes], "wavefunction")
 
 
 def _random_positive_definite_overlap(
@@ -263,32 +253,22 @@ def cross_path_suite(sample_count: int, seed: int) -> ConstraintReport:
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     rng = np.random.default_rng(seed)
-    checks = {
-        "paths_agree": _CheckAccumulator(
-            "paths_agree",
-            "state-vector posterior equals block-sum posterior",
-            RESIDUAL_TOL,
-        ),
-        "orthonormality": _CheckAccumulator(
-            "orthonormality", "A c A^T = I for every hypothesis", RESIDUAL_TOL
-        ),
-        "back_substitution": _CheckAccumulator(
-            "back_substitution", "A^T b recovers sqrt(x)", RESIDUAL_TOL
-        ),
-        "normalization": _CheckAccumulator(
+    checks = accumulators(
+        ("paths_agree", "state-vector posterior equals block-sum posterior", RESIDUAL_TOL),
+        ("orthonormality", "A c A^T = I for every hypothesis", RESIDUAL_TOL),
+        ("back_substitution", "A^T b recovers sqrt(x)", RESIDUAL_TOL),
+        (
             "normalization",
             "sum of squared amplitudes equals the explicit double sum",
             RESIDUAL_TOL,
         ),
-        "projection_single_feature": _CheckAccumulator(
+        (
             "projection_single_feature",
             "projection-collapse posterior equals the direct single-feature update",
             1e-14,
         ),
-        "complementarity": _CheckAccumulator(
-            "complementarity", "state-vector posterior sums to 1", 1e-12
-        ),
-    }
+        ("complementarity", "state-vector posterior sums to 1", 1e-12),
+    )
     for _ in range(sample_count):
         m = int(rng.integers(2, 4))
         n = int(rng.integers(2, 5))

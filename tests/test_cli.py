@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qlr.quantum
-from qlr import PosteriorDistribution, new_table, bayes_posterior
+from qlr import PosteriorDistribution, QlrError, new_table, bayes_posterior
 from qlr.cli import main, render_json
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -198,6 +198,39 @@ class TestAnalyze:
         assert report["methods"]["bayes:1"]["probabilities"][0] == float(
             f"{expected:.10g}"
         )
+
+
+# Exit status per error class: 2 invalid input, 3 valid input that cannot
+# support the request.
+EXIT_CODES = {
+    "QlrError": 2,
+    "BadShape": 2,
+    "InvalidCell": 2,
+    "InvalidPriors": 2,
+    "ShapeMismatch": 2,
+    "InvalidOverlap": 2,
+    "InvalidHbar": 2,
+    "InvalidBasis": 2,
+    "ParseError": 2,
+    "BadIndex": 3,
+    "Unsupported": 3,
+    "DegenerateRange": 3,
+    "NonPositiveTotal": 3,
+    "NotPositiveDefinite": 3,
+    "NotCounts": 3,
+}
+
+
+def _error_classes():
+    found = [QlrError]
+    for cls in found:
+        found.extend(sub for sub in cls.__subclasses__() if sub not in found)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_error_class_exit_code(cls):
+    assert cls.exit_code == EXIT_CODES[cls.__name__]
 
 
 class TestExitCodes:

@@ -114,6 +114,21 @@ class TestOverlapCoefficients:
         with pytest.raises(Unsupported):
             overlap_coefficients(new_table([[0.5, 0.5]]))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            overlap_coefficients,
+            posterior_2x2,
+            lambda table: posterior_2x2(table, hbar=0.5),
+        ],
+        ids=["coefficients", "posterior", "posterior_hbar"],
+    )
+    def test_tiny_cells_raise_invalid_overlap(self, call):
+        # x1*y1 = 1e-316 is subnormal but nonzero, so the second coefficient
+        # and block overflow to inf.
+        with pytest.raises(InvalidOverlap):
+            call(new_table([[1e-158, 0.5], [1e-158, 0.5]]))
+
     def test_overlap_matrix_round_trip(self):
         solution = overlap_coefficients(STREET)
         overlap = solution.overlap_matrix()
@@ -205,6 +220,20 @@ class TestHbarModeration:
             np.testing.assert_allclose(
                 moderated.probabilities, expected, atol=1e-14
             )
+
+    def test_moderated_closed_form_matches_block_sum_kernel(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            table = new_table(1.0 - rng.random((2, 2)), [0.3, 0.7])
+            solution = overlap_coefficients(table)
+            for hbar in (0.1, 0.5, 1.5, 5.0):
+                moderated = hbar_moderated_coefficients(solution.c1, solution.c2, hbar)
+                general = posterior_general(table, OverlapMatrix.from_pair(*moderated))
+                np.testing.assert_allclose(
+                    posterior_2x2(table, hbar=hbar).probabilities,
+                    general.probabilities,
+                    atol=1e-12,
+                )
 
     def test_posterior_at_large_hbar_matches_closed_form(self):
         rng = np.random.default_rng(13)

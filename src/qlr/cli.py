@@ -38,8 +38,6 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Any, Sequence
 
-import numpy as np
-
 from . import __version__
 from .classical import (
     bayes_posterior,
@@ -148,8 +146,7 @@ def _parse_csv(text: str, path: str) -> _LoadedInput:
             _parse_integer(cell, pop_line, col + 2)
             for col, cell in enumerate(pop_cells[1:])
         ]
-        table = CountTable(np.array(counts, dtype=np.int64),
-                           np.array(populations, dtype=np.int64))
+        table = CountTable(counts, populations)
         return _LoadedInput(path, "counts", features, hypotheses, count_table=table)
 
     features = tuple(cells[0] for _, cells in body)
@@ -220,8 +217,7 @@ def _parse_json(text: str, path: str) -> _LoadedInput:
             and all(isinstance(v, int) and not isinstance(v, bool) for v in pops),
             '"populations" must be a list of integers',
         )
-        table = CountTable(np.array(counts, dtype=np.int64),
-                           np.array(pops, dtype=np.int64))
+        table = CountTable(counts, pops)
         return _LoadedInput(
             path,
             "counts",
@@ -250,8 +246,14 @@ def _parse_json(text: str, path: str) -> _LoadedInput:
 
 
 def _load_input(path: str) -> _LoadedInput:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"file is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+            f"at offset {exc.start}"
+        ) from None
     if path.lower().endswith(".json"):
         return _parse_json(text, path)
     return _parse_csv(text, path)
@@ -299,45 +301,89 @@ def _format_float(value: float) -> str:
     return f"{value:.10g}"
 
 
-@dataclass
-class _MethodPlan:
-    """One requested estimator: its canonical selector name and whether the
-    user asked for it by name (skipping is then an error, not a warning)."""
+def render_text(report: dict) -> str:
+    """Plain-text report, rendered from the same dict as :func:`render_json`."""
+    command = report["command"]
+    lines = [f"qlr {command} (version {report['version']})"]
+    if command == "verify":
+        lines[0] += f": samples={report['samples']} seed={report['seed']}"
+        for key in ("constraints", "cross_path"):
+            for check in report[key]["checks"]:
+                lines.append(
+                    f"{'PASS' if check['passed'] else 'FAIL'} "
+                    f"{key.replace('_', '-')}/{check['name']}: "
+                    f"max deviation {_format_float(check['max_deviation'])} "
+                    f"(tolerance {_format_float(check['tolerance'])}, "
+                    f"{check['passes']}/{check['samples']} samples)"
+                )
+        lines.append("result: " + ("all checks passed" if report["passed"] else "FAILURES detected"))
+        return "\n".join(lines) + "\n"
 
-    selector: str
-    explicit: bool
+    ranges = [
+        f"{entry['hypothesis']}: {' & '.join(entry['features'])} "
+        f"in [{entry['lo']}, {entry['hi']}]"
+        for entry in report.get("ranges", [])
+    ]
+    if command == "ranges":
+        return "\n".join(lines + ranges) + "\n"
+
+    echo = report["input"]
+    lines.append(f"input: {echo['path']} ({echo['kind']})")
+    lines.append("features: " + ", ".join(echo["features"]))
+    lines.append("hypotheses: " + ", ".join(echo["hypotheses"]))
+    if "populations" in echo:
+        lines.append("populations: " + ", ".join(str(v) for v in echo["populations"]))
+    lines.append("priors: " + ", ".join(_format_float(v) for v in echo["priors"]))
+    if ranges:
+        lines.append("ranges:")
+        lines.extend(f"  {line}" for line in ranges)
+    lines.append("posteriors:")
+    for selector in sorted(report["methods"]):
+        entry = report["methods"][selector]
+        probs = "  ".join(
+            f"{h}={_format_float(p)}"
+            for h, p in zip(echo["hypotheses"], entry["probabilities"])
+        )
+        lines.append(f"  {selector:<14} {probs}  argmax={entry['argmax']}")
+    diag = report.get("diagnostics")
+    if diag is not None:
+        labels = {"c1": "c1", "c2": "c2", "hbar": "hbar",
+                  "c1_moderated": "c1'", "c2_moderated": "c2'"}
+        parts = [f"{label}={_format_float(diag[key])}"
+                 for key, label in labels.items() if key in diag]
+        parts.append("within unit interval: " + ("yes" if diag["within_unit_interval"] else "no"))
+        lines.append("diagnostics: " + "  ".join(parts))
+    if report["warnings"]:
+        lines.append("warnings:")
+        lines.extend(f"  - {warning}" for warning in report["warnings"])
+    return "\n".join(lines) + "\n"
 
 
-def _expand_selectors(raw_methods: Sequence[str], m: int) -> list[_MethodPlan]:
-    plans: dict[str, _MethodPlan] = {}
-
-    def add(selector: str, explicit: bool) -> None:
-        if selector in plans:
-            plans[selector].explicit = plans[selector].explicit or explicit
-        else:
-            plans[selector] = _MethodPlan(selector, explicit)
-
+def _expand_selectors(raw_methods: Sequence[str], m: int) -> tuple[list[str], set[str]]:
+    """Canonical selectors in first-request order, and the set the user named
+    explicitly (skipping one of those is an error, not a warning)."""
+    order: dict[str, None] = {}
+    explicit: set[str] = set()
     for raw in raw_methods:
         sel = raw.strip()
         if sel == "all":
-            for k in range(1, m + 1):
-                add(f"bayes:{k}", False)
-            for name in _BASE_METHODS:
-                add(name, False)
-        elif sel in _BASE_METHODS:
-            add(sel, True)
-        elif sel.startswith("bayes:"):
+            order.update(dict.fromkeys([*(f"bayes:{k}" for k in range(1, m + 1)),
+                                        *_BASE_METHODS]))
+            continue
+        if sel.startswith("bayes:"):
             suffix = sel[len("bayes:"):]
             if not _INT_RE.match(suffix) or int(suffix) < 1:
                 raise ParseError(
                     f"--method bayes needs a 1-based feature index, got {raw!r}"
                 )
-            add(f"bayes:{int(suffix)}", True)
+            sel = f"bayes:{int(suffix)}"
         elif sel == "bayes":
             raise ParseError("--method bayes needs a feature index, e.g. bayes:1")
-        else:
+        elif sel not in _BASE_METHODS:
             raise ParseError(f"unknown method {raw!r}")
-    return list(plans.values())
+        order[sel] = None
+        explicit.add(sel)
+    return list(order), explicit
 
 
 class _AnalysisRun:
@@ -424,32 +470,16 @@ class _AnalysisRun:
             return bayes_posterior(table, feature - 1)
         if selector == "naive":
             return naive_posterior(self.prob_table())
-        if selector == "mean-freq":
+        if selector in ("mean-freq", "mean-range"):
             if loaded.kind != "counts":
-                raise Unsupported("mean-freq needs integer counts with populations")
-            return mean_frequency_posterior(loaded.count_table, self.priors_flag)
-        if selector == "mean-range":
-            if loaded.kind != "counts":
-                raise Unsupported("mean-range needs integer counts with populations")
-            return mean_range_posterior(loaded.count_table, self.priors_flag)
+                raise Unsupported(f"{selector} needs integer counts with populations")
+            mean = mean_frequency_posterior if selector == "mean-freq" else mean_range_posterior
+            return mean(loaded.count_table, self.priors_flag)
         if selector == "quantum":
             self.overlap_pair()
             return posterior_2x2(self.prob_table(), self.hbar)
-        if selector == "wavefunction":
-            overlap = OverlapMatrix.from_pair(*self.overlap_pair())
-            return posterior_via_wavefunction(self.prob_table(), overlap)
-        raise ParseError(f"unknown method {selector!r}")
-
-
-def _echo_priors(run: _AnalysisRun) -> list[float]:
-    loaded = run.loaded
-    if run.priors_flag is not None:
-        return list(run.priors_flag)
-    if loaded.kind == "counts":
-        return [float(v) for v in loaded.count_table.population_shares]
-    if loaded.file_priors is not None:
-        return list(loaded.file_priors)
-    return [1.0 / loaded.n] * loaded.n
+        overlap = OverlapMatrix.from_pair(*self.overlap_pair())
+        return posterior_via_wavefunction(self.prob_table(), overlap)
 
 
 def _input_echo(loaded: _LoadedInput) -> dict[str, Any]:
@@ -460,8 +490,8 @@ def _input_echo(loaded: _LoadedInput) -> dict[str, Any]:
         "hypotheses": list(loaded.hypotheses),
     }
     if loaded.kind == "counts":
-        echo["counts"] = [[int(v) for v in row] for row in loaded.count_table.counts]
-        echo["populations"] = [int(v) for v in loaded.count_table.populations]
+        echo["counts"] = loaded.count_table.counts.tolist()
+        echo["populations"] = loaded.count_table.populations.tolist()
     else:
         echo["values"] = [[float(v) for v in row] for row in loaded.values]
     return echo
@@ -473,60 +503,47 @@ def _ranges_payload(loaded: _LoadedInput) -> list[dict[str, Any]]:
     for a in range(table.n):
         for i, j in combinations(range(table.m), 2):
             r = intersection_range(table, a, i, j)
-            payload.append(
-                {
-                    "hypothesis": loaded.hypotheses[a],
-                    "features": [loaded.features[i], loaded.features[j]],
-                    "lo": r.lo,
-                    "hi": r.hi,
-                }
-            )
+            payload.append({"hypothesis": loaded.hypotheses[a],
+                            "features": [loaded.features[i], loaded.features[j]],
+                            "lo": r.lo, "hi": r.hi})
     return payload
 
 
-def _range_lines(ranges: list[dict[str, Any]], indent: str) -> list[str]:
-    return [
-        f"{indent}{entry['hypothesis']}: {' & '.join(entry['features'])} "
-        f"in [{entry['lo']}, {entry['hi']}]"
-        for entry in ranges
-    ]
-
-
-def _posterior_payload(pd, hypotheses) -> dict[str, Any]:
-    return {
-        "method": pd.method,
-        "probabilities": list(pd.probabilities),
-        "argmax_index": pd.argmax_index,
-        "argmax": hypotheses[pd.argmax_index],
-    }
-
-
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> dict[str, Any]:
     loaded = _load_input(args.input)
     priors_flag = _parse_priors_flag(args.priors, loaded.n)
     run = _AnalysisRun(loaded, priors_flag, args.hbar)
-    plans = _expand_selectors(args.method or ["all"], loaded.m)
+    selectors, explicit = _expand_selectors(args.method or ["all"], loaded.m)
 
-    if args.hbar == 0.0 and any(
-        p.selector in ("quantum", "wavefunction") for p in plans
-    ):
+    if args.hbar == 0.0 and {"quantum", "wavefunction"} & set(selectors):
         run.warnings.append("overlap disabled at hbar=0")
 
     methods: dict[str, Any] = {}
-    for plan in plans:
+    for selector in selectors:
         try:
-            pd = run.run_method(plan.selector)
+            pd = run.run_method(selector)
         except QlrError as exc:
-            if plan.explicit or exc.exit_code != 3:
+            if selector in explicit or exc.exit_code != 3:
                 raise
-            run.warnings.append(f"skipped {plan.selector}: {exc}")
+            run.warnings.append(f"skipped {selector}: {exc}")
             continue
-        methods[plan.selector] = _posterior_payload(pd, loaded.hypotheses)
+        methods[selector] = {
+            "method": pd.method,
+            "probabilities": list(pd.probabilities),
+            "argmax_index": pd.argmax_index,
+            "argmax": loaded.hypotheses[pd.argmax_index],
+        }
 
+    # The priors the estimators used: every emitted report has already
+    # validated them (counts) or built the probability table (probabilities).
+    if loaded.kind == "counts":
+        priors = loaded.count_table.resolve_priors(priors_flag)
+    else:
+        priors = run.prob_table().priors
     report: dict[str, Any] = {
         "command": "analyze",
         "version": __version__,
-        "input": {**_input_echo(loaded), "priors": _echo_priors(run)},
+        "input": {**_input_echo(loaded), "priors": priors.tolist()},
         "methods": methods,
         "warnings": run.warnings,
     }
@@ -534,53 +551,10 @@ def cmd_analyze(args) -> int:
         report["diagnostics"] = run.diagnostics
     if loaded.kind == "counts" and loaded.m >= 2:
         report["ranges"] = _ranges_payload(loaded)
-
-    if args.format == "json":
-        sys.stdout.write(render_json(report))
-    else:
-        sys.stdout.write(_analyze_text(report))
-    return 0
+    return report
 
 
-def _analyze_text(report: dict) -> str:
-    lines = [f"qlr analyze (version {report['version']})"]
-    echo = report["input"]
-    lines.append(f"input: {echo['path']} ({echo['kind']})")
-    lines.append("features: " + ", ".join(echo["features"]))
-    lines.append("hypotheses: " + ", ".join(echo["hypotheses"]))
-    if "populations" in echo:
-        lines.append("populations: " + ", ".join(str(v) for v in echo["populations"]))
-    lines.append("priors: " + ", ".join(_format_float(v) for v in echo["priors"]))
-    if report.get("ranges"):
-        lines.append("ranges:")
-        lines.extend(_range_lines(report["ranges"], "  "))
-    lines.append("posteriors:")
-    for selector in sorted(report["methods"]):
-        entry = report["methods"][selector]
-        probs = "  ".join(
-            f"{h}={_format_float(p)}"
-            for h, p in zip(echo["hypotheses"], entry["probabilities"])
-        )
-        lines.append(f"  {selector:<14} {probs}  argmax={entry['argmax']}")
-    diag = report.get("diagnostics")
-    if diag is not None:
-        parts = [f"c1={_format_float(diag['c1'])}", f"c2={_format_float(diag['c2'])}"]
-        if "hbar" in diag:
-            parts.append(f"hbar={_format_float(diag['hbar'])}")
-            parts.append(f"c1'={_format_float(diag['c1_moderated'])}")
-            parts.append(f"c2'={_format_float(diag['c2_moderated'])}")
-        parts.append(
-            "within unit interval: " + ("yes" if diag["within_unit_interval"] else "no")
-        )
-        lines.append("diagnostics: " + "  ".join(parts))
-    if report["warnings"]:
-        lines.append("warnings:")
-        for warning in report["warnings"]:
-            lines.append(f"  - {warning}")
-    return "\n".join(lines) + "\n"
-
-
-def cmd_ranges(args) -> int:
+def cmd_ranges(args) -> dict[str, Any]:
     loaded = _load_input(args.input)
     if loaded.kind != "counts":
         raise NotCounts(
@@ -589,53 +563,31 @@ def cmd_ranges(args) -> int:
         )
     if loaded.m < 2:
         raise Unsupported(f"ranges need at least 2 features, got {loaded.m}")
-    payload = _ranges_payload(loaded)
-    report = {
+    return {
         "command": "ranges",
         "version": __version__,
         "input": _input_echo(loaded),
-        "ranges": payload,
+        "ranges": _ranges_payload(loaded),
     }
-    if args.format == "json":
-        sys.stdout.write(render_json(report))
-    else:
-        lines = [f"qlr ranges (version {report['version']})", *_range_lines(payload, "")]
-        sys.stdout.write("\n".join(lines) + "\n")
-    return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict[str, Any]:
     if args.samples < 1:
         raise ParseError(f"--samples must be >= 1, got {args.samples}")
     constraints = verify_constraint_suite(args.samples, args.seed)
     cross = cross_path_suite(args.samples, args.seed)
-    passed = constraints.passed and cross.passed
-    report = {
+    return {
         "command": "verify",
         "version": __version__,
         "samples": args.samples,
         "seed": args.seed,
         "constraints": constraints.to_dict(),
         "cross_path": cross.to_dict(),
-        "passed": passed,
+        "passed": constraints.passed and cross.passed,
     }
-    if args.format == "json":
-        sys.stdout.write(render_json(report))
-    else:
-        lines = [f"qlr verify (version {report['version']}): "
-                 f"samples={args.samples} seed={args.seed}"]
-        for suite_name, suite in (("constraints", constraints), ("cross-path", cross)):
-            for check in suite.checks:
-                status = "PASS" if check.passed else "FAIL"
-                lines.append(
-                    f"{status} {suite_name}/{check.name}: "
-                    f"max deviation {_format_float(check.max_deviation)} "
-                    f"(tolerance {_format_float(check.tolerance)}, "
-                    f"{check.passes}/{check.samples} samples)"
-                )
-        lines.append("result: " + ("all checks passed" if passed else "FAILURES detected"))
-        sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if passed else 1
+
+
+_COMMANDS = {"analyze": cmd_analyze, "ranges": cmd_ranges, "verify": cmd_verify}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -670,26 +622,21 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated hypothesis priors (default: population shares "
         "for counts, uniform otherwise)",
     )
-    analyze.add_argument(
-        "--format", choices=("json", "text"), default="text", help="output format"
-    )
 
     ranges = sub.add_parser(
         "ranges", help="feasible joint-count ranges for each feature pair"
     )
     ranges.add_argument("input", help="CSV or JSON counts file")
-    ranges.add_argument(
-        "--format", choices=("json", "text"), default="text", help="output format"
-    )
 
     verify = sub.add_parser(
         "verify", help="run the randomized constraint and cross-path suites"
     )
     verify.add_argument("--samples", type=int, default=1000, help="samples per check")
     verify.add_argument("--seed", type=int, default=42, help="random seed")
-    verify.add_argument(
-        "--format", choices=("json", "text"), default="text", help="output format"
-    )
+    for command in (analyze, ranges, verify):
+        command.add_argument(
+            "--format", choices=("json", "text"), default="text", help="output format"
+        )
     return parser
 
 
@@ -700,17 +647,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "ranges":
-            return cmd_ranges(args)
-        return cmd_verify(args)
-    except QlrError as exc:
+        report = _COMMANDS[args.command](args)
+    except (QlrError, OSError) as exc:
         print(f"qlr: error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"qlr: error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code if isinstance(exc, QlrError) else 2
+    render = render_json if args.format == "json" else render_text
+    sys.stdout.write(render(report))
+    return 0 if report.get("passed", True) else 1
 
 
 if __name__ == "__main__":

@@ -178,7 +178,8 @@ def overlap_coefficients(table: ContingencyTable) -> CoefficientSolution:
 
     Raises:
         Unsupported: table shape is not 2x2.
-        InvalidOverlap: a coefficient is not finite (cell products too small).
+        InvalidOverlap: a cell product underflows to zero or a coefficient is
+            not finite (cell products too small).
     """
     if (table.m, table.n) != (2, 2):
         raise Unsupported(
@@ -186,11 +187,22 @@ def overlap_coefficients(table: ContingencyTable) -> CoefficientSolution:
         )
     x1, y1 = float(table.x[0, 0]), float(table.x[1, 0])
     x2, y2 = float(table.x[0, 1]), float(table.x[1, 1])
-    c1 = math.sqrt(x1 * y1) / (2.0 * x2 * y2)
-    c2 = math.sqrt(x2 * y2) / (2.0 * x1 * y1)
+    p1, p2 = x1 * y1, x2 * y2
+    _check_products(p1, p2)
+    c1 = math.sqrt(p1) / (2.0 * x2 * y2)
+    c2 = math.sqrt(p2) / (2.0 * x1 * y1)
     if not (math.isfinite(c1) and math.isfinite(c2)):
         raise InvalidOverlap(f"overlap coefficients must be finite, got c1={c1!r}, c2={c2!r}")
     return CoefficientSolution(c1, c2)
+
+
+def _check_products(p1: float, p2: float) -> None:
+    """Raises InvalidOverlap when a column's cell product underflows to 0."""
+    if p1 == 0.0 or p2 == 0.0:
+        raise InvalidOverlap(
+            f"cell products underflow to zero ({p1!r} and {p2!r}); "
+            "the overlap ratio is undefined"
+        )
 
 
 def _moderation_scale(hbar: float) -> float:
@@ -275,12 +287,14 @@ def posterior_2x2(table: ContingencyTable, hbar: float | None = None) -> Posteri
         block1 = s*r + x1 + y1        block2 = s/r + x2 + y2
 
     and ``P(H_1) = w1*block1 / (w1*block1 + w2*block2)``.  ``hbar = 0``
-    therefore yields the independent-feature (column-sum) reduction.
+    therefore yields the independent-feature (column-sum) reduction, which
+    is formed without the ratio.
 
     Raises:
         Unsupported: table shape is not 2x2.
         InvalidHbar: negative or non-finite moderation scale.
-        InvalidOverlap: a block is not finite (cell products too small).
+        InvalidOverlap: a cell product underflows to zero or a block is not
+            finite (cell products too small).
     """
     if (table.m, table.n) != (2, 2):
         raise Unsupported(
@@ -289,8 +303,13 @@ def posterior_2x2(table: ContingencyTable, hbar: float | None = None) -> Posteri
     scale = 1.0 if hbar is None else _moderation_scale(hbar)
     x1, y1 = float(table.x[0, 0]), float(table.x[1, 0])
     x2, y2 = float(table.x[0, 1]), float(table.x[1, 1])
-    block1 = scale * ((x1 * y1) / (x2 * y2)) + x1 + y1
-    block2 = scale * ((x2 * y2) / (x1 * y1)) + x2 + y2
+    if scale == 0.0:
+        block1, block2 = x1 + y1, x2 + y2
+    else:
+        p1, p2 = x1 * y1, x2 * y2
+        _check_products(p1, p2)
+        block1 = scale * (p1 / p2) + x1 + y1
+        block2 = scale * (p2 / p1) + x2 + y2
     if not (math.isfinite(block1) and math.isfinite(block2)):
         raise InvalidOverlap(
             f"overlap blocks must be finite, got {block1!r} and {block2!r}"

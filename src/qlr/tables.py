@@ -132,15 +132,17 @@ class CountTable:
         populations = np.asarray(self.populations)
         if counts.ndim != 2:
             raise BadShape(f"counts must be 2-D, got {counts.ndim}-D")
-        if not np.issubdtype(counts.dtype, np.integer) or not np.issubdtype(
-            populations.dtype, np.integer
-        ):
-            raise BadShape("counts and populations must be integers")
         m, n = counts.shape
         if m < 1 or n < 1:
             raise BadShape(f"need at least one feature and one hypothesis, got {m}x{n}")
         if populations.shape != (n,):
             raise BadShape(f"populations must have length {n}, got shape {populations.shape}")
+        if not np.issubdtype(counts.dtype, np.integer) or not np.issubdtype(
+            populations.dtype, np.integer
+        ):
+            raise BadShape(
+                f"counts and populations must be integers no larger than {MAX_POPULATION}"
+            )
         if np.any(populations < 1):
             raise BadShape(f"populations must be positive, got {populations.tolist()}")
         if np.any(populations > MAX_POPULATION):

@@ -55,6 +55,21 @@ class TestGoldenOutputs:
         assert code == 0
         assert out == golden("verify_50_42.json")
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("analyze", STREETS_CSV, "--method", "all"), "analyze_streets.txt"),
+            (("ranges", STREETS_CSV), "ranges_streets.txt"),
+            (("verify", "--samples", "50", "--seed", "42"), "verify_50_42.txt"),
+        ],
+        ids=["analyze", "ranges", "verify"],
+    )
+    def test_text_output(self, capsys, repo_cwd, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err == ""
+        assert out == golden(name)
+
     def test_analyze_is_deterministic(self, capsys, repo_cwd):
         argv = ("analyze", STREETS_CSV, "--format", "json")
         _, first, _ = run_cli(capsys, *argv)
@@ -344,6 +359,27 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "analyze", str(path), "--method", "quantum")
         assert code == 3
         assert "2x2" in err
+
+
+# Inputs inside the documented domain that once ended in a traceback: cell
+# products that underflow to zero, bytes that are not UTF-8, and JSON counts
+# beyond int64.
+EDGE_INPUTS = {
+    "underflow.csv": b"feature,A,B\nd1,0.5,1e-200\nd2,0.5,1e-200\n",
+    "underflow.json": b'{"kind": "probabilities", "values": [[1e-200, 0.5], [1e-200, 0.5]]}',
+    "bytes.csv": b"feature,A,B\n\x80\xff,0.5,0.5\n",
+    "bigint.json": b'{"kind": "counts", "counts": [[99999999999999999999999, 1], [1, 1]], '
+    b'"populations": [99999999999999999999999, 2]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_INPUTS))
+def test_edge_input_gives_a_typed_error(capsys, tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(EDGE_INPUTS[name])
+    code, _, err = run_cli(capsys, "analyze", str(path), "--format", "json")
+    assert code in (2, 3)
+    assert err.startswith("qlr: error:")
 
 
 class TestVerifyCommand:

@@ -125,9 +125,10 @@ class TestOverlapCoefficients:
     )
     def test_tiny_cells_raise_invalid_overlap(self, call):
         # x1*y1 = 1e-316 is subnormal but nonzero, so the second coefficient
-        # and block overflow to inf.
-        with pytest.raises(InvalidOverlap):
-            call(new_table([[1e-158, 0.5], [1e-158, 0.5]]))
+        # and block overflow to inf; x2*y2 = 1e-400 underflows to zero.
+        for cells in ([[1e-158, 0.5], [1e-158, 0.5]], [[0.5, 1e-200], [0.5, 1e-200]]):
+            with pytest.raises(InvalidOverlap):
+                call(new_table(cells))
 
     def test_overlap_matrix_round_trip(self):
         solution = overlap_coefficients(STREET)
@@ -142,6 +143,16 @@ class TestPosterior2x2:
         np.testing.assert_allclose(pd.probabilities[0], STREET_P1, atol=1e-12)
         assert pd.method == "quantum"
         assert pd.argmax_index == 0
+
+    def test_zero_hbar_on_tiny_cells_gives_column_sums(self):
+        # x1*y1 is subnormal, so the overlap ratio overflows; at hbar = 0 the
+        # posterior is the prior-weighted column sums and needs no ratio.
+        table = new_table([[1e-158, 0.5], [1e-158, 0.5]], [0.3, 0.7])
+        w1, w2 = 2.0 * 0.3, 2.0 * 0.7
+        block1, block2 = 1e-158 + 1e-158, 0.5 + 0.5
+        total = w1 * block1 + w2 * block2
+        pd = posterior_2x2(table, 0.0)
+        assert pd.probabilities == (w1 * block1 / total, w2 * block2 / total)
 
     def test_known_value_families(self):
         rng = np.random.default_rng(42)

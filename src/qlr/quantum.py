@@ -80,6 +80,13 @@ class OverlapMatrix:
         """Number of features."""
         return self.c.shape[1]
 
+    @cached_property
+    def positive_definite(self) -> tuple[bool, ...]:
+        """Per hypothesis, whether every eigenvalue of ``c[a]`` clears
+        ``PD_EIGENVALUE_TOL``; one stacked eigenvalue solve over all ``n``."""
+        eigenvalues = np.linalg.eigvalsh(self.c)
+        return tuple((eigenvalues > PD_EIGENVALUE_TOL).all(axis=1).tolist())
+
     def check_fits(self, table: ContingencyTable) -> None:
         """Require one m x m matrix per hypothesis of ``table``.
 
@@ -116,10 +123,11 @@ class CoefficientDiagnostics:
     ``values[a]`` lists hypothesis ``a``'s upper-triangle off-diagonal
     coefficients (row-major); ``within_unit_interval`` mirrors that structure
     with a strict ``-1 < c < 1`` flag per value.  ``gram_positive_definite[a]``
-    reports whether hypothesis ``a``'s full coefficient matrix has all
-    eigenvalues above ``PD_EIGENVALUE_TOL``; when it does not, the
-    state-vector cross-check is unavailable for that hypothesis even though
-    the block-sum posterior itself stays well defined for positive tables.
+    is ``OverlapMatrix.positive_definite[a]``: whether hypothesis ``a``'s full
+    coefficient matrix has all eigenvalues above ``PD_EIGENVALUE_TOL``; when
+    it does not, the state-vector cross-check is unavailable for that
+    hypothesis even though the block-sum posterior itself stays well defined
+    for positive tables.
     """
 
     values: tuple[tuple[float, ...], ...]
@@ -128,18 +136,10 @@ class CoefficientDiagnostics:
 
     @classmethod
     def from_overlap(cls, overlap: OverlapMatrix) -> "CoefficientDiagnostics":
-        m = overlap.m
-        iu, ju = np.triu_indices(m, k=1)
-        values = []
-        within = []
-        pd_flags = []
-        for a in range(overlap.n):
-            offdiag = tuple(float(v) for v in overlap.c[a][iu, ju])
-            values.append(offdiag)
-            within.append(tuple(-1.0 < v < 1.0 for v in offdiag))
-            eigenvalues = np.linalg.eigvalsh(overlap.c[a])
-            pd_flags.append(bool(np.all(eigenvalues > PD_EIGENVALUE_TOL)))
-        return cls(tuple(values), tuple(within), tuple(pd_flags))
+        iu, ju = np.triu_indices(overlap.m, k=1)
+        values = tuple(tuple(float(v) for v in row) for row in overlap.c[:, iu, ju])
+        within = tuple(tuple(-1.0 < v < 1.0 for v in row) for row in values)
+        return cls(values, within, overlap.positive_definite)
 
     @property
     def all_within_unit_interval(self) -> bool:

@@ -1,5 +1,6 @@
 """Module boundaries: no module of the package imports a private
-(``_``-prefixed) name from a sibling module."""
+(``_``-prefixed) name from a sibling module, and the state-vector checker
+does not call the overlap kernels it checks."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,79 @@ def test_checker_allows_public_and_dunder_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_names_cross_module_lines(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+# The state-vector path in wavefunction.py checks these kernels of
+# quantum.py, so it may not use them to compute its own posterior; only the
+# suite that compares the two paths calls the block-sum kernel.
+CHECKED_KERNELS = frozenset(
+    {"posterior_general", "posterior_2x2", "overlap_coefficients", "hbar_moderated_coefficients"}
+)
+ALLOWED_CALLERS = {"posterior_general": frozenset({"cross_path_suite"})}
+
+
+def kernel_references(source: str) -> list[str]:
+    """References to a checked kernel outside the functions allowed to make
+    them, as ``line N: name in scope`` strings.  Scope is the top-level
+    function or class holding the reference, or ``<module>``; an import of
+    ``posterior_general`` is allowed, an import of any other kernel is not."""
+    tree = ast.parse(source)
+    aliases = {}
+    found = []
+
+    def kernel_of(node):
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id)
+        if isinstance(node, ast.Attribute) and node.attr in CHECKED_KERNELS:
+            return node.attr
+        if isinstance(node, ast.Constant) and node.value in CHECKED_KERNELS:
+            return node.value
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in CHECKED_KERNELS:
+                    aliases[alias.asname or alias.name] = alias.name
+                    if alias.name not in ALLOWED_CALLERS:
+                        found.append(f"line {node.lineno}: import {alias.name}")
+    for top in tree.body:
+        if isinstance(top, (ast.ImportFrom, ast.Import)):
+            continue
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            kernel = kernel_of(node)
+            if kernel and scope not in ALLOWED_CALLERS.get(kernel, ()):
+                found.append(f"line {node.lineno}: {kernel} in {scope}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .quantum import posterior_2x2",
+        "from .quantum import overlap_coefficients as solve",
+        "from .quantum import posterior_general\ndef helper(t, o):\n    return posterior_general(t, o)",
+        "from .quantum import posterior_general as pg\ndef helper(t, o):\n    return pg(t, o)",
+        "from . import quantum\ndef f(t):\n    return quantum.hbar_moderated_coefficients(1, 2, t)",
+        "class Basis:\n    def posterior(self, t, o):\n        return quantum.posterior_general(t, o)",
+        "from .quantum import posterior_general\nKERNEL = posterior_general",
+        "from . import quantum\ndef f(t):\n    return getattr(quantum, 'posterior_2x2')(t)",
+    ],
+)
+def test_checker_flags_kernel_references(source):
+    assert kernel_references(source)
+
+
+def test_checker_allows_the_suite_to_call_the_block_sum_kernel():
+    source = (
+        "from .quantum import posterior_general\n"
+        "def cross_path_suite(t, o):\n"
+        "    return posterior_general(t, o)"
+    )
+    assert kernel_references(source) == []
+
+
+def test_state_vector_path_does_not_call_the_kernels_it_checks():
+    source = (PACKAGE / "wavefunction.py").read_text(encoding="utf-8")
+    assert kernel_references(source) == []

@@ -2,9 +2,12 @@
 amplitude posterior, the single-feature projection, and the cross-path
 suite."""
 
+import math
+
 import numpy as np
 import pytest
 
+import qlr.wavefunction as wavefunction
 from qlr import (
     BadIndex,
     CountTable,
@@ -12,6 +15,7 @@ from qlr import (
     NotPositiveDefinite,
     OrthonormalBasis,
     OverlapMatrix,
+    PosteriorDistribution,
     ShapeMismatch,
     StateVector,
     bayes_posterior,
@@ -40,6 +44,75 @@ def street_overlap() -> OverlapMatrix:
     return overlap_coefficients(STREET).overlap_matrix()
 
 
+# Loop references: one hypothesis (and one amplitude column) at a time.  The
+# stacked code must match them within STACKED_TOL, set from float64 rounding
+# on unit-scale overlaps: 1e-12 is about 4,500 ulps of 1, far above the
+# rounding of the m <= 4 term sums both versions form.
+STACKED_TOL = 1e-12
+
+
+def reference_gram_schmidt(overlap: OverlapMatrix) -> np.ndarray:
+    c = overlap.c
+    basis = np.zeros((overlap.n, overlap.m, overlap.m))
+    for a in range(overlap.n):
+        gram = c[a]
+        rows = basis[a]
+        for i in range(overlap.m):
+            v = np.zeros(overlap.m)
+            v[i] = 1.0
+            for _ in range(2):
+                for k in range(i):
+                    v = v - (v @ gram @ rows[k]) * rows[k]
+            rows[i] = v / math.sqrt(float(v @ gram @ v))
+    return basis
+
+
+def reference_amplitudes(x: np.ndarray, basis: np.ndarray, c: np.ndarray) -> np.ndarray:
+    b = np.zeros((x.shape[1], x.shape[0]))
+    for a in range(x.shape[1]):
+        b[a] = basis[a] @ c[a] @ np.sqrt(x[:, a])
+    return b
+
+
+def reference_cases():
+    """Random positive-definite overlaps for every (n, m) in {2,3,4}^2, the
+    identity overlap and the street overlap, each with a table to fit."""
+    rng = np.random.default_rng(36)
+    cases = []
+    for n in (2, 3, 4):
+        for m in (2, 3, 4):
+            for k in range(5):
+                x = 1.0 - rng.random((m, n))
+                raw = 1.0 - rng.random(n)
+                overlap = _random_positive_definite_overlap(rng, n, m)
+                table = new_table(x, raw / raw.sum())
+                cases.append(pytest.param(table, overlap, id=f"random-n{n}-m{m}-{k}"))
+    identity = OverlapMatrix.identity(3, 4)
+    cases.append(pytest.param(new_table(1.0 - rng.random((4, 3))), identity, id="identity"))
+    cases.append(pytest.param(STREET, street_overlap(), id="street"))
+    return cases
+
+
+@pytest.mark.parametrize("table,overlap", reference_cases())
+def test_stacked_path_matches_loop_reference(table, overlap):
+    basis = gram_schmidt_basis(overlap)
+    expected_basis = reference_gram_schmidt(overlap)
+    np.testing.assert_allclose(basis.matrices, expected_basis, rtol=0, atol=STACKED_TOL)
+    state = solve_b_coefficients(table, basis)
+    expected_b = reference_amplitudes(table.x, expected_basis, overlap.c)
+    np.testing.assert_allclose(state.b, expected_b, rtol=0, atol=STACKED_TOL)
+    norms = np.sum(expected_b * expected_b, axis=1)
+    expected = PosteriorDistribution.from_weights(
+        [float(table.priors[a] * table.n) * norms[a] for a in range(table.n)], "wavefunction"
+    )
+    np.testing.assert_allclose(
+        posterior_via_wavefunction(table, overlap).probabilities,
+        expected.probabilities,
+        rtol=0,
+        atol=1e-14,
+    )
+
+
 class TestGramSchmidtBasis:
     def test_identity_overlap_gives_identity_basis(self):
         basis = gram_schmidt_basis(OverlapMatrix.identity(3, 4))
@@ -60,6 +133,9 @@ class TestGramSchmidtBasis:
         with pytest.raises(NotPositiveDefinite) as info:
             gram_schmidt_basis(OverlapMatrix.from_pair(0.3, 1.0))
         assert info.value.hypothesis == 1
+        with pytest.raises(NotPositiveDefinite) as info:
+            gram_schmidt_basis(OverlapMatrix.from_pair(1.0, 1.0))
+        assert info.value.hypothesis == 0
 
     def test_random_positive_definite_overlaps_pass(self):
         rng = np.random.default_rng(31)
@@ -85,6 +161,8 @@ class TestOrthonormalBasis:
         overlap = OverlapMatrix.identity(2, 2)
         with pytest.raises(InvalidBasis, match="residual"):
             OrthonormalBasis(2.0 * np.stack([np.eye(2), np.eye(2)]), overlap)
+        with pytest.raises(InvalidBasis, match="residual"):
+            OrthonormalBasis(np.full((2, 2, 2), np.nan), overlap)
 
     def test_matrices_are_read_only(self):
         basis = gram_schmidt_basis(OverlapMatrix.identity(2, 2))
@@ -246,3 +324,19 @@ class TestCrossPathSuite:
     def test_rejects_non_positive_sample_count(self):
         with pytest.raises(ValueError):
             cross_path_suite(0, 42)
+
+    def test_detects_a_perturbed_block_sum_posterior(self, monkeypatch):
+        real = wavefunction.posterior_general
+
+        def perturbed(table, overlap):
+            p = list(real(table, overlap).probabilities)
+            p[0], p[1] = p[0] + 1e-6, p[1] - 1e-6
+            return PosteriorDistribution.from_probabilities(p, "quantum")
+
+        monkeypatch.setattr(wavefunction, "posterior_general", perturbed)
+        report = cross_path_suite(20, 42)
+        assert not report.passed
+        by_name = {check.name: check for check in report.checks}
+        assert not by_name["paths_agree"].passed
+        assert by_name["paths_agree"].passes == 0
+        assert all(check.passed for name, check in by_name.items() if name != "paths_agree")

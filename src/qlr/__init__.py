@@ -18,6 +18,7 @@ from .errors import (
     NonPositiveTotal,
     NotCounts,
     NotPositiveDefinite,
+    OverlapUnderflow,
     ParseError,
     QlrError,
     ShapeMismatch,
@@ -41,10 +42,10 @@ from .classical import (
 )
 from .checks import CheckResult, ConstraintReport
 from .quantum import (
-    CoefficientDiagnostics,
     CoefficientSolution,
     OverlapMatrix,
     hbar_moderated_coefficients,
+    moderation_scale,
     overlap_coefficients,
     posterior_2x2,
     posterior_general,
@@ -80,6 +81,7 @@ __all__ = [
     "DegenerateRange",
     "ShapeMismatch",
     "InvalidOverlap",
+    "OverlapUnderflow",
     "NonPositiveTotal",
     "InvalidHbar",
     "NotPositiveDefinite",
@@ -99,12 +101,12 @@ __all__ = [
     "mean_frequency_posterior",
     "mean_range_posterior",
     "OverlapMatrix",
-    "CoefficientDiagnostics",
     "CoefficientSolution",
     "CheckResult",
     "ConstraintReport",
     "overlap_coefficients",
     "hbar_moderated_coefficients",
+    "moderation_scale",
     "posterior_2x2",
     "posterior_general",
     "verify_constraint_suite",

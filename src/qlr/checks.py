@@ -1,14 +1,15 @@
 """Result types shared by the randomized self-check suites.
 
 :func:`qlr.quantum.verify_constraint_suite` and
-:func:`qlr.wavefunction.cross_path_suite` both feed per-sample deviations
-into a :class:`CheckAccumulator` and report a :class:`ConstraintReport`.
+:func:`qlr.wavefunction.cross_path_suite` both collect per-sample deviations
+for each check, build one :class:`CheckResult` per check from them, and
+report a :class:`ConstraintReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 
 @dataclass(frozen=True)
@@ -21,6 +22,19 @@ class CheckResult:
     passes: int
     max_deviation: float
     tolerance: float
+
+    @classmethod
+    def from_deviations(
+        cls, name: str, description: str, tolerance: float, deviations: Sequence[float]
+    ) -> "CheckResult":
+        """Result of one check from its per-sample deviations.
+
+        A sample passes when its deviation is at most ``tolerance``, so a NaN
+        deviation fails.  ``max_deviation`` is the largest deviation above
+        zero (0.0 when there is none); NaN never raises it.
+        """
+        passes = sum(1 for d in deviations if d <= tolerance)
+        return cls(name, description, len(deviations), passes, max([0.0, *deviations]), tolerance)
 
     @property
     def passed(self) -> bool:
@@ -61,38 +75,3 @@ class ConstraintReport:
             "seed": self.seed,
             "passed": self.passed,
         }
-
-
-@dataclass
-class CheckAccumulator:
-    """Running pass count and worst deviation of one check."""
-
-    name: str
-    description: str
-    tolerance: float
-    samples: int = 0
-    passes: int = 0
-    max_deviation: float = 0.0
-
-    def record(self, deviation: float) -> None:
-        self.samples += 1
-        if deviation <= self.tolerance:
-            self.passes += 1
-        if deviation > self.max_deviation:
-            self.max_deviation = deviation
-
-    def result(self) -> CheckResult:
-        return CheckResult(
-            self.name,
-            self.description,
-            self.samples,
-            self.passes,
-            self.max_deviation,
-            self.tolerance,
-        )
-
-
-def accumulators(*specs: tuple[str, str, float]) -> dict[str, CheckAccumulator]:
-    """One accumulator per ``(name, description, tolerance)``, keyed by name
-    in the given order."""
-    return {name: CheckAccumulator(name, description, tol) for name, description, tol in specs}

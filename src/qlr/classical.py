@@ -15,6 +15,7 @@ data because the feasible ranges only exist for counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,10 +77,10 @@ class PosteriorDistribution:
         """Normalize nonnegative weights into a posterior.
 
         Raises:
-            DegenerateRange: the weights do not have a positive total.
+            DegenerateRange: the weights do not have a positive finite total.
         """
         total = sum(weights)
-        if not total > 0.0:
+        if not 0.0 < total < math.inf:
             raise DegenerateRange(f"cannot normalize weights with total {total!r}")
         return cls.from_probabilities([w / total for w in weights], method)
 
@@ -93,7 +94,7 @@ def bayes_posterior(table: ContingencyTable, feature: int) -> PosteriorDistribut
     """
     if not 0 <= feature < table.m:
         raise BadIndex(f"feature index {feature} out of range for m={table.m}")
-    weights = [float(table.priors[a]) * float(table.x[feature, a]) for a in range(table.n)]
+    weights = _products(list(zip(table.priors.tolist(), table.x[feature].tolist())))
     return PosteriorDistribution.from_weights(weights, "bayes")
 
 
@@ -101,13 +102,29 @@ def naive_posterior(table: ContingencyTable) -> PosteriorDistribution:
     """Posterior that ignores feature co-dependence:
     ``P(H_a | all D) ∝ prior_a * prod_i x[i, a]``.
     """
-    weights = []
-    for a in range(table.n):
-        w = float(table.priors[a])
-        for i in range(table.m):
-            w *= float(table.x[i, a])
-        weights.append(w)
+    weights = _products(list(zip(table.priors.tolist(), *table.x.tolist())))
     return PosteriorDistribution.from_weights(weights, "naive")
+
+
+def _products(rows: Sequence[Sequence[float]]) -> list[float]:
+    """The product of each row of factors in [0, 1], up to one common power of two.
+
+    Running products are kept as frexp mantissa and exponent, so they keep
+    full precision below the float range, and are scaled up so the largest
+    lies in [0.5, 1].  Where every product is a normal float this gives the
+    plain products' posterior bit for bit: the rounding of each step depends
+    only on the mantissas, and the common factor cancels in normalization."""
+    mantissas, exponents = [], []
+    for row in rows:
+        mantissa, exponent = 1.0, 0
+        for factor in row:
+            f, e = math.frexp(factor)
+            mantissa, k = math.frexp(mantissa * f)
+            exponent += e + k
+        mantissas.append(mantissa)
+        exponents.append(exponent)
+    top = min(0, max((e for mantissa, e in zip(mantissas, exponents) if mantissa), default=0))
+    return [math.ldexp(mantissa, e - top) for mantissa, e in zip(mantissas, exponents)]
 
 
 def mean_frequency_posterior(

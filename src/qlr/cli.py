@@ -35,6 +35,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
 from typing import Any, Sequence
 
@@ -47,8 +48,10 @@ from .classical import (
 )
 from .errors import BadIndex, InvalidPriors, NotCounts, ParseError, QlrError, Unsupported
 from .quantum import (
+    CoefficientSolution,
     OverlapMatrix,
     hbar_moderated_coefficients,
+    moderation_scale,
     overlap_coefficients,
     posterior_2x2,
     verify_constraint_suite,
@@ -395,10 +398,9 @@ class _AnalysisRun:
         self.priors_flag = priors_flag
         self.hbar = hbar
         self.warnings: list[str] = []
-        self.diagnostics: dict[str, Any] | None = None
-        self._prob_table: ContingencyTable | None = None
-        self._pair: tuple[float, float] | None = None
+        self._solution: CoefficientSolution | None = None
 
+    @cached_property
     def prob_table(self) -> ContingencyTable:
         """The probability-matrix view of the input, built on first use.
 
@@ -406,8 +408,6 @@ class _AnalysisRun:
         capability gap of the request, not a defect of the file, so it is
         reported as Unsupported.
         """
-        if self._prob_table is not None:
-            return self._prob_table
         loaded = self.loaded
         if loaded.kind == "counts":
             if not loaded.count_table.counts.all():
@@ -417,69 +417,70 @@ class _AnalysisRun:
                 features=loaded.features,
                 hypotheses=loaded.hypotheses,
             )
-            if self.priors_flag is not None:
-                base = replace(base, priors=self.priors_flag)
-        else:
-            priors = self.priors_flag
-            if priors is None:
-                priors = loaded.file_priors
-            base = new_table(
-                loaded.values,
-                priors,
-                features=loaded.features,
-                hypotheses=loaded.hypotheses,
-            )
-        self._prob_table = base
-        return base
+            return base if self.priors_flag is None else replace(base, priors=self.priors_flag)
+        priors = loaded.file_priors if self.priors_flag is None else self.priors_flag
+        return new_table(
+            loaded.values, priors, features=loaded.features, hypotheses=loaded.hypotheses
+        )
 
-    def overlap_pair(self) -> tuple[float, float]:
-        """The solved 2x2 overlap coefficients, moderated when ``--hbar`` is
-        given.  The first call records diagnostics and warnings."""
-        if self._pair is None:
-            solution = overlap_coefficients(self.prob_table())
-            diag = solution.diagnostics
-            self.diagnostics = {
-                "c1": solution.c1,
-                "c2": solution.c2,
-                "within_unit_interval": diag.all_within_unit_interval,
-                "gram_positive_definite": list(diag.gram_positive_definite),
-            }
-            if not diag.all_within_unit_interval:
+    def solution(self) -> CoefficientSolution:
+        """The solved 2x2 overlap coefficients.  The first successful solve
+        warns when they leave the unit interval."""
+        if self._solution is None:
+            self._solution = overlap_coefficients(self.prob_table)
+            if not self._solution.within_unit_interval:
                 self.warnings.append(
                     "overlap coefficient magnitude >= 1 "
-                    f"(c1={_format_float(solution.c1)}, "
-                    f"c2={_format_float(solution.c2)}); "
+                    f"(c1={_format_float(self._solution.c1)}, "
+                    f"c2={_format_float(self._solution.c2)}); "
                     "state-vector cross-check may be unavailable"
                 )
-            self._pair = (solution.c1, solution.c2)
-            if self.hbar is not None:
-                self._pair = hbar_moderated_coefficients(*self._pair, self.hbar)
-                self.diagnostics["hbar"] = self.hbar
-                self.diagnostics["c1_moderated"], self.diagnostics["c2_moderated"] = self._pair
-        return self._pair
+        return self._solution
+
+    def overlap_pair(self) -> tuple[float, float]:
+        """The solved coefficients, moderated when ``--hbar`` is given."""
+        solution = self.solution()
+        pair = (solution.c1, solution.c2)
+        return pair if self.hbar is None else hbar_moderated_coefficients(*pair, self.hbar)
+
+    def diagnostics(self) -> dict[str, Any] | None:
+        """The report's ``diagnostics`` block; None when nothing was solved."""
+        solution = self._solution
+        if solution is None:
+            return None
+        diagnostics = {
+            "c1": solution.c1,
+            "c2": solution.c2,
+            "within_unit_interval": solution.within_unit_interval,
+            "gram_positive_definite": list(solution.gram_positive_definite),
+        }
+        if self.hbar is not None:
+            c1, c2 = self.overlap_pair()
+            diagnostics.update(hbar=self.hbar, c1_moderated=c1, c2_moderated=c2)
+        return diagnostics
 
     def run_method(self, selector: str):
         loaded = self.loaded
         if selector.startswith("bayes:"):
             feature = int(selector.split(":", 1)[1])
-            table = self.prob_table()
+            table = self.prob_table
             if feature > table.m:
                 raise BadIndex(
                     f"feature index {feature} out of range for {table.m} features"
                 )
             return bayes_posterior(table, feature - 1)
         if selector == "naive":
-            return naive_posterior(self.prob_table())
+            return naive_posterior(self.prob_table)
         if selector in ("mean-freq", "mean-range"):
             if loaded.kind != "counts":
                 raise Unsupported(f"{selector} needs integer counts with populations")
             mean = mean_frequency_posterior if selector == "mean-freq" else mean_range_posterior
             return mean(loaded.count_table, self.priors_flag)
         if selector == "quantum":
-            self.overlap_pair()
-            return posterior_2x2(self.prob_table(), self.hbar)
+            self.solution()
+            return posterior_2x2(self.prob_table, self.hbar)
         overlap = OverlapMatrix.from_pair(*self.overlap_pair())
-        return posterior_via_wavefunction(self.prob_table(), overlap)
+        return posterior_via_wavefunction(self.prob_table, overlap)
 
 
 def _input_echo(loaded: _LoadedInput) -> dict[str, Any]:
@@ -510,6 +511,8 @@ def _ranges_payload(loaded: _LoadedInput) -> list[dict[str, Any]]:
 
 
 def cmd_analyze(args) -> dict[str, Any]:
+    if args.hbar is not None:
+        moderation_scale(args.hbar)
     loaded = _load_input(args.input)
     priors_flag = _parse_priors_flag(args.priors, loaded.n)
     run = _AnalysisRun(loaded, priors_flag, args.hbar)
@@ -539,7 +542,7 @@ def cmd_analyze(args) -> dict[str, Any]:
     if loaded.kind == "counts":
         priors = loaded.count_table.resolve_priors(priors_flag)
     else:
-        priors = run.prob_table().priors
+        priors = run.prob_table.priors
     report: dict[str, Any] = {
         "command": "analyze",
         "version": __version__,
@@ -547,8 +550,8 @@ def cmd_analyze(args) -> dict[str, Any]:
         "methods": methods,
         "warnings": run.warnings,
     }
-    if run.diagnostics is not None:
-        report["diagnostics"] = run.diagnostics
+    if (diagnostics := run.diagnostics()) is not None:
+        report["diagnostics"] = diagnostics
     if loaded.kind == "counts" and loaded.m >= 2:
         report["ranges"] = _ranges_payload(loaded)
     return report

@@ -45,7 +45,8 @@ class Unsupported(QlrError, ValueError):
 
 
 class DegenerateRange(QlrError, ValueError):
-    """An intersection-range estimator hit an all-zero denominator."""
+    """Posterior weights have no positive finite total, for instance when an
+    intersection-range estimator hits an all-zero denominator."""
 
     exit_code = 3
 
@@ -57,6 +58,15 @@ class ShapeMismatch(QlrError, ValueError):
 class InvalidOverlap(QlrError, ValueError):
     """Overlap coefficients violate their invariants (unit diagonal, symmetry,
     finiteness)."""
+
+
+class OverlapUnderflow(InvalidOverlap):
+    """The 2x2 overlap ratio of a valid table does not fit in a float: a
+    column's cell product underflows to zero, or a coefficient or
+    prior-weighted block overflows.  The table itself is fine, so other
+    estimators still apply."""
+
+    exit_code = 3
 
 
 class NonPositiveTotal(QlrError, ValueError):

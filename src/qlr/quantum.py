@@ -25,12 +25,13 @@ from typing import Any
 
 import numpy as np
 
-from .checks import ConstraintReport, accumulators
+from .checks import CheckResult, ConstraintReport
 from .classical import PosteriorDistribution
 from .errors import (
     InvalidHbar,
     InvalidOverlap,
     NonPositiveTotal,
+    OverlapUnderflow,
     ShapeMismatch,
     Unsupported,
 )
@@ -117,46 +118,22 @@ class OverlapMatrix:
 
 
 @dataclass(frozen=True)
-class CoefficientDiagnostics:
-    """Sanity flags for a set of overlap coefficients.
-
-    ``values[a]`` lists hypothesis ``a``'s upper-triangle off-diagonal
-    coefficients (row-major); ``within_unit_interval`` mirrors that structure
-    with a strict ``-1 < c < 1`` flag per value.  ``gram_positive_definite[a]``
-    is ``OverlapMatrix.positive_definite[a]``: whether hypothesis ``a``'s full
-    coefficient matrix has all eigenvalues above ``PD_EIGENVALUE_TOL``; when
-    it does not, the state-vector cross-check is unavailable for that
-    hypothesis even though the block-sum posterior itself stays well defined
-    for positive tables.
-    """
-
-    values: tuple[tuple[float, ...], ...]
-    within_unit_interval: tuple[tuple[bool, ...], ...]
-    gram_positive_definite: tuple[bool, ...]
-
-    @classmethod
-    def from_overlap(cls, overlap: OverlapMatrix) -> "CoefficientDiagnostics":
-        iu, ju = np.triu_indices(overlap.m, k=1)
-        values = tuple(tuple(float(v) for v in row) for row in overlap.c[:, iu, ju])
-        within = tuple(tuple(-1.0 < v < 1.0 for v in row) for row in values)
-        return cls(values, within, overlap.positive_definite)
-
-    @property
-    def all_within_unit_interval(self) -> bool:
-        return all(all(flags) for flags in self.within_unit_interval)
-
-
-@dataclass(frozen=True)
 class CoefficientSolution:
-    """Closed-form overlap coefficients for a 2x2 table, with diagnostics
-    computed on first access."""
+    """Closed-form overlap coefficients for a 2x2 table."""
 
     c1: float
     c2: float
 
+    @property
+    def within_unit_interval(self) -> bool:
+        """Whether both coefficients lie strictly inside (-1, 1)."""
+        return -1.0 < self.c1 < 1.0 and -1.0 < self.c2 < 1.0
+
     @cached_property
-    def diagnostics(self) -> CoefficientDiagnostics:
-        return CoefficientDiagnostics.from_overlap(self.overlap_matrix())
+    def gram_positive_definite(self) -> tuple[bool, ...]:
+        """:attr:`OverlapMatrix.positive_definite` of the solved overlap: where
+        False, the state-vector cross-check is unavailable for that hypothesis."""
+        return self.overlap_matrix().positive_definite
 
     def overlap_matrix(self) -> OverlapMatrix:
         return OverlapMatrix.from_pair(self.c1, self.c2)
@@ -174,12 +151,12 @@ def overlap_coefficients(table: ContingencyTable) -> CoefficientSolution:
     This is the unique data-dependent solution compatible with row-exchange
     symmetry, column-exchange duality, and the known-value tables exercised
     by :func:`verify_constraint_suite`.  The formula can leave the unit
-    interval for lopsided tables; the attached diagnostics flag that case.
+    interval for lopsided tables; ``within_unit_interval`` flags that case.
 
     Raises:
         Unsupported: table shape is not 2x2.
-        InvalidOverlap: a cell product underflows to zero or a coefficient is
-            not finite (cell products too small).
+        OverlapUnderflow: a cell product underflows to zero or a coefficient
+            is not finite (cell products too small).
     """
     if (table.m, table.n) != (2, 2):
         raise Unsupported(
@@ -192,21 +169,22 @@ def overlap_coefficients(table: ContingencyTable) -> CoefficientSolution:
     c1 = math.sqrt(p1) / (2.0 * x2 * y2)
     c2 = math.sqrt(p2) / (2.0 * x1 * y1)
     if not (math.isfinite(c1) and math.isfinite(c2)):
-        raise InvalidOverlap(f"overlap coefficients must be finite, got c1={c1!r}, c2={c2!r}")
+        raise OverlapUnderflow(f"overlap coefficients must be finite, got c1={c1!r}, c2={c2!r}")
     return CoefficientSolution(c1, c2)
 
 
 def _check_products(p1: float, p2: float) -> None:
-    """Raises InvalidOverlap when a column's cell product underflows to 0."""
+    """Raises OverlapUnderflow when a column's cell product underflows to 0."""
     if p1 == 0.0 or p2 == 0.0:
-        raise InvalidOverlap(
+        raise OverlapUnderflow(
             f"cell products underflow to zero ({p1!r} and {p2!r}); "
             "the overlap ratio is undefined"
         )
 
 
-def _moderation_scale(hbar: float) -> float:
-    """``1 - exp(-hbar)``; raises InvalidHbar unless hbar is finite and >= 0."""
+def moderation_scale(hbar: float) -> float:
+    """``1 - exp(-hbar)``, the factor ``hbar`` applies to the overlaps; raises
+    InvalidHbar unless hbar is finite and >= 0."""
     h = float(hbar)
     if not math.isfinite(h) or h < 0.0:
         raise InvalidHbar(f"moderation scale must be finite and nonnegative, got {hbar!r}")
@@ -222,7 +200,7 @@ def hbar_moderated_coefficients(c1: float, c2: float, hbar: float) -> tuple[floa
     Raises:
         InvalidHbar: negative or non-finite moderation scale.
     """
-    scale = _moderation_scale(hbar)
+    scale = moderation_scale(hbar)
     return (c1 * scale, c2 * scale)
 
 
@@ -293,14 +271,14 @@ def posterior_2x2(table: ContingencyTable, hbar: float | None = None) -> Posteri
     Raises:
         Unsupported: table shape is not 2x2.
         InvalidHbar: negative or non-finite moderation scale.
-        InvalidOverlap: a cell product underflows to zero or a block is not
-            finite (cell products too small).
+        OverlapUnderflow: a cell product underflows to zero or a weighted
+            block is not finite (cell products too small).
     """
     if (table.m, table.n) != (2, 2):
         raise Unsupported(
             f"closed-form posterior exists only for 2x2 tables, got {table.m}x{table.n}"
         )
-    scale = 1.0 if hbar is None else _moderation_scale(hbar)
+    scale = 1.0 if hbar is None else moderation_scale(hbar)
     x1, y1 = float(table.x[0, 0]), float(table.x[1, 0])
     x2, y2 = float(table.x[0, 1]), float(table.x[1, 1])
     if scale == 0.0:
@@ -310,13 +288,13 @@ def posterior_2x2(table: ContingencyTable, hbar: float | None = None) -> Posteri
         _check_products(p1, p2)
         block1 = scale * (p1 / p2) + x1 + y1
         block2 = scale * (p2 / p1) + x2 + y2
-    if not (math.isfinite(block1) and math.isfinite(block2)):
-        raise InvalidOverlap(
-            f"overlap blocks must be finite, got {block1!r} and {block2!r}"
-        )
     w1 = float(table.priors[0]) * 2.0
     w2 = float(table.priors[1]) * 2.0
     total = w1 * block1 + w2 * block2
+    if not math.isfinite(total):
+        raise OverlapUnderflow(
+            f"prior-weighted block total {total!r} is not finite (blocks {block1!r}, {block2!r})"
+        )
     return PosteriorDistribution.from_probabilities(
         (w1 * block1 / total, w2 * block2 / total), "quantum"
     )
@@ -340,7 +318,7 @@ def verify_constraint_suite(sample_count: int, seed: int) -> ConstraintReport:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     rng = np.random.default_rng(seed)
     known_tol = 1e-10
-    checks = accumulators(
+    specs = (
         ("known_top_ones", "rows (1,1);(m,n) give P1 = m/(m+n)", known_tol),
         ("known_bottom_ones", "rows (m,n);(1,1) give P1 = m/(m+n)", known_tol),
         ("known_antisymmetric", "rows (n,m);(m,n) give P1 = 1/2", known_tol),
@@ -350,6 +328,7 @@ def verify_constraint_suite(sample_count: int, seed: int) -> ConstraintReport:
         ("column_swap", "swapping hypothesis columns exchanges P1 and P2", 0.0),
         ("complementarity", "P1 + P2 = 1", 1e-12),
     )
+    deviations: dict[str, list[float]] = {name: [] for name, _, _ in specs}
 
     def p1(rows) -> float:
         return posterior_2x2(new_table(rows)).probabilities[0]
@@ -358,33 +337,36 @@ def verify_constraint_suite(sample_count: int, seed: int) -> ConstraintReport:
         m = 1.0 - rng.random()
         n = 1.0 - rng.random()
         expected = m / (m + n)
-        checks["known_top_ones"].record(abs(p1([[1.0, 1.0], [m, n]]) - expected))
-        checks["known_bottom_ones"].record(abs(p1([[m, n], [1.0, 1.0]]) - expected))
-        checks["known_antisymmetric"].record(abs(p1([[n, m], [m, n]]) - 0.5))
-        checks["known_equal_columns"].record(abs(p1([[n, n], [m, m]]) - 0.5))
-        checks["known_constant"].record(abs(p1([[m, m], [m, m]]) - 0.5))
+        deviations["known_top_ones"].append(abs(p1([[1.0, 1.0], [m, n]]) - expected))
+        deviations["known_bottom_ones"].append(abs(p1([[m, n], [1.0, 1.0]]) - expected))
+        deviations["known_antisymmetric"].append(abs(p1([[n, m], [m, n]]) - 0.5))
+        deviations["known_equal_columns"].append(abs(p1([[n, n], [m, m]]) - 0.5))
+        deviations["known_constant"].append(abs(p1([[m, m], [m, m]]) - 0.5))
 
         u = 1.0 - rng.random(4)
         rows = [[u[0], u[1]], [u[2], u[3]]]
         base = posterior_2x2(new_table(rows))
         swapped_rows = posterior_2x2(new_table([rows[1], rows[0]]))
-        checks["row_swap"].record(
+        deviations["row_swap"].append(
             max(
                 abs(base.probabilities[0] - swapped_rows.probabilities[0]),
                 abs(base.probabilities[1] - swapped_rows.probabilities[1]),
             )
         )
         swapped_cols = posterior_2x2(new_table([[u[1], u[0]], [u[3], u[2]]]))
-        checks["column_swap"].record(
+        deviations["column_swap"].append(
             max(
                 abs(swapped_cols.probabilities[0] - base.probabilities[1]),
                 abs(swapped_cols.probabilities[1] - base.probabilities[0]),
             )
         )
-        checks["complementarity"].record(abs(sum(base.probabilities) - 1.0))
+        deviations["complementarity"].append(abs(sum(base.probabilities) - 1.0))
 
     return ConstraintReport(
-        checks=tuple(acc.result() for acc in checks.values()),
+        checks=tuple(
+            CheckResult.from_deviations(name, description, tol, deviations[name])
+            for name, description, tol in specs
+        ),
         sample_count=sample_count,
         seed=seed,
     )

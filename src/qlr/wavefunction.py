@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .checks import ConstraintReport, accumulators
+from .checks import CheckResult, ConstraintReport
 from .classical import PosteriorDistribution
 from .errors import BadIndex, InvalidBasis, NotPositiveDefinite, ShapeMismatch
 from .quantum import PD_EIGENVALUE_TOL, OverlapMatrix, posterior_general
@@ -98,11 +98,10 @@ class StateVector:
     """Amplitudes of the table's state in an orthonormalized basis.
 
     ``b[a][i]`` is the amplitude of hypothesis ``a``'s i-th orthonormal
-    vector; ``normalization`` caches the total sum of squares.
+    vector.
     """
 
     b: np.ndarray
-    normalization: float
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=float)
@@ -111,12 +110,11 @@ class StateVector:
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "b", b)
-        total = float(np.sum(b * b))
-        if abs(self.normalization - total) > RESIDUAL_TOL * max(1.0, abs(total)):
-            raise ShapeMismatch(
-                f"normalization {self.normalization!r} does not equal the "
-                f"sum of squared amplitudes {total!r}"
-            )
+
+    @property
+    def normalization(self) -> float:
+        """Total sum of squared amplitudes."""
+        return float(np.sum(self.b * self.b))
 
     def hypothesis_norms(self) -> tuple[float, ...]:
         """Per-hypothesis sums of squared amplitudes."""
@@ -195,8 +193,7 @@ def solve_b_coefficients(table: ContingencyTable, basis: OrthonormalBasis) -> St
             f"basis covers {basis.m} features x {basis.n} hypotheses, "
             f"table is {table.m}x{table.n}"
         )
-    b = _amplitudes(basis, np.sqrt(table.x.T))
-    return StateVector(b, float(np.sum(b * b)))
+    return StateVector(_amplitudes(basis, np.sqrt(table.x.T)))
 
 
 def posterior_via_wavefunction(
@@ -271,7 +268,7 @@ def cross_path_suite(sample_count: int, seed: int) -> ConstraintReport:
     - the state-vector posterior matches the block-sum posterior (1e-10);
     - orthonormality residual of the constructed basis (1e-10);
     - back-substitution residual ``A^T b - sqrt(x)`` (1e-10);
-    - the cached normalization matches the explicit double sum
+    - the sum of squared amplitudes matches the explicit double sum
       ``sum sqrt(x_i x_j) c_ij`` (1e-10);
     - the single-feature projection path matches the direct single-feature
       update (1e-14);
@@ -287,7 +284,7 @@ def cross_path_suite(sample_count: int, seed: int) -> ConstraintReport:
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     rng = np.random.default_rng(seed)
-    checks = accumulators(
+    specs = (
         ("paths_agree", "state-vector posterior equals block-sum posterior", RESIDUAL_TOL),
         ("orthonormality", "A c A^T = I for every hypothesis", RESIDUAL_TOL),
         ("back_substitution", "A^T b recovers sqrt(x)", RESIDUAL_TOL),
@@ -303,6 +300,7 @@ def cross_path_suite(sample_count: int, seed: int) -> ConstraintReport:
         ),
         ("complementarity", "state-vector posterior sums to 1", 1e-12),
     )
+    deviations: dict[str, list[float]] = {name: [] for name, _, _ in specs}
     samples = []
     for _ in range(sample_count):
         m = int(rng.integers(2, 4))
@@ -326,34 +324,37 @@ def cross_path_suite(sample_count: int, seed: int) -> ConstraintReport:
         lo = 0
         for table, overlap, feature in group:
             hi = lo + table.n
-            checks["orthonormality"].record(float(basis.hypothesis_residuals[lo:hi].max()))
-            checks["back_substitution"].record(float(back[lo:hi].max()))
-            checks["normalization"].record(
+            deviations["orthonormality"].append(float(basis.hypothesis_residuals[lo:hi].max()))
+            deviations["back_substitution"].append(float(back[lo:hi].max()))
+            deviations["normalization"].append(
                 abs(float(np.sum(squares[lo:hi])) - sum(double_sums[lo:hi].tolist()))
             )
 
             wf = _squared_readout(table.priors, norms[lo:hi])
             general = posterior_general(table, overlap)
-            checks["paths_agree"].record(
+            deviations["paths_agree"].append(
                 max(
                     abs(p - q)
                     for p, q in zip(wf.probabilities, general.probabilities)
                 )
             )
-            checks["complementarity"].record(abs(sum(wf.probabilities) - 1.0))
+            deviations["complementarity"].append(abs(sum(wf.probabilities) - 1.0))
 
             projected = posterior_independent(table, feature)
             direct = np.array(
                 [float(table.priors[a]) * float(table.x[feature, a]) for a in range(table.n)]
             )
             direct /= direct.sum()
-            checks["projection_single_feature"].record(
+            deviations["projection_single_feature"].append(
                 max(abs(p - q) for p, q in zip(projected.probabilities, direct))
             )
             lo = hi
 
     return ConstraintReport(
-        checks=tuple(acc.result() for acc in checks.values()),
+        checks=tuple(
+            CheckResult.from_deviations(name, description, tol, deviations[name])
+            for name, description, tol in specs
+        ),
         sample_count=sample_count,
         seed=seed,
     )

@@ -1,6 +1,8 @@
 """Classical estimators: single-feature update, naive product, mean
 estimators, and the posterior container's own validation rules."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,11 @@ class TestPosteriorDistribution:
         with pytest.raises(ValueError):
             PosteriorDistribution((0.5, 0.5), "bayes", 1)
 
+    @pytest.mark.parametrize("weights", [[0.0, 0.0], [math.inf, 1.0], [1e308, 1e308]])
+    def test_weights_without_a_positive_finite_total_are_degenerate(self, weights):
+        with pytest.raises(DegenerateRange):
+            PosteriorDistribution.from_weights(weights, "bayes")
+
 
 class TestBayesPosterior:
     def test_blue_door_row(self):
@@ -86,6 +93,12 @@ class TestBayesPosterior:
             expected = expected / expected.sum()
             np.testing.assert_allclose(pd.probabilities, expected, atol=1e-15)
 
+    def test_subnormal_cells_keep_their_ratio(self):
+        # The plain products 1/3 * 5e-324 and 2/3 * 5e-324 round to 0 and
+        # 5e-324, which would give (0, 1).
+        pd = bayes_posterior(new_table([[5e-324, 5e-324]], [1 / 3, 2 / 3]), 0)
+        np.testing.assert_allclose(pd.probabilities, (1 / 3, 2 / 3), atol=1e-15)
+
 
 class TestNaivePosterior:
     def test_street_value(self):
@@ -114,6 +127,40 @@ class TestNaivePosterior:
         for _ in range(300):
             table = random_table(rng)
             assert abs(sum(naive_posterior(table).probabilities) - 1.0) <= 1e-12
+
+    def test_normal_products_match_the_plain_loop_exactly(self):
+        # Reference: the plain running product, exact while it stays normal.
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            raw = 1.0 - rng.random(3)
+            table = new_table(10.0 ** rng.uniform(-100.0, 0.0, (3, 3)), raw / raw.sum())
+            weights = []
+            for a in range(3):
+                w = float(table.priors[a])
+                for i in range(3):
+                    w *= float(table.x[i, a])
+                weights.append(w)
+            assert naive_posterior(table) == PosteriorDistribution.from_weights(weights, "naive")
+
+    def test_product_of_one_beside_the_normal_floor_matches_the_plain_product(self):
+        # A largest product of exactly 1 must not be scaled down: that would
+        # push a product just above the smallest normal float into subnormals.
+        rng = np.random.default_rng(11)
+        for cell in rng.uniform(2.3e-295, 4.4e-295, 40):
+            table = new_table([[1.0, cell]], [1.0, 1e-13])
+            weights = [1.0, 1e-13 * float(cell)]
+            assert naive_posterior(table) == PosteriorDistribution.from_weights(weights, "naive")
+
+    def test_products_below_the_float_range(self):
+        # 1e-600 per hypothesis underflows to zero as a plain product.
+        pd = naive_posterior(new_table([[1e-200, 1e-200]] * 3))
+        assert pd.probabilities == (0.5, 0.5)
+        # Equal true weights 1/3 * 1e-323 whichever row comes first; plain
+        # products give (0, 1) in one row order.
+        rows = [[1e-323, 1.0], [0.5, 1e-323]]
+        for order in (rows, rows[::-1]):
+            pd = naive_posterior(new_table(order, [2 / 3, 1 / 3]))
+            np.testing.assert_allclose(pd.probabilities, (0.5, 0.5), atol=1e-15)
 
 
 class TestMeanFrequencyPosterior:

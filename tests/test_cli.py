@@ -224,6 +224,7 @@ EXIT_CODES = {
     "InvalidPriors": 2,
     "ShapeMismatch": 2,
     "InvalidOverlap": 2,
+    "OverlapUnderflow": 3,
     "InvalidHbar": 2,
     "InvalidBasis": 2,
     "ParseError": 2,
@@ -316,6 +317,31 @@ class TestExitCodes:
         assert code == 2
         assert "finite and nonnegative" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--method", "naive", "--hbar=-1"],
+            ["--method", "naive", "--hbar", "nan"],
+            ["--method", "bayes:1", "--hbar", "inf"],
+            ["--method", "naive", "--hbar=-inf"],
+        ],
+        ids=["negative", "nan", "inf", "minus_inf"],
+    )
+    def test_bad_hbar_rejected_without_an_overlap_method(self, capsys, repo_cwd, argv):
+        code, out, err = run_cli(capsys, "analyze", STREETS_CSV, *argv)
+        assert code == 2
+        assert out == ""
+        assert "finite and nonnegative" in err
+
+    def test_bad_hbar_rejected_on_a_table_without_closed_form(self, capsys, tmp_path):
+        path = tmp_path / "three.csv"
+        path.write_text(
+            "feature,A,B\nd1,0.8,0.7\nd2,0.6,0.5\nd3,0.4,0.9\n", encoding="utf-8"
+        )
+        code, _, err = run_cli(capsys, "analyze", str(path), "--hbar=-5")
+        assert code == 2
+        assert "finite and nonnegative" in err
+
     def test_unknown_method(self, capsys, repo_cwd):
         code, _, err = run_cli(capsys, "analyze", STREETS_CSV, "--method", "magic")
         assert code == 2
@@ -377,8 +403,48 @@ EDGE_INPUTS = {
 def test_edge_input_gives_a_typed_error(capsys, tmp_path, name):
     path = tmp_path / name
     path.write_bytes(EDGE_INPUTS[name])
-    code, _, err = run_cli(capsys, "analyze", str(path), "--format", "json")
+    # Under --method all an underflowing overlap is skipped, so ask for it.
+    method = ["--method", "quantum"] if name.startswith("underflow") else []
+    code, _, err = run_cli(capsys, "analyze", str(path), *method, "--format", "json")
     assert code in (2, 3)
+    assert err.startswith("qlr: error:")
+
+
+@pytest.mark.parametrize("name", ["underflow.csv", "underflow.json"])
+def test_underflowing_overlap_is_skipped_under_all(capsys, tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(EDGE_INPUTS[name])
+    code, out, err = run_cli(capsys, "analyze", str(path), "--format", "json")
+    assert code == 0
+    assert err == ""
+    report = json.loads(out)
+    assert sorted(report["methods"]) == ["bayes:1", "bayes:2", "naive"]
+    overlap_skips = [w for w in report["warnings"] if "underflow" in w]
+    assert [w.split(":")[0] for w in overlap_skips] == [
+        "skipped quantum",
+        "skipped wavefunction",
+    ]
+    assert "diagnostics" not in report
+
+
+def test_overflowing_weighted_block_is_skipped_under_all(capsys, tmp_path):
+    # Finite 2x2 blocks whose prior-weighted sum overflows: a typed error,
+    # not a NaN posterior and a traceback.
+    path = tmp_path / "overflow.json"
+    path.write_text(
+        '{"kind": "probabilities", "values": [[0.75, 0.25], [0.5, 1.11253693e-308]], '
+        '"priors": [0.7, 0.3]}',
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "analyze", str(path), "--format", "json")
+    assert code == 0
+    assert err == ""
+    report = json.loads(out)
+    assert "quantum" not in report["methods"]
+    skipped = "skipped quantum: prior-weighted block total inf"
+    assert any(w.startswith(skipped) for w in report["warnings"])
+    code, _, err = run_cli(capsys, "analyze", str(path), "--method", "quantum")
+    assert code == 3
     assert err.startswith("qlr: error:")
 
 

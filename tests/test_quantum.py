@@ -9,10 +9,12 @@ import pytest
 import qlr.quantum
 from qlr import (
     CountTable,
+    DegenerateRange,
     InvalidHbar,
     InvalidOverlap,
     NonPositiveTotal,
     OverlapMatrix,
+    OverlapUnderflow,
     PosteriorDistribution,
     ShapeMismatch,
     Unsupported,
@@ -87,16 +89,16 @@ class TestOverlapCoefficients:
         np.testing.assert_allclose(solution.c2, STREET_C2, atol=1e-15)
 
     def test_diagnostics_within_unit_interval(self):
-        diag = overlap_coefficients(STREET).diagnostics
-        assert diag.all_within_unit_interval
-        assert diag.gram_positive_definite == (True, True)
-        assert diag.values == ((STREET_C1,), (STREET_C2,))
+        solution = overlap_coefficients(STREET)
+        assert solution.within_unit_interval
+        assert solution.gram_positive_definite == (True, True)
+        assert (solution.c1, solution.c2) == (STREET_C1, STREET_C2)
 
     def test_diagnostics_flag_out_of_interval(self):
         table = new_table([[0.9, 0.1], [0.9, 0.2]])
-        diag = overlap_coefficients(table).diagnostics
-        assert not diag.all_within_unit_interval
-        assert diag.gram_positive_definite[0] is False
+        solution = overlap_coefficients(table)
+        assert not solution.within_unit_interval
+        assert solution.gram_positive_definite[0] is False
 
     def test_matches_formula_on_random_tables(self):
         rng = np.random.default_rng(42)
@@ -127,8 +129,18 @@ class TestOverlapCoefficients:
         # x1*y1 = 1e-316 is subnormal but nonzero, so the second coefficient
         # and block overflow to inf; x2*y2 = 1e-400 underflows to zero.
         for cells in ([[1e-158, 0.5], [1e-158, 0.5]], [[0.5, 1e-200], [0.5, 1e-200]]):
-            with pytest.raises(InvalidOverlap):
+            with pytest.raises(InvalidOverlap) as info:
                 call(new_table(cells))
+            # The table is valid, so the command line skips these methods.
+            assert isinstance(info.value, OverlapUnderflow)
+            assert info.value.exit_code == 3
+
+    def test_weighted_block_overflow_raises_overlap_underflow(self):
+        # The first block, about 1.35e308, is finite; times 2 * 0.7 it is
+        # not, so normalizing would give a NaN posterior.
+        table = new_table([[0.75, 0.25], [0.5, 1.11253693e-308]], [0.7, 0.3])
+        with pytest.raises(OverlapUnderflow):
+            posterior_2x2(table)
 
     def test_overlap_matrix_round_trip(self):
         solution = overlap_coefficients(STREET)
@@ -258,6 +270,14 @@ class TestHbarModeration:
 
 
 class TestPosteriorGeneral:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_block_is_a_typed_error(self):
+        # The solved c1 is about 1.6e308, so the first block overflows to
+        # inf, and inf weights have no posterior.
+        table = new_table([[1.0, 1.0], [0.5, 2.2250738585e-309]])
+        with pytest.raises(DegenerateRange):
+            posterior_general(table, overlap_coefficients(table).overlap_matrix())
+
     def test_three_feature_example(self):
         # Frozen from an explicit double-loop script independent of this
         # module: x rows (0.8, 0.5), (0.5, 0.5), (0.5, 0.5); every

@@ -209,17 +209,14 @@ class TestSolveBCoefficients:
 
 
 class TestStateVector:
-    def test_rejects_wrong_normalization(self):
-        with pytest.raises(ShapeMismatch, match="normalization"):
-            StateVector(np.ones((2, 2)), 5.0)
-
     def test_rejects_non_2d(self):
         with pytest.raises(ShapeMismatch):
-            StateVector(np.ones(4), 4.0)
+            StateVector(np.ones(4))
 
     def test_hypothesis_norms(self):
-        state = StateVector(np.array([[1.0, 2.0], [3.0, 0.0]]), 14.0)
+        state = StateVector(np.array([[1.0, 2.0], [3.0, 0.0]]))
         assert state.hypothesis_norms() == (5.0, 9.0)
+        assert state.normalization == 14.0
 
 
 class TestPosteriorViaWavefunction:

@@ -60,7 +60,7 @@ class PosteriorDistribution:
     @staticmethod
     def argmax_of(values: Sequence[float]) -> int:
         """The smallest index attaining the maximum of ``values``."""
-        return max(range(len(values)), key=lambda k: (values[k], -k))
+        return values.index(max(values))
 
     @classmethod
     def from_probabilities(

@@ -55,19 +55,27 @@ class OverlapMatrix:
     c: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
+        try:
+            c = np.array(self.c, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidOverlap(f"overlap must be an (n, m, m) array of numbers ({exc})") from exc
         if c.ndim != 3 or c.shape[1] != c.shape[2]:
             raise InvalidOverlap(
                 f"overlap must be (n, m, m) per-hypothesis square matrices, got {c.shape}"
             )
-        if not np.all(np.isfinite(c)):
+        blocks = c.tolist()
+        if not all(-math.inf < v < math.inf for block in blocks for row in block for v in row):
             raise InvalidOverlap("overlap coefficients must be finite")
-        diag = np.diagonal(c, axis1=1, axis2=2)
-        if np.any(np.abs(diag - 1.0) > _SYMMETRY_TOL):
+        features = range(c.shape[1])
+        if any(abs(block[i][i] - 1.0) > _SYMMETRY_TOL for block in blocks for i in features):
             raise InvalidOverlap("overlap diagonal entries must equal 1")
-        if np.any(np.abs(c - np.transpose(c, (0, 2, 1))) > _SYMMETRY_TOL):
+        if any(
+            abs(block[i][j] - block[j][i]) > _SYMMETRY_TOL
+            for block in blocks
+            for i in features
+            for j in range(i)
+        ):
             raise InvalidOverlap("overlap matrices must be symmetric")
-        c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
 
@@ -103,18 +111,12 @@ class OverlapMatrix:
     @classmethod
     def identity(cls, n_hypotheses: int, m_features: int) -> "OverlapMatrix":
         """All features orthogonal (independent) under every hypothesis."""
-        c = np.broadcast_to(np.eye(m_features), (n_hypotheses, m_features, m_features))
-        return cls(np.array(c))
+        return cls(np.broadcast_to(np.eye(m_features), (n_hypotheses, m_features, m_features)))
 
     @classmethod
     def from_pair(cls, c1: float, c2: float) -> "OverlapMatrix":
         """2 features x 2 hypotheses overlap with off-diagonals c1, c2."""
-        return cls(
-            np.array(
-                [[[1.0, c1], [c1, 1.0]], [[1.0, c2], [c2, 1.0]]],
-                dtype=float,
-            )
-        )
+        return cls([[[1.0, c1], [c1, 1.0]], [[1.0, c2], [c2, 1.0]]])
 
 
 @dataclass(frozen=True)
@@ -217,12 +219,15 @@ def _block_sums(table: ContingencyTable, overlap: OverlapMatrix) -> list[float]:
     is added separately rather than through sqrt products.
     """
     blocks = []
-    for a in range(table.n):
-        col = table.x[:, a]
-        s = np.sqrt(col)
-        off = np.array(overlap.c[a])
-        np.fill_diagonal(off, 0.0)
-        blocks.append(float(col.sum()) + float(s @ off @ s))
+    # Overlaps near the float limit overflow a block to inf or nan, which
+    # normalization then rejects with a typed error, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(table.n):
+            col = table.x[:, a]
+            s = np.sqrt(col)
+            off = np.array(overlap.c[a])
+            np.fill_diagonal(off, 0.0)
+            blocks.append(float(col.sum()) + float(s @ off @ s))
     return blocks
 
 
@@ -241,7 +246,7 @@ def posterior_general(
         NonPositiveTotal: some hypothesis block sum is not positive.
     """
     if not isinstance(overlap, OverlapMatrix):
-        overlap = OverlapMatrix(np.asarray(overlap, dtype=float))
+        overlap = OverlapMatrix(overlap)
     overlap.check_fits(table)
     blocks = _block_sums(table, overlap)
     for a, block in enumerate(blocks):

@@ -16,12 +16,13 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BadIndex, BadShape, InvalidCell, InvalidPriors
+from .errors import BadIndex, BadShape, InvalidCell, InvalidPriors, QlrError
 
 PRIOR_SUM_TOL = 1e-12
 
@@ -30,31 +31,48 @@ PRIOR_SUM_TOL = 1e-12
 MAX_POPULATION = 10**6
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
-def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
-    return tuple(f"{prefix}{k + 1}" for k in range(count))
+def _labels(given: Sequence[str] | None, prefix: str, count: int) -> tuple[str, ...]:
+    """The caller's labels as strings, or ``prefix1..prefix<count>``."""
+    if given is None:
+        return tuple(f"{prefix}{k + 1}" for k in range(count))
+    return tuple(map(str, given))
 
 
 def _validated_priors(priors: Sequence[float], n: int) -> np.ndarray:
     """The prior rule: n finite nonnegative weights summing to 1.
 
     Raises:
-        InvalidPriors: wrong length, a negative or non-finite weight, or a
+        InvalidPriors: not n numbers, a negative or non-finite weight, or a
             sum differing from 1 beyond ``PRIOR_SUM_TOL``.
     """
-    arr = np.asarray(priors, dtype=float)
+    try:
+        arr = np.array(priors, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidPriors(f"priors must be {n} numbers ({exc})") from exc
     if arr.shape != (n,):
         raise InvalidPriors(f"priors must have length {n}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise InvalidPriors(f"priors must be finite and nonnegative, got {arr.tolist()}")
-    if abs(float(arr.sum()) - 1.0) > PRIOR_SUM_TOL:
-        raise InvalidPriors(f"priors must sum to 1 within {PRIOR_SUM_TOL}, got {float(arr.sum())!r}")
+    weights = arr.tolist()
+    if not all(0.0 <= w < math.inf for w in weights):
+        raise InvalidPriors(f"priors must be finite and nonnegative, got {weights}")
+    # numpy's pairwise sum, not a sequential one: from 8 weights the two can
+    # round to opposite sides of the tolerance.
+    total = float(arr.sum())
+    if abs(total - 1.0) > PRIOR_SUM_TOL:
+        raise InvalidPriors(f"priors must sum to 1 within {PRIOR_SUM_TOL}, got {total!r}")
     return arr
+
+
+def _numeric_array(values, dtype, what: str, non_numeric: type[QlrError]) -> np.ndarray:
+    """``np.array(values, dtype=dtype)``, a copy; a ragged nesting raises
+    BadShape and a value that is not a number raises ``non_numeric``."""
+    try:
+        return np.array(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        try:
+            np.shape(values)
+        except ValueError:
+            raise BadShape(f"{what} must be a rectangular array ({exc})") from exc
+        raise non_numeric(f"{what} must hold only numbers ({exc})") from exc
 
 
 @dataclass(frozen=True)
@@ -77,33 +95,33 @@ class ContingencyTable:
     priors: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
+        x = _numeric_array(self.x, float, "probability matrix", InvalidCell)
         if x.ndim != 2:
             raise BadShape(f"probability matrix must be 2-D, got {x.ndim}-D")
         m, n = x.shape
         if m < 1 or n < 2:
             raise BadShape(f"need at least 1 feature and 2 hypotheses, got {m}x{n}")
-        features = _default_labels("D", m) if self.features is None else tuple(self.features)
-        hypotheses = (
-            _default_labels("H", n) if self.hypotheses is None else tuple(self.hypotheses)
-        )
+        features = _labels(self.features, "D", m)
+        hypotheses = _labels(self.hypotheses, "H", n)
         if len(features) != m or len(hypotheses) != n:
             raise BadShape(
                 f"labels ({len(features)} features, {len(hypotheses)} "
                 f"hypotheses) do not match a {m}x{n} matrix"
             )
-        bad = ~((x > 0.0) & (x <= 1.0))
-        if bad.any():
-            i, a = map(int, np.argwhere(bad)[0])
-            raise InvalidCell(
-                f"cell [{i}, {a}] = {float(x[i, a])!r} is outside (0, 1] "
-                "(zero and negative cells are rejected at construction)"
-            )
+        for i, row in enumerate(x.tolist()):
+            for a, v in enumerate(row):
+                if not 0.0 < v <= 1.0:
+                    raise InvalidCell(
+                        f"cell [{i}, {a}] = {v!r} is outside (0, 1] "
+                        "(zero and negative cells are rejected at construction)"
+                    )
         priors = np.full(n, 1.0 / n) if self.priors is None else _validated_priors(self.priors, n)
-        object.__setattr__(self, "features", tuple(str(f) for f in features))
-        object.__setattr__(self, "hypotheses", tuple(str(h) for h in hypotheses))
-        object.__setattr__(self, "x", _frozen_array(x, float))
-        object.__setattr__(self, "priors", _frozen_array(priors, float))
+        x.setflags(write=False)
+        priors.setflags(write=False)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "hypotheses", hypotheses)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "priors", priors)
 
     @property
     def m(self) -> int:
@@ -128,8 +146,8 @@ class CountTable:
     populations: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
-        populations = np.asarray(self.populations)
+        counts = _numeric_array(self.counts, None, "counts", BadShape)
+        populations = _numeric_array(self.populations, None, "populations", BadShape)
         if counts.ndim != 2:
             raise BadShape(f"counts must be 2-D, got {counts.ndim}-D")
         m, n = counts.shape
@@ -137,26 +155,28 @@ class CountTable:
             raise BadShape(f"need at least one feature and one hypothesis, got {m}x{n}")
         if populations.shape != (n,):
             raise BadShape(f"populations must have length {n}, got shape {populations.shape}")
-        if not np.issubdtype(counts.dtype, np.integer) or not np.issubdtype(
-            populations.dtype, np.integer
-        ):
+        if counts.dtype.kind not in "iu" or populations.dtype.kind not in "iu":
             raise BadShape(
                 f"counts and populations must be integers no larger than {MAX_POPULATION}"
             )
-        if np.any(populations < 1):
-            raise BadShape(f"populations must be positive, got {populations.tolist()}")
-        if np.any(populations > MAX_POPULATION):
+        sizes = populations.tolist()
+        if min(sizes) < 1:
+            raise BadShape(f"populations must be positive, got {sizes}")
+        if max(sizes) > MAX_POPULATION:
             raise BadShape(f"populations above {MAX_POPULATION} are not supported")
-        if np.any(counts < 0):
+        rows = counts.tolist()
+        if min(map(min, rows)) < 0:
             raise BadShape("counts must be nonnegative")
-        if np.any(counts > populations[np.newaxis, :]):
-            i, a = map(int, np.argwhere(counts > populations[np.newaxis, :])[0])
-            raise BadShape(
-                f"count [{i}, {a}] = {int(counts[i, a])} exceeds population "
-                f"{int(populations[a])}"
-            )
-        object.__setattr__(self, "counts", _frozen_array(counts, np.int64))
-        object.__setattr__(self, "populations", _frozen_array(populations, np.int64))
+        for i, row in enumerate(rows):
+            for a, (count, size) in enumerate(zip(row, sizes)):
+                if count > size:
+                    raise BadShape(f"count [{i}, {a}] = {count} exceeds population {size}")
+        counts = counts.astype(np.int64, copy=False)
+        populations = populations.astype(np.int64, copy=False)
+        counts.setflags(write=False)
+        populations.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "populations", populations)
 
     @property
     def m(self) -> int:
@@ -256,11 +276,11 @@ def from_counts(
     """
     if counts.n < 2:
         raise BadShape(f"need at least 2 hypotheses to form a table, got {counts.n}")
-    if np.any(counts.counts == 0):
-        i, a = map(int, np.argwhere(counts.counts == 0)[0])
-        raise InvalidCell(
-            f"count [{i}, {a}] is zero; zero cells are rejected at construction"
-        )
+    for i, row in enumerate(counts.counts.tolist()):
+        if 0 in row:
+            raise InvalidCell(
+                f"count [{i}, {row.index(0)}] is zero; zero cells are rejected at construction"
+            )
     return ContingencyTable(
         features=features,
         hypotheses=hypotheses,

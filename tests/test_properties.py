@@ -32,8 +32,8 @@ from qlr.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-# Extreme draws overflow inside numpy on their way to a typed error.
-pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# Extreme draws must reach a typed error without a numpy warning on the way.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 PROPERTY_SETTINGS = settings(
     derandomize=True,

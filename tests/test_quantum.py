@@ -270,7 +270,7 @@ class TestHbarModeration:
 
 
 class TestPosteriorGeneral:
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_block_is_a_typed_error(self):
         # The solved c1 is about 1.6e308, so the first block overflows to
         # inf, and inf weights have no posterior.

@@ -35,12 +35,13 @@ class PosteriorDistribution:
     method.
 
     ``argmax_index`` is always the smallest index attaining the maximum, so
-    ties resolve deterministically.
+    ties resolve deterministically.  It is derived when omitted and checked
+    when given.
     """
 
     probabilities: tuple[float, ...]
     method: str
-    argmax_index: int
+    argmax_index: int | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -50,7 +51,10 @@ class PosteriorDistribution:
             raise ValueError(f"probabilities must lie in [0, 1], got {p}")
         if abs(sum(p) - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities must sum to 1 within {_SUM_TOL}, got {sum(p)!r}")
-        if self.argmax_index != self.argmax_of(p):
+        argmax = self.argmax_of(p)
+        if self.argmax_index is None:
+            object.__setattr__(self, "argmax_index", argmax)
+        elif self.argmax_index != argmax:
             raise ValueError("argmax_index must be the smallest index attaining the maximum")
 
     @property
@@ -67,8 +71,7 @@ class PosteriorDistribution:
         cls, probabilities: Sequence[float], method: str
     ) -> "PosteriorDistribution":
         """Tag already-normalized probabilities, deriving ``argmax_index``."""
-        probs = tuple(probabilities)
-        return cls(probs, method, cls.argmax_of(probs))
+        return cls(tuple(probabilities), method)
 
     @classmethod
     def from_weights(
@@ -144,12 +147,13 @@ def mean_frequency_posterior(
         raise Unsupported(f"mean-frequency estimator needs exactly 2 features, got {counts.m}")
     if counts.n < 2:
         raise Unsupported(f"need at least 2 hypotheses, got {counts.n}")
-    w = counts.resolve_priors(priors)
+    w = counts.resolve_priors(priors).tolist()
+    sizes = counts.population_sizes
     weights = []
     for a in range(counts.n):
         r = intersection_range(counts, a, 0, 1)
-        mu = (r.lo + r.hi) / 2 / int(counts.populations[a])
-        weights.append(float(w[a]) * mu)
+        mu = (r.lo + r.hi) / 2 / sizes[a]
+        weights.append(w[a] * mu)
     return PosteriorDistribution.from_weights(weights, "mean_frequency")
 
 
@@ -171,12 +175,12 @@ def mean_range_posterior(
         raise Unsupported(
             f"mean-range estimator needs 2 features x 2 hypotheses, got {counts.m}x{counts.n}"
         )
-    w = counts.resolve_priors(priors)
+    w1, w2 = counts.resolve_priors(priors).tolist()
     r1 = intersection_range(counts, 0, 0, 1)
     r2 = intersection_range(counts, 1, 0, 1)
-    p1, p2 = (int(v) for v in counts.populations)
-    low = _weighted_count_ratio(r1.lo, r2.hi, p1, p2, float(w[0]), float(w[1]))
-    high = _weighted_count_ratio(r1.hi, r2.lo, p1, p2, float(w[0]), float(w[1]))
+    p1, p2 = counts.population_sizes
+    low = _weighted_count_ratio(r1.lo, r2.hi, p1, p2, w1, w2)
+    high = _weighted_count_ratio(r1.hi, r2.lo, p1, p2, w1, w2)
     prob1 = (low + high) / 2
     return PosteriorDistribution.from_probabilities((prob1, 1.0 - prob1), "mean_range")
 

@@ -410,7 +410,7 @@ class _AnalysisRun:
         """
         loaded = self.loaded
         if loaded.kind == "counts":
-            if not loaded.count_table.counts.all():
+            if any(0 in row for row in loaded.count_table.count_rows):
                 raise Unsupported("probability-based methods need nonzero counts")
             base = from_counts(
                 loaded.count_table,
@@ -491,8 +491,8 @@ def _input_echo(loaded: _LoadedInput) -> dict[str, Any]:
         "hypotheses": list(loaded.hypotheses),
     }
     if loaded.kind == "counts":
-        echo["counts"] = loaded.count_table.counts.tolist()
-        echo["populations"] = loaded.count_table.populations.tolist()
+        echo["counts"] = [list(row) for row in loaded.count_table.count_rows]
+        echo["populations"] = list(loaded.count_table.population_sizes)
     else:
         echo["values"] = [[float(v) for v in row] for row in loaded.values]
     return echo

@@ -52,14 +52,10 @@ def enumerate_joint_counts(
         BadIndex: invalid hypothesis or feature indices, or i == j.
     """
     counts.check_pair(hypothesis, i, j)
-    c_i = int(counts.counts[i, hypothesis])
-    c_j = int(counts.counts[j, hypothesis])
-    pop = int(counts.populations[hypothesis])
-    feasible = []
-    for k in range(pop + 1):
-        if k <= c_i and k <= c_j and pop - c_i - c_j + k >= 0:
-            feasible.append(k)
-    return feasible
+    c_i = counts.count_rows[i][hypothesis]
+    c_j = counts.count_rows[j][hypothesis]
+    pop = counts.population_sizes[hypothesis]
+    return [k for k in range(pop + 1) if k <= c_i and k <= c_j and pop - c_i - c_j + k >= 0]
 
 
 def enumerate_table(counts: CountTable, i: int = 0, j: int = 1) -> EnumerationResult:
@@ -67,7 +63,7 @@ def enumerate_table(counts: CountTable, i: int = 0, j: int = 1) -> EnumerationRe
     rows = []
     for a in range(counts.n):
         feasible = enumerate_joint_counts(counts, a, i, j)
-        pop = int(counts.populations[a])
+        pop = counts.population_sizes[a]
         endpoints = (feasible[0] / pop, feasible[-1] / pop)
         mean = sum(feasible) / len(feasible) / pop
         rows.append(HypothesisEnumeration(tuple(feasible), endpoints, mean))
@@ -106,12 +102,10 @@ def oracle_mean_estimators(counts, priors=None) -> OracleEstimates:
         raise Unsupported(f"enumeration needs exactly 2 features, got {counts.m}")
     if counts.n < 2:
         raise Unsupported(f"enumeration needs at least 2 hypotheses, got {counts.n}")
-    w = counts.resolve_priors(priors)
+    w = counts.resolve_priors(priors).tolist()
     enum = enumerate_table(counts, 0, 1)
 
-    weights = [
-        float(w[a]) * enum.per_hypothesis[a].mean_frequency for a in range(counts.n)
-    ]
+    weights = [w[a] * enum.per_hypothesis[a].mean_frequency for a in range(counts.n)]
     total = sum(weights)
     if not total > 0.0:
         raise DegenerateRange("every hypothesis has mean joint frequency zero")
@@ -124,36 +118,36 @@ def oracle_mean_estimators(counts, priors=None) -> OracleEstimates:
 
     f1 = enum.per_hypothesis[0].feasible
     f2 = enum.per_hypothesis[1].feasible
-    p1, p2 = (int(v) for v in counts.populations)
-    w1, w2 = float(w[0]), float(w[1])
-
-    def weighted_ratio(k1: int, k2: int) -> float | None:
-        a = w1 * (k1 / p1)
-        b = w2 * (k2 / p2)
-        if a + b <= 0.0:
-            return None
-        return a / (a + b)
+    p1, p2 = counts.population_sizes
+    w1, w2 = w
 
     # The extreme pairings define the range; if either is degenerate the
     # range itself is, matching the closed-form estimator's contract.
-    if weighted_ratio(min(f1), max(f2)) is None or weighted_ratio(max(f1), min(f2)) is None:
+    if (
+        w1 * (min(f1) / p1) + w2 * (max(f2) / p2) <= 0.0
+        or w1 * (max(f1) / p1) + w2 * (min(f2) / p2) <= 0.0
+    ):
         raise DegenerateRange(
             "an extreme joint-count pairing leaves nothing to normalize"
         )
-    ratios = [
-        r for k1 in f1 for k2 in f2 if (r := weighted_ratio(k1, k2)) is not None
-    ]
+    # One scan of every feasible pair: the prior-weighted ratio for the
+    # range, and the plain ratio k1 / (k1 + k2) for the enumeration mean.
+    ratios = []
+    plain = []
+    skipped = 0
+    weighted2 = [(k2, w2 * (k2 / p2)) for k2 in f2]
+    for k1 in f1:
+        a = w1 * (k1 / p1)
+        for k2, b in weighted2:
+            if a + b > 0.0:
+                ratios.append(a / (a + b))
+            if k1 + k2:
+                plain.append(k1 / (k1 + k2))
+            else:
+                skipped += 1
     prob1 = (min(ratios) + max(ratios)) / 2
     mean_range = PosteriorDistribution.from_probabilities((prob1, 1.0 - prob1), "mean_range")
 
-    plain = []
-    skipped = 0
-    for k1 in f1:
-        for k2 in f2:
-            if k1 + k2 == 0:
-                skipped += 1
-                continue
-            plain.append(k1 / (k1 + k2))
     if not plain:
         raise DegenerateRange("every feasible joint-count pair sums to zero")
     mean1 = sum(plain) / len(plain)

@@ -17,7 +17,8 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -140,10 +141,16 @@ class CountTable:
 
     ``counts[i, a]`` is the number of population members of hypothesis ``a``
     exhibiting feature ``i``; ``populations[a]`` is the population size.
+
+    ``count_rows`` and ``population_sizes`` hold the same values as Python
+    integers, the ones validation checked, so per-count arithmetic never
+    indexes the arrays.
     """
 
     counts: np.ndarray
     populations: np.ndarray
+    count_rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    population_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         counts = _numeric_array(self.counts, None, "counts", BadShape)
@@ -177,19 +184,30 @@ class CountTable:
         populations.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "populations", populations)
+        object.__setattr__(self, "count_rows", tuple(map(tuple, rows)))
+        object.__setattr__(self, "population_sizes", tuple(sizes))
 
     @property
     def m(self) -> int:
-        return self.counts.shape[0]
+        return len(self.count_rows)
 
     @property
     def n(self) -> int:
-        return self.counts.shape[1]
+        return len(self.population_sizes)
 
-    @property
+    @cached_property
     def population_shares(self) -> np.ndarray:
-        """Default priors: each hypothesis's share of the total population."""
-        return self.populations / self.populations.sum()
+        """Default priors: each hypothesis's share of the total population,
+        read-only.
+
+        Integer true division is correctly rounded, so ``p / total`` equals
+        numpy's ``populations / populations.sum()`` bit for bit.
+        """
+        sizes = self.population_sizes
+        total = sum(sizes)
+        shares = np.array([p / total for p in sizes])
+        shares.setflags(write=False)
+        return shares
 
     def resolve_priors(self, priors: Sequence[float] | None) -> np.ndarray:
         """Validated explicit priors, or population shares when omitted.
@@ -207,11 +225,14 @@ class CountTable:
         Raises:
             BadIndex: out-of-range indices or ``i == j``.
         """
-        if not 0 <= hypothesis < self.n:
-            raise BadIndex(f"hypothesis index {hypothesis} out of range for n={self.n}")
-        for name, k in (("i", i), ("j", j)):
-            if not 0 <= k < self.m:
-                raise BadIndex(f"feature index {name}={k} out of range for m={self.m}")
+        n = len(self.population_sizes)
+        m = len(self.count_rows)
+        if not 0 <= hypothesis < n:
+            raise BadIndex(f"hypothesis index {hypothesis} out of range for n={n}")
+        if not 0 <= i < m:
+            raise BadIndex(f"feature index i={i} out of range for m={m}")
+        if not 0 <= j < m:
+            raise BadIndex(f"feature index j={j} out of range for m={m}")
         if i == j:
             raise BadIndex(f"feature indices must differ, got i == j == {i}")
 
@@ -276,7 +297,7 @@ def from_counts(
     """
     if counts.n < 2:
         raise BadShape(f"need at least 2 hypotheses to form a table, got {counts.n}")
-    for i, row in enumerate(counts.counts.tolist()):
+    for i, row in enumerate(counts.count_rows):
         if 0 in row:
             raise InvalidCell(
                 f"count [{i}, {row.index(0)}] is zero; zero cells are rejected at construction"
@@ -301,7 +322,7 @@ def intersection_range(counts: CountTable, hypothesis: int, i: int, j: int) -> I
         BadIndex: out-of-range indices or ``i == j``.
     """
     counts.check_pair(hypothesis, i, j)
-    a = int(counts.counts[i, hypothesis])
-    b = int(counts.counts[j, hypothesis])
-    p = int(counts.populations[hypothesis])
+    a = counts.count_rows[i][hypothesis]
+    b = counts.count_rows[j][hypothesis]
+    p = counts.population_sizes[hypothesis]
     return IntegerRange(lo=max(0, a + b - p), hi=min(a, b))

@@ -42,6 +42,12 @@ from .tables import ContingencyTable, new_table
 RESIDUAL_TOL = 1e-10
 
 
+def _orthonormality_residuals(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per k, the largest absolute entry of ``a[k] @ c[k] @ a[k].T - I``."""
+    product = a @ c @ a.transpose(0, 2, 1)
+    return np.abs(product - np.eye(a.shape[1])).max(axis=(1, 2), initial=0.0)
+
+
 @dataclass(frozen=True)
 class OrthonormalBasis:
     """Per-hypothesis change-of-basis matrices orthonormalizing an overlap.
@@ -82,9 +88,7 @@ class OrthonormalBasis:
     def hypothesis_residuals(self) -> np.ndarray:
         """Per hypothesis, the largest absolute entry of ``A c A^T - I``,
         from one stacked product over all K matrices."""
-        a = self.matrices
-        product = a @ self.source_overlap.c @ a.transpose(0, 2, 1)
-        worst = np.abs(product - np.eye(self.m)).max(axis=(1, 2), initial=0.0)
+        worst = _orthonormality_residuals(self.matrices, self.source_overlap.c)
         worst.setflags(write=False)
         return worst
 
@@ -139,8 +143,10 @@ def gram_schmidt_basis(overlap: OverlapMatrix) -> OrthonormalBasis:
     Raises:
         NotPositiveDefinite: some hypothesis's Gram matrix has an eigenvalue
             at or below ``PD_EIGENVALUE_TOL``, so no real orthonormal basis
-            exists; names the smallest such hypothesis.  The block-sum
-            posterior remains available.
+            exists; names the smallest such hypothesis.  Also raised when the
+            Gram matrices pass that gate but are too ill-conditioned for the
+            basis to meet ``RESIDUAL_TOL``; names the hypothesis with the
+            largest residual.  The block-sum posterior remains available.
     """
     flags = overlap.positive_definite
     if not all(flags):
@@ -160,7 +166,17 @@ def gram_schmidt_basis(overlap: OverlapMatrix) -> OrthonormalBasis:
         if not passing.all():
             raise NotPositiveDefinite(int(np.argmin(passing)))
         rows[:, i] = v / np.sqrt(norm_sq)[:, None]
-    return OrthonormalBasis(rows, overlap)
+    try:
+        return OrthonormalBasis(rows, overlap)
+    except InvalidBasis as exc:
+        residuals = _orthonormality_residuals(rows, c)
+        worst = int(np.argmax(residuals))
+        raise NotPositiveDefinite(
+            worst,
+            f"Gram matrix for hypothesis {worst} is too ill-conditioned for an "
+            f"orthonormal basis: orthonormality residual {float(residuals[worst])!r} "
+            f"exceeds {RESIDUAL_TOL}",
+        ) from exc
 
 
 def _amplitudes(basis: OrthonormalBasis, roots: np.ndarray) -> np.ndarray:

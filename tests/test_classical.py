@@ -1,6 +1,7 @@
 """Classical estimators: single-feature update, naive product, mean
 estimators, and the posterior container's own validation rules."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -53,6 +54,22 @@ class TestPosteriorDistribution:
         PosteriorDistribution((0.5, 0.5), "bayes", 0)
         with pytest.raises(ValueError):
             PosteriorDistribution((0.5, 0.5), "bayes", 1)
+
+    def test_omitted_argmax_is_derived(self):
+        assert PosteriorDistribution((0.25, 0.75), "bayes").argmax_index == 1
+        assert PosteriorDistribution((0.5, 0.5), "bayes").argmax_index == 0
+        pd = PosteriorDistribution.from_probabilities([0.3, 0.3, 0.4], "naive")
+        assert pd == PosteriorDistribution((0.3, 0.3, 0.4), "naive", 2)
+        with pytest.raises(ValueError):
+            PosteriorDistribution((0.6, 0.4), "magic")
+
+    def test_replace_keeps_the_argmax_check(self):
+        pd = PosteriorDistribution((0.6, 0.4), "bayes")
+        assert dataclasses.replace(pd, method="naive").argmax_index == 0
+        with pytest.raises(ValueError, match="argmax_index"):
+            dataclasses.replace(pd, probabilities=(0.4, 0.6))
+        moved = dataclasses.replace(pd, probabilities=(0.4, 0.6), argmax_index=None)
+        assert moved.argmax_index == 1
 
     @pytest.mark.parametrize("weights", [[0.0, 0.0], [math.inf, 1.0], [1e308, 1e308]])
     def test_weights_without_a_positive_finite_total_are_degenerate(self, weights):

@@ -427,6 +427,26 @@ def test_underflowing_overlap_is_skipped_under_all(capsys, tmp_path, name):
     assert "diagnostics" not in report
 
 
+def test_ill_conditioned_overlap_skips_only_the_state_vector_method(capsys, tmp_path):
+    # A valid table whose solved overlap is positive definite (c1 = 1 - 1e-8)
+    # but too ill-conditioned for an orthonormal basis within 1e-10.
+    path = tmp_path / "ill_conditioned.csv"
+    path.write_text(
+        "feature,A,B\nd1,0.7199999927999999,0.6\nd2,0.7199999927999999,0.6\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "analyze", str(path), "--format", "json")
+    assert code == 0
+    assert err == ""
+    report = json.loads(out)
+    assert sorted(report["methods"]) == ["bayes:1", "bayes:2", "naive", "quantum"]
+    skipped = [w for w in report["warnings"] if w.startswith("skipped wavefunction:")]
+    assert len(skipped) == 1 and "residual" in skipped[0]
+    code, _, err = run_cli(capsys, "analyze", str(path), "--method", "wavefunction")
+    assert code == 3
+    assert err.startswith("qlr: error:")
+
+
 def test_overflowing_weighted_block_is_skipped_under_all(capsys, tmp_path):
     # Finite 2x2 blocks whose prior-weighted sum overflows: a typed error,
     # not a NaN posterior and a traceback.

@@ -1,13 +1,17 @@
 """Property tests over the documented input domain: cells anywhere in (0, 1]
-(subnormals included) and mutated input files.
+(subnormals included), count tables with populations up to 10^6, and mutated
+input files.
 
 Every estimator returns a finite posterior that sums to 1 or raises a typed
 :class:`~qlr.errors.QlrError`; swapping the two feature rows leaves each
-posterior unchanged; and the command line exits 0, 2 or 3 on any file,
-never with a traceback.  Draws are derandomized so the suite is repeatable.
+posterior unchanged; a count table's integer views and population shares
+equal what the numpy fields give; and the command line exits 0, 2 or 3 on
+any file, never with a traceback.  Draws are derandomized so the suite is
+repeatable.
 """
 
 import contextlib
+import dataclasses
 import io
 import math
 from pathlib import Path
@@ -18,9 +22,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qlr import (
+    CountTable,
     OverlapMatrix,
     QlrError,
     bayes_posterior,
+    intersection_range,
     naive_posterior,
     new_table,
     overlap_coefficients,
@@ -29,6 +35,7 @@ from qlr import (
     posterior_via_wavefunction,
 )
 from qlr.cli import main
+from qlr.tables import MAX_POPULATION
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -126,6 +133,66 @@ def test_row_swap_leaves_every_posterior_unchanged(table):
             assert a is b, name
         else:
             np.testing.assert_allclose(a, b, rtol=0.0, atol=SWAP_TOL, err_msg=name)
+
+
+# ----------------------------------------------------------- count tables
+
+
+@st.composite
+def count_tables(draw):
+    """1-4 features, 1-4 hypotheses, populations 1..10^6, counts 0..population,
+    handed over as int64, int32 or uint32 arrays."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    populations = draw(st.lists(st.integers(1, MAX_POPULATION), min_size=n, max_size=n))
+    counts = [[draw(st.integers(0, p)) for p in populations] for _ in range(m)]
+    dtype = draw(st.sampled_from((np.int64, np.int32, np.uint32)))
+    return CountTable(np.array(counts, dtype=dtype), np.array(populations, dtype=dtype))
+
+
+def _assert_views_match_fields(ct):
+    assert ct.counts.dtype == np.int64 and ct.populations.dtype == np.int64
+    assert type(ct.count_rows) is tuple
+    assert all(type(row) is tuple for row in ct.count_rows)
+    assert all(type(v) is int for row in ct.count_rows for v in row)
+    assert ct.count_rows == tuple(map(tuple, ct.counts.tolist()))
+    assert type(ct.population_sizes) is tuple
+    assert all(type(v) is int for v in ct.population_sizes)
+    assert ct.population_sizes == tuple(ct.populations.tolist())
+    assert (ct.m, ct.n) == ct.counts.shape
+    shares = ct.population_shares
+    reference = ct.populations / ct.populations.sum()
+    assert shares.dtype == reference.dtype and shares.tobytes() == reference.tobytes()
+    assert not shares.flags.writeable
+    assert ct.resolve_priors(None) is shares
+
+
+@PROPERTY_SETTINGS
+@given(count_tables())
+def test_count_views_hold_the_validated_integers(ct):
+    _assert_views_match_fields(ct)
+    for a in range(ct.n):
+        for i in range(ct.m):
+            for j in range(ct.m):
+                if i == j:
+                    continue
+                c_i, c_j, p = (int(v) for v in (ct.counts[i, a], ct.counts[j, a], ct.populations[a]))
+                r = intersection_range(ct, a, i, j)
+                assert (r.lo, r.hi) == (max(0, c_i + c_j - p), min(c_i, c_j))
+
+
+@PROPERTY_SETTINGS
+@given(count_tables())
+def test_replace_rederives_the_count_views(ct):
+    _assert_views_match_fields(ct)  # caches the shares before replacing
+    complement = dataclasses.replace(ct, counts=ct.populations - ct.counts)
+    _assert_views_match_fields(complement)
+    assert complement.count_rows == tuple(
+        tuple(p - c for c, p in zip(row, ct.population_sizes)) for row in ct.count_rows
+    )
+    grown = dataclasses.replace(ct, populations=np.minimum(2 * ct.populations, MAX_POPULATION))
+    _assert_views_match_fields(grown)
+    assert grown.count_rows == ct.count_rows
 
 
 # --------------------------------------------------------------- CLI fuzz

@@ -260,6 +260,19 @@ class TestPosteriorViaWavefunction:
         with pytest.raises(NotPositiveDefinite):
             posterior_via_wavefunction(STREET, OverlapMatrix.from_pair(1.0, 0.2))
 
+    @pytest.mark.parametrize("pair, hypothesis", [((1 - 1e-8, 0.3), 0), ((0.3, 1 - 1e-8), 1)])
+    def test_ill_conditioned_overlap_is_an_exit_3_error(self, pair, hypothesis):
+        # Positive definite, so it passes the eigenvalue gate, but too
+        # ill-conditioned for the Gram-Schmidt basis to meet RESIDUAL_TOL:
+        # a capability gap of the method (exit 3), not a bad basis (exit 2).
+        table = new_table([[0.5, 0.4], [0.3, 0.6]])
+        overlap = OverlapMatrix.from_pair(*pair)
+        assert overlap.positive_definite == (True, True)
+        with pytest.raises(NotPositiveDefinite, match="residual") as info:
+            posterior_via_wavefunction(table, overlap)
+        assert info.value.exit_code == 3
+        assert info.value.hypothesis == hypothesis
+
 
 class TestPosteriorIndependent:
     def test_street_blue_door(self):

@@ -425,16 +425,20 @@ class _AnalysisRun:
 
     def solution(self) -> CoefficientSolution:
         """The solved 2x2 overlap coefficients.  The first successful solve
-        warns when they leave the unit interval."""
+        warns when they leave the unit interval, and says the state-vector
+        cross-check may be unavailable when :attr:`overlap` fails the
+        positive-definiteness gate."""
         if self._solution is None:
             self._solution = overlap_coefficients(self.prob_table)
             if not self._solution.within_unit_interval:
-                self.warnings.append(
+                warning = (
                     "overlap coefficient magnitude >= 1 "
                     f"(c1={_format_float(self._solution.c1)}, "
-                    f"c2={_format_float(self._solution.c2)}); "
-                    "state-vector cross-check may be unavailable"
+                    f"c2={_format_float(self._solution.c2)})"
                 )
+                if not all(self.overlap.positive_definite):
+                    warning += "; state-vector cross-check may be unavailable"
+                self.warnings.append(warning)
         return self._solution
 
     def overlap_pair(self) -> tuple[float, float]:
@@ -442,6 +446,13 @@ class _AnalysisRun:
         solution = self.solution()
         pair = (solution.c1, solution.c2)
         return pair if self.hbar is None else hbar_moderated_coefficients(*pair, self.hbar)
+
+    @cached_property
+    def overlap(self) -> OverlapMatrix:
+        """The overlap the state-vector method runs on: the solved pair,
+        moderated when ``--hbar`` is given.  Its positive-definiteness flags
+        are the report's ``gram_positive_definite``."""
+        return OverlapMatrix.from_pair(*self.overlap_pair())
 
     def diagnostics(self) -> dict[str, Any] | None:
         """The report's ``diagnostics`` block; None when nothing was solved."""
@@ -452,7 +463,7 @@ class _AnalysisRun:
             "c1": solution.c1,
             "c2": solution.c2,
             "within_unit_interval": solution.within_unit_interval,
-            "gram_positive_definite": list(solution.gram_positive_definite),
+            "gram_positive_definite": list(self.overlap.positive_definite),
         }
         if self.hbar is not None:
             c1, c2 = self.overlap_pair()
@@ -479,8 +490,7 @@ class _AnalysisRun:
         if selector == "quantum":
             self.solution()
             return posterior_2x2(self.prob_table, self.hbar)
-        overlap = OverlapMatrix.from_pair(*self.overlap_pair())
-        return posterior_via_wavefunction(self.prob_table, overlap)
+        return posterior_via_wavefunction(self.prob_table, self.overlap)
 
 
 def _input_echo(loaded: _LoadedInput) -> dict[str, Any]:

@@ -109,6 +109,12 @@ class OverlapMatrix:
             )
 
     @classmethod
+    def coerce(cls, overlap: "OverlapMatrix | Any") -> "OverlapMatrix":
+        """``overlap`` itself when it is an OverlapMatrix, else the
+        OverlapMatrix built (and validated) from it."""
+        return overlap if isinstance(overlap, cls) else cls(overlap)
+
+    @classmethod
     def identity(cls, n_hypotheses: int, m_features: int) -> "OverlapMatrix":
         """All features orthogonal (independent) under every hypothesis."""
         return cls(np.broadcast_to(np.eye(m_features), (n_hypotheses, m_features, m_features)))
@@ -218,17 +224,18 @@ def _block_sums(table: ContingencyTable, overlap: OverlapMatrix) -> list[float]:
     The diagonal contributes exactly ``sum_i x[i,a]`` (unit diagonal), so it
     is added separately rather than through sqrt products.
     """
-    blocks = []
+    # One row per hypothesis, contiguous, so that each row sum and each
+    # quadratic form is the same reduction a single column would get.
+    cols = np.ascontiguousarray(table.x.T)
+    s = np.sqrt(cols)
+    off = overlap.c.copy()
+    diagonal = np.arange(table.m)
+    off[:, diagonal, diagonal] = 0.0
     # Overlaps near the float limit overflow a block to inf or nan, which
     # normalization then rejects with a typed error, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(table.n):
-            col = table.x[:, a]
-            s = np.sqrt(col)
-            off = np.array(overlap.c[a])
-            np.fill_diagonal(off, 0.0)
-            blocks.append(float(col.sum()) + float(s @ off @ s))
-    return blocks
+        forms = (s[:, None, :] @ off @ s[:, :, None])[:, 0, 0]
+        return (cols.sum(axis=1) + forms).tolist()
 
 
 def posterior_general(
@@ -245,8 +252,7 @@ def posterior_general(
         ShapeMismatch: overlap dimensions disagree with the table.
         NonPositiveTotal: some hypothesis block sum is not positive.
     """
-    if not isinstance(overlap, OverlapMatrix):
-        overlap = OverlapMatrix(overlap)
+    overlap = OverlapMatrix.coerce(overlap)
     overlap.check_fits(table)
     blocks = _block_sums(table, overlap)
     for a, block in enumerate(blocks):
@@ -255,9 +261,9 @@ def posterior_general(
                 f"hypothesis {a} block sum {block!r} is not positive; "
                 "overlaps are too negative for this table"
             )
-    w = _prior_weights(table)
+    w = _prior_weights(table).tolist()
     return PosteriorDistribution.from_weights(
-        [float(w[a]) * blocks[a] for a in range(table.n)], "quantum"
+        [wa * block for wa, block in zip(w, blocks)], "quantum"
     )
 
 

@@ -8,13 +8,17 @@ posteriors off squared amplitudes.  Agreement between the two paths is the
 package's core correctness check, exercised by :func:`cross_path_suite`.
 
 The linear algebra runs on stacks of K per-hypothesis ``m x m`` matrices,
-shape ``(K, m, m)``: one batched eigenvalue gate, modified Gram-Schmidt over
-all K at once (Python loops only over the m feature indices), and one
-stacked product each for the residual and the amplitudes.  A single table is
-the case K = n; :func:`cross_path_suite` stacks the hypotheses of all its
+shape ``(K, m, m)``, with a fixed number of stacked numpy calls whatever K
+and m are: one batched eigenvalue gate, one Cholesky factorisation
+``c[a] = L[a] @ L[a].T`` and its inverse, and one stacked product each for
+the residual and the amplitudes.  The basis is the Gram-Schmidt basis of the
+feature states in the ``c[a]`` inner product, taken in index order; its rows
+are exactly the rows of ``L[a]^-1``, the unique lower-triangular matrix with
+a positive diagonal that orthonormalizes ``c[a]``.  A single table is the
+case K = n; :func:`cross_path_suite` stacks the hypotheses of all its
 samples that share a feature count and runs the path once per count.
 
-Per hypothesis ``a`` the basis rows ``A[a]`` satisfy
+Per hypothesis ``a`` the basis rows ``A[a] = L[a]^-1`` satisfy
 
     A[a] @ c[a] @ A[a].T = I          (orthonormality)
 
@@ -29,13 +33,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Any
 
 import numpy as np
 
 from .checks import CheckResult, ConstraintReport
 from .classical import PosteriorDistribution
 from .errors import BadIndex, InvalidBasis, NotPositiveDefinite, ShapeMismatch
-from .quantum import PD_EIGENVALUE_TOL, OverlapMatrix, posterior_general
+from .quantum import OverlapMatrix, posterior_general
 from .tables import ContingencyTable, new_table
 
 # Residual ceiling for the orthonormality and back-substitution identities.
@@ -134,38 +139,41 @@ def _quadratic_forms(u: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
 def gram_schmidt_basis(overlap: OverlapMatrix) -> OrthonormalBasis:
     """Orthonormalize each hypothesis's feature states against its metric.
 
-    Uses modified Gram-Schmidt in the ``c[a]`` inner product, processing
-    features in index order, with one re-orthogonalization pass per vector
-    for stability.  All K matrices of the ``(K, m, m)`` overlap are
-    processed together; the eigenvalue gate is
-    :attr:`OverlapMatrix.positive_definite`.
+    The basis is the Gram-Schmidt basis of the feature states ``e_1..e_m``
+    in the ``c[a]`` inner product, processed in index order.  It is computed
+    as ``L[a]^-1`` from one Cholesky factorisation ``c[a] = L[a] @ L[a].T``
+    of the whole ``(K, m, m)`` stack: Gram-Schmidt in index order yields the
+    unique lower-triangular ``A[a]`` with a positive diagonal and
+    ``A[a] @ c[a] @ A[a].T = I``, and that matrix is ``L[a]^-1``.  The
+    eigenvalue gate is :attr:`OverlapMatrix.positive_definite`.
 
     Raises:
         NotPositiveDefinite: some hypothesis's Gram matrix has an eigenvalue
             at or below ``PD_EIGENVALUE_TOL``, so no real orthonormal basis
             exists; names the smallest such hypothesis.  Also raised when the
             Gram matrices pass that gate but are too ill-conditioned for the
-            basis to meet ``RESIDUAL_TOL``; names the hypothesis with the
-            largest residual.  The block-sum posterior remains available.
+            basis to meet ``RESIDUAL_TOL``, or to have a Cholesky factor in
+            floating point; names the hypothesis with the largest residual,
+            or the smallest eigenvalue.  The block-sum posterior remains
+            available.
     """
     flags = overlap.positive_definite
     if not all(flags):
         raise NotPositiveDefinite(flags.index(False))
     c = overlap.c
-    m = overlap.m
-    rows = np.zeros(c.shape)
-    for i in range(m):
-        v = np.zeros((overlap.n, m))
-        v[:, i] = 1.0
-        for _ in range(2):
-            for k in range(i):
-                row = rows[:, k]
-                v = v - _quadratic_forms(v, c, row)[:, None] * row
-        norm_sq = _quadratic_forms(v, c, v)
-        passing = norm_sq > PD_EIGENVALUE_TOL
-        if not passing.all():
-            raise NotPositiveDefinite(int(np.argmin(passing)))
-        rows[:, i] = v / np.sqrt(norm_sq)[:, None]
+    try:
+        lower = np.linalg.cholesky(c)
+    except np.linalg.LinAlgError as exc:
+        # Every Cholesky pivot is at least the smallest eigenvalue, which
+        # the gate put above PD_EIGENVALUE_TOL, far above the pivots'
+        # rounding on unit-diagonal matrices; this is the route for a
+        # factorisation that fails regardless.
+        worst = int(np.argmin(np.linalg.eigvalsh(c).min(axis=1)))
+        raise NotPositiveDefinite(
+            worst,
+            f"Gram matrix for hypothesis {worst} has no Cholesky factor in floating point",
+        ) from exc
+    rows = np.linalg.inv(lower)
     try:
         return OrthonormalBasis(rows, overlap)
     except InvalidBasis as exc:
@@ -185,9 +193,7 @@ def _amplitudes(basis: OrthonormalBasis, roots: np.ndarray) -> np.ndarray:
     return (basis.matrices @ basis.source_overlap.c @ roots[:, :, None])[:, :, 0]
 
 
-def _squared_readout(
-    priors: np.ndarray, norms: np.ndarray | tuple[float, ...]
-) -> PosteriorDistribution:
+def _squared_readout(priors: np.ndarray, norms: np.ndarray) -> PosteriorDistribution:
     """``P(H_a) ∝ priors[a] * n * norms[a]`` from per-hypothesis sums of
     squared amplitudes."""
     w = priors * len(priors)
@@ -213,22 +219,25 @@ def solve_b_coefficients(table: ContingencyTable, basis: OrthonormalBasis) -> St
 
 
 def posterior_via_wavefunction(
-    table: ContingencyTable, overlap: OverlapMatrix
+    table: ContingencyTable, overlap: OverlapMatrix | Any
 ) -> PosteriorDistribution:
     """Posterior from squared amplitudes, prior-weighted per hypothesis.
 
     ``P(H_a) ∝ w_a * sum_i b[a][i]**2`` with ``w_a = priors[a] * n``, the
     same weighting as :func:`qlr.quantum.posterior_general`; the two must
     agree within ``RESIDUAL_TOL`` whenever the overlap is positive definite.
-    This is the state-vector path on a stack of K = n hypotheses.
+    This is the state-vector path on a stack of K = n hypotheses.  The
+    overlap may be anything :class:`OverlapMatrix` accepts.
 
     Raises:
+        InvalidOverlap: coefficients violate unit-diagonal/symmetry rules.
         ShapeMismatch: overlap dimensions disagree with the table.
         NotPositiveDefinite: no orthonormal basis exists for some hypothesis.
     """
+    overlap = OverlapMatrix.coerce(overlap)
     overlap.check_fits(table)
-    state = solve_b_coefficients(table, gram_schmidt_basis(overlap))
-    return _squared_readout(table.priors, state.hypothesis_norms())
+    b = _amplitudes(gram_schmidt_basis(overlap), np.sqrt(table.x.T))
+    return _squared_readout(table.priors, (b * b).sum(axis=1))
 
 
 def posterior_independent(table: ContingencyTable, feature: int) -> PosteriorDistribution:

@@ -447,6 +447,30 @@ def test_ill_conditioned_overlap_skips_only_the_state_vector_method(capsys, tmp_
     assert err.startswith("qlr: error:")
 
 
+@pytest.mark.parametrize(
+    "hbar_flags, flags, clause",
+    [(["--hbar", "0.1"], [True, True], False), ([], [False, True], True)],
+    ids=["moderated", "unmoderated"],
+)
+def test_gram_flags_describe_the_overlap_the_state_vector_method_used(
+    capsys, tmp_path, hbar_flags, flags, clause
+):
+    # c1 = 1.8 fails the gate; --hbar 0.1 moderates the pair to
+    # (0.171, 0.029), which passes it, and the state-vector method runs.
+    path = tmp_path / "lopsided.csv"
+    path.write_text("feature,A,B\nd1,0.9,0.5\nd2,0.9,0.5\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path), *hbar_flags, "--format", "json")
+    assert code == 0
+    assert err == ""
+    report = json.loads(out)
+    assert report["diagnostics"]["gram_positive_definite"] == flags
+    assert report["diagnostics"]["within_unit_interval"] is False
+    outside = [w for w in report["warnings"] if w.startswith("overlap coefficient magnitude")]
+    assert len(outside) == 1
+    assert outside[0].endswith("state-vector cross-check may be unavailable") is clause
+    assert ("wavefunction" in report["methods"]) is not clause
+
+
 def test_overflowing_weighted_block_is_skipped_under_all(capsys, tmp_path):
     # Finite 2x2 blocks whose prior-weighted sum overflows: a typed error,
     # not a NaN posterior and a traceback.

@@ -23,7 +23,9 @@ from hypothesis import strategies as st
 
 from qlr import (
     CountTable,
+    NonPositiveTotal,
     OverlapMatrix,
+    PosteriorDistribution,
     QlrError,
     bayes_posterior,
     intersection_range,
@@ -133,6 +135,55 @@ def test_row_swap_leaves_every_posterior_unchanged(table):
             assert a is b, name
         else:
             np.testing.assert_allclose(a, b, rtol=0.0, atol=SWAP_TOL, err_msg=name)
+
+
+# ------------------------------------------------- block-sum loop reference
+
+
+def reference_block_sum_posterior(table, overlap):
+    """The block-sum posterior one hypothesis at a time: each column's sum
+    plus its quadratic form over ``c[a]`` with the unit diagonal zeroed."""
+    blocks = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(table.n):
+            col = table.x[:, a]
+            s = np.sqrt(col)
+            off = np.array(overlap.c[a])
+            np.fill_diagonal(off, 0.0)
+            blocks.append(float(col.sum()) + float(s @ off @ s))
+    for a, block in enumerate(blocks):
+        if block <= 0.0:
+            raise NonPositiveTotal(f"hypothesis {a} block sum {block!r} is not positive")
+    return PosteriorDistribution.from_weights(
+        [float(table.priors[a] * table.n) * blocks[a] for a in range(table.n)], "quantum"
+    )
+
+
+@st.composite
+def tables_with_overlaps(draw):
+    """1-4 or 8-16 features (eight or more reach numpy's pairwise
+    summation), 2-4 hypotheses, cells anywhere in (0, 1] and symmetric
+    unit-diagonal overlaps, some large enough to overflow a block."""
+    features = (1, 2, 3, 4, 8, 9, 12, 16)
+    table = draw(tables(shapes=tuple((m, n) for m in features for n in range(2, 5))))
+    scale = draw(st.sampled_from((0.5, 1.0, 1e300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = scale * np.tril(rng.uniform(-1.0, 1.0, (table.n, table.m, table.m)), -1)
+    c += c.transpose(0, 2, 1)
+    c[:, np.arange(table.m), np.arange(table.m)] = 1.0
+    return table, OverlapMatrix(c)
+
+
+@PROPERTY_SETTINGS
+@given(tables_with_overlaps())
+def test_block_sums_equal_the_per_hypothesis_loop(case):
+    table, overlap = case
+    expected = _outcome(lambda t: reference_block_sum_posterior(t, overlap), table)
+    got = _outcome(lambda t: posterior_general(t, overlap), table)
+    if isinstance(expected, type):
+        assert got is expected
+    else:
+        assert got.tolist() == expected.tolist()
 
 
 # ----------------------------------------------------------- count tables

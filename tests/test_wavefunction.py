@@ -6,12 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qlr.wavefunction as wavefunction
 from qlr import (
     BadIndex,
     CountTable,
     InvalidBasis,
+    InvalidOverlap,
     NotPositiveDefinite,
     OrthonormalBasis,
     OverlapMatrix,
@@ -30,7 +33,8 @@ from qlr import (
     posterior_via_wavefunction,
     solve_b_coefficients,
 )
-from qlr.wavefunction import _random_positive_definite_overlap
+from qlr.quantum import PD_EIGENVALUE_TOL
+from qlr.wavefunction import RESIDUAL_TOL, _random_positive_definite_overlap
 
 STREET = from_counts(CountTable(np.array([[8, 7], [6, 5]]), np.array([10, 10])))
 
@@ -152,6 +156,122 @@ class TestGramSchmidtBasis:
             assert basis.residual() < 1e-12
 
 
+# The basis is computed as L^-1 of a Cholesky factorisation, the loop
+# reference by Gram-Schmidt; their rounding differs, and the condition number
+# kappa of c[a] amplifies it.  Over 100,000 draws of the stacks below the
+# bases differed by at most 0.81 * eps * kappa * max|R|, and no hypothesis was
+# refused with eps * kappa below 2.4 * RESIDUAL_TOL.
+BASIS_KAPPA_FACTOR = 8.0
+REFUSAL_KAPPA_FACTOR = 0.1
+
+
+def near_singular_block(rng: np.random.Generator, m: int, rank: int, t: float) -> np.ndarray:
+    """``(1 - t) G + t I`` with ``G`` the Gram matrix of m random unit
+    vectors in ``rank < m`` dimensions: unit diagonal, smallest eigenvalue
+    ``t``."""
+    g = rng.standard_normal((m, rank))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    c = (1.0 - t) * (g @ g.T) + t * np.eye(m)
+    c = (c + c.T) / 2.0
+    c[np.arange(m), np.arange(m)] = 1.0
+    return c
+
+
+@st.composite
+def gram_stacks(draw):
+    """(n, m, m) unit-diagonal Gram stacks, n in 1..4 and m in 1..5, whose
+    smallest eigenvalues go down to 1e-9."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for _ in range(n):
+        t = 10.0 ** -draw(st.floats(0.0, 9.0))
+        if m == 1:
+            blocks.append(np.ones((1, 1)))
+        else:
+            blocks.append(near_singular_block(rng, m, draw(st.integers(1, m - 1)), t))
+    return OverlapMatrix(np.array(blocks))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(gram_stacks())
+def test_basis_is_the_gram_schmidt_basis_near_singularity(overlap):
+    """Either both refuse at the eigenvalue gate naming the same hypothesis,
+    or the returned basis is the loop basis within a tolerance scaled by the
+    condition number.  Whether an ill-conditioned basis meets RESIDUAL_TOL is
+    decided by rounding, which differs between the two algorithms, so a
+    residual refusal is checked against the refused Gram matrix's condition
+    number: it must be ill-conditioned enough for its residual to reach the
+    ceiling."""
+    flags = overlap.positive_definite
+    try:
+        basis = gram_schmidt_basis(overlap)
+    except NotPositiveDefinite as exc:
+        if not all(flags):
+            assert exc.hypothesis == flags.index(False)
+        else:
+            kappa = np.linalg.cond(overlap.c[exc.hypothesis])
+            assert np.finfo(float).eps * kappa > REFUSAL_KAPPA_FACTOR * RESIDUAL_TOL
+        return
+    assert all(flags)
+    expected = reference_gram_schmidt(overlap)
+    for a in range(overlap.n):
+        kappa = np.linalg.cond(overlap.c[a])
+        tol = BASIS_KAPPA_FACTOR * np.finfo(float).eps * kappa * np.abs(expected[a]).max()
+        np.testing.assert_allclose(basis.matrices[a], expected[a], rtol=0, atol=tol)
+
+
+def near_singular_stacks():
+    """Stacks with one hypothesis whose smallest eigenvalue sweeps across
+    the residual ceiling's range (1e-5..1e-10) and the 1e-12 gate, down to
+    exactly singular; the other hypotheses are well conditioned."""
+    rng = np.random.default_rng(37)
+    cases = []
+    for e in np.linspace(5.0, 17.0, 49):
+        t = 10.0 ** -e
+        cases.append((OverlapMatrix.from_pair(1.0 - t, 0.3), 0))
+        cases.append((OverlapMatrix.from_pair(0.3, 1.0 - t), 1))
+        for m in (3, 4, 5):
+            stack = np.array(_random_positive_definite_overlap(rng, 3, m).c)
+            stack[1] = near_singular_block(rng, m, m - 1, t)
+            cases.append((OverlapMatrix(stack), 1))
+    return cases
+
+
+def test_near_singular_sweep_gives_a_basis_or_a_typed_refusal():
+    # No LinAlgError (or any untyped error) escapes around the gate or the
+    # residual route, and a refusal names the one ill-conditioned hypothesis.
+    routes = set()
+    for overlap, ill in near_singular_stacks():
+        try:
+            basis = gram_schmidt_basis(overlap)
+        except NotPositiveDefinite as exc:
+            assert exc.hypothesis == ill
+            routes.add("gate" if not all(overlap.positive_definite) else "residual")
+        else:
+            assert basis.residual() <= RESIDUAL_TOL
+            routes.add("basis")
+    assert routes == {"basis", "residual", "gate"}
+
+
+def test_failed_factorisation_is_a_typed_refusal(monkeypatch):
+    # Past the gate every Cholesky pivot exceeds PD_EIGENVALUE_TOL; should
+    # the factorisation fail regardless, the refusal names the hypothesis
+    # with the smallest eigenvalue.
+    def failing(c):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    overlap = OverlapMatrix.from_pair(0.2, 0.9)
+    assert np.linalg.eigvalsh(overlap.c).min() > PD_EIGENVALUE_TOL
+    with pytest.raises(NotPositiveDefinite, match="Cholesky") as info:
+        gram_schmidt_basis(overlap)
+    assert info.value.hypothesis == 1
+    assert info.value.exit_code == 3
+
+
 class TestOrthonormalBasis:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InvalidBasis):
@@ -255,6 +375,18 @@ class TestPosteriorViaWavefunction:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             posterior_via_wavefunction(STREET, OverlapMatrix.identity(2, 3))
+
+    def test_accepts_what_posterior_general_accepts(self):
+        nested = street_overlap().c.tolist()
+        wf = posterior_via_wavefunction(STREET, nested)
+        assert wf == posterior_via_wavefunction(STREET, street_overlap())
+        np.testing.assert_allclose(
+            wf.probabilities, posterior_general(STREET, nested).probabilities, atol=1e-12
+        )
+        ragged = [[[1.0, 0.5], [0.5, 1.0]], [[1.0, 0.2], [0.2]]]
+        for call in (posterior_via_wavefunction, posterior_general):
+            with pytest.raises(InvalidOverlap):
+                call(STREET, ragged)
 
     def test_degenerate_overlap_propagates(self):
         with pytest.raises(NotPositiveDefinite):

@@ -53,7 +53,6 @@ from .quantum import (
 )
 from .wavefunction import (
     OrthonormalBasis,
-    StateVector,
     cross_path_suite,
     gram_schmidt_basis,
     posterior_independent,
@@ -61,11 +60,8 @@ from .wavefunction import (
     solve_b_coefficients,
 )
 from .oracle import (
-    EnumerationResult,
-    HypothesisEnumeration,
     OracleEstimates,
     enumerate_joint_counts,
-    enumerate_table,
     oracle_mean_estimators,
 )
 
@@ -111,17 +107,13 @@ __all__ = [
     "posterior_general",
     "verify_constraint_suite",
     "OrthonormalBasis",
-    "StateVector",
     "gram_schmidt_basis",
     "solve_b_coefficients",
     "posterior_via_wavefunction",
     "posterior_independent",
     "cross_path_suite",
-    "EnumerationResult",
-    "HypothesisEnumeration",
     "OracleEstimates",
     "enumerate_joint_counts",
-    "enumerate_table",
     "oracle_mean_estimators",
     "__version__",
 ]

@@ -1,15 +1,22 @@
 """Result types shared by the randomized self-check suites.
 
 :func:`qlr.quantum.verify_constraint_suite` and
-:func:`qlr.wavefunction.cross_path_suite` both collect per-sample deviations
-for each check, build one :class:`CheckResult` per check from them, and
-report a :class:`ConstraintReport`.
+:func:`qlr.wavefunction.cross_path_suite` both check their sample count with
+:func:`check_sample_count`, collect per-sample deviations for each check, and
+turn them into a :class:`ConstraintReport` with
+:meth:`ConstraintReport.from_deviations`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
+
+
+def check_sample_count(sample_count: int) -> None:
+    """Raises ValueError unless a suite is asked for at least one sample."""
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,25 @@ class ConstraintReport:
     checks: tuple[CheckResult, ...]
     sample_count: int
     seed: int
+
+    @classmethod
+    def from_deviations(
+        cls,
+        specs: Sequence[tuple[str, str, float]],
+        deviations: Mapping[str, Sequence[float]],
+        sample_count: int,
+        seed: int,
+    ) -> "ConstraintReport":
+        """One :class:`CheckResult` per ``(name, description, tolerance)``
+        spec, in spec order, from the deviations recorded under its name."""
+        return cls(
+            checks=tuple(
+                CheckResult.from_deviations(name, description, tol, deviations[name])
+                for name, description, tol in specs
+            ),
+            sample_count=sample_count,
+            seed=seed,
+        )
 
     @property
     def passed(self) -> bool:

@@ -48,7 +48,6 @@ from .classical import (
 )
 from .errors import BadIndex, InvalidPriors, NotCounts, ParseError, QlrError, Unsupported
 from .quantum import (
-    CoefficientSolution,
     OverlapMatrix,
     hbar_moderated_coefficients,
     moderation_scale,
@@ -69,7 +68,9 @@ _BASE_METHODS = ("naive", "mean-freq", "mean-range", "quantum", "wavefunction")
 @dataclass(frozen=True)
 class _LoadedInput:
     """A parsed input file: always labels, counts when the file carries them,
-    and a probability matrix when the file carries that instead."""
+    and a probability matrix when the file carries that instead.  ``values``
+    and ``file_priors`` hold the file's numbers as parsed; :func:`new_table`
+    applies the cell and prior rules to them."""
 
     path: str
     kind: str
@@ -237,13 +238,12 @@ def _parse_json(text: str, path: str) -> _LoadedInput:
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in priors),
             '"priors" must be a list of numbers',
         )
-        priors = [float(v) for v in priors]
     return _LoadedInput(
         path,
         "probabilities",
         labels("features", "D", len(values)),
         labels("hypotheses", "H", len(values[0])),
-        values=[[float(v) for v in row] for row in values],
+        values=values,
         file_priors=priors,
     )
 
@@ -398,7 +398,8 @@ class _AnalysisRun:
         self.priors_flag = priors_flag
         self.hbar = hbar
         self.warnings: list[str] = []
-        self._solution: CoefficientSolution | None = None
+        # The report's diagnostics block; set by the first successful solve.
+        self.diagnostics: dict[str, Any] | None = None
 
     @cached_property
     def prob_table(self) -> ContingencyTable:
@@ -423,52 +424,40 @@ class _AnalysisRun:
             loaded.values, priors, features=loaded.features, hypotheses=loaded.hypotheses
         )
 
-    def solution(self) -> CoefficientSolution:
-        """The solved 2x2 overlap coefficients.  The first successful solve
-        warns when they leave the unit interval, and says the state-vector
-        cross-check may be unavailable when :attr:`overlap` fails the
-        positive-definiteness gate."""
-        if self._solution is None:
-            self._solution = overlap_coefficients(self.prob_table)
-            if not self._solution.within_unit_interval:
-                warning = (
-                    "overlap coefficient magnitude >= 1 "
-                    f"(c1={_format_float(self._solution.c1)}, "
-                    f"c2={_format_float(self._solution.c2)})"
-                )
-                if not all(self.overlap.positive_definite):
-                    warning += "; state-vector cross-check may be unavailable"
-                self.warnings.append(warning)
-        return self._solution
-
-    def overlap_pair(self) -> tuple[float, float]:
-        """The solved coefficients, moderated when ``--hbar`` is given."""
-        solution = self.solution()
-        pair = (solution.c1, solution.c2)
-        return pair if self.hbar is None else hbar_moderated_coefficients(*pair, self.hbar)
-
     @cached_property
     def overlap(self) -> OverlapMatrix:
-        """The overlap the state-vector method runs on: the solved pair,
-        moderated when ``--hbar`` is given.  Its positive-definiteness flags
-        are the report's ``gram_positive_definite``."""
-        return OverlapMatrix.from_pair(*self.overlap_pair())
+        """The overlap the state-vector method runs on: the solved 2x2 pair,
+        moderated when ``--hbar`` is given.
 
-    def diagnostics(self) -> dict[str, Any] | None:
-        """The report's ``diagnostics`` block; None when nothing was solved."""
-        solution = self._solution
-        if solution is None:
-            return None
-        diagnostics = {
+        The first successful solve also sets :attr:`diagnostics`, whose
+        ``gram_positive_definite`` are this overlap's flags, and warns when
+        the solved pair leaves the unit interval, adding that the
+        state-vector cross-check may be unavailable when this overlap fails
+        the positive-definiteness gate.
+        """
+        solution = overlap_coefficients(self.prob_table)
+        pair = (solution.c1, solution.c2)
+        if self.hbar is not None:
+            pair = hbar_moderated_coefficients(*pair, self.hbar)
+        overlap = OverlapMatrix.from_pair(*pair)
+        flags = overlap.positive_definite
+        self.diagnostics = {
             "c1": solution.c1,
             "c2": solution.c2,
             "within_unit_interval": solution.within_unit_interval,
-            "gram_positive_definite": list(self.overlap.positive_definite),
+            "gram_positive_definite": list(flags),
         }
         if self.hbar is not None:
-            c1, c2 = self.overlap_pair()
-            diagnostics.update(hbar=self.hbar, c1_moderated=c1, c2_moderated=c2)
-        return diagnostics
+            self.diagnostics.update(hbar=self.hbar, c1_moderated=pair[0], c2_moderated=pair[1])
+        if not solution.within_unit_interval:
+            warning = (
+                "overlap coefficient magnitude >= 1 "
+                f"(c1={_format_float(solution.c1)}, c2={_format_float(solution.c2)})"
+            )
+            if not all(flags):
+                warning += "; state-vector cross-check may be unavailable"
+            self.warnings.append(warning)
+        return overlap
 
     def run_method(self, selector: str):
         loaded = self.loaded
@@ -488,7 +477,7 @@ class _AnalysisRun:
             mean = mean_frequency_posterior if selector == "mean-freq" else mean_range_posterior
             return mean(loaded.count_table, self.priors_flag)
         if selector == "quantum":
-            self.solution()
+            self.overlap  # the solve: diagnostics and the unit-interval warning
             return posterior_2x2(self.prob_table, self.hbar)
         return posterior_via_wavefunction(self.prob_table, self.overlap)
 
@@ -560,8 +549,8 @@ def cmd_analyze(args) -> dict[str, Any]:
         "methods": methods,
         "warnings": run.warnings,
     }
-    if (diagnostics := run.diagnostics()) is not None:
-        report["diagnostics"] = diagnostics
+    if run.diagnostics is not None:
+        report["diagnostics"] = run.diagnostics
     if loaded.kind == "counts" and loaded.m >= 2:
         report["ranges"] = _ranges_payload(loaded)
     return report

@@ -17,28 +17,6 @@ from .errors import DegenerateRange, Unsupported
 from .tables import CountTable
 
 
-@dataclass(frozen=True)
-class HypothesisEnumeration:
-    """Feasible joint counts for one hypothesis, with frequency summaries.
-
-    ``endpoint_probabilities`` are the smallest and largest feasible counts
-    divided by the hypothesis population; ``mean_frequency`` is the average
-    feasible count divided by the population.
-    """
-
-    feasible: tuple[int, ...]
-    endpoint_probabilities: tuple[float, float]
-    mean_frequency: float
-
-
-@dataclass(frozen=True)
-class EnumerationResult:
-    """Per-hypothesis enumeration of feasible joint counts for one
-    feature pair."""
-
-    per_hypothesis: tuple[HypothesisEnumeration, ...]
-
-
 def enumerate_joint_counts(
     counts: CountTable, hypothesis: int, i: int, j: int
 ) -> list[int]:
@@ -56,18 +34,6 @@ def enumerate_joint_counts(
     c_j = counts.count_rows[j][hypothesis]
     pop = counts.population_sizes[hypothesis]
     return [k for k in range(pop + 1) if k <= c_i and k <= c_j and pop - c_i - c_j + k >= 0]
-
-
-def enumerate_table(counts: CountTable, i: int = 0, j: int = 1) -> EnumerationResult:
-    """Enumerate the feature pair (i, j) for every hypothesis."""
-    rows = []
-    for a in range(counts.n):
-        feasible = enumerate_joint_counts(counts, a, i, j)
-        pop = counts.population_sizes[a]
-        endpoints = (feasible[0] / pop, feasible[-1] / pop)
-        mean = sum(feasible) / len(feasible) / pop
-        rows.append(HypothesisEnumeration(tuple(feasible), endpoints, mean))
-    return EnumerationResult(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -103,9 +69,10 @@ def oracle_mean_estimators(counts, priors=None) -> OracleEstimates:
     if counts.n < 2:
         raise Unsupported(f"enumeration needs at least 2 hypotheses, got {counts.n}")
     w = counts.resolve_priors(priors).tolist()
-    enum = enumerate_table(counts, 0, 1)
+    pops = counts.population_sizes
+    feasible = [enumerate_joint_counts(counts, a, 0, 1) for a in range(counts.n)]
 
-    weights = [w[a] * enum.per_hypothesis[a].mean_frequency for a in range(counts.n)]
+    weights = [w[a] * (sum(f) / len(f) / pops[a]) for a, f in enumerate(feasible)]
     total = sum(weights)
     if not total > 0.0:
         raise DegenerateRange("every hypothesis has mean joint frequency zero")
@@ -116,9 +83,8 @@ def oracle_mean_estimators(counts, priors=None) -> OracleEstimates:
     if counts.n != 2:
         return OracleEstimates(mean_frequency, None, None, 0)
 
-    f1 = enum.per_hypothesis[0].feasible
-    f2 = enum.per_hypothesis[1].feasible
-    p1, p2 = counts.population_sizes
+    f1, f2 = feasible
+    p1, p2 = pops
     w1, w2 = w
 
     # The extreme pairings define the range; if either is degenerate the

@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from .checks import CheckResult, ConstraintReport
+from .checks import ConstraintReport, check_sample_count
 from .classical import PosteriorDistribution
 from .errors import (
     InvalidHbar,
@@ -57,7 +57,7 @@ class OverlapMatrix:
     def __post_init__(self):
         try:
             c = np.array(self.c, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidOverlap(f"overlap must be an (n, m, m) array of numbers ({exc})") from exc
         if c.ndim != 3 or c.shape[1] != c.shape[2]:
             raise InvalidOverlap(
@@ -137,15 +137,6 @@ class CoefficientSolution:
         """Whether both coefficients lie strictly inside (-1, 1)."""
         return -1.0 < self.c1 < 1.0 and -1.0 < self.c2 < 1.0
 
-    @cached_property
-    def gram_positive_definite(self) -> tuple[bool, ...]:
-        """:attr:`OverlapMatrix.positive_definite` of the solved overlap: where
-        False, the state-vector cross-check is unavailable for that hypothesis."""
-        return self.overlap_matrix().positive_definite
-
-    def overlap_matrix(self) -> OverlapMatrix:
-        return OverlapMatrix.from_pair(self.c1, self.c2)
-
 
 def overlap_coefficients(table: ContingencyTable) -> CoefficientSolution:
     """Closed-form overlap coefficients for 2 features x 2 hypotheses.
@@ -193,7 +184,10 @@ def _check_products(p1: float, p2: float) -> None:
 def moderation_scale(hbar: float) -> float:
     """``1 - exp(-hbar)``, the factor ``hbar`` applies to the overlaps; raises
     InvalidHbar unless hbar is finite and >= 0."""
-    h = float(hbar)
+    try:
+        h = float(hbar)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidHbar(f"moderation scale must be a finite number, got {hbar!r}") from exc
     if not math.isfinite(h) or h < 0.0:
         raise InvalidHbar(f"moderation scale must be finite and nonnegative, got {hbar!r}")
     return -math.expm1(-h)
@@ -325,8 +319,7 @@ def verify_constraint_suite(sample_count: int, seed: int) -> ConstraintReport:
 
     Returns per-check pass counts and max deviations.
     """
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
+    check_sample_count(sample_count)
     rng = np.random.default_rng(seed)
     known_tol = 1e-10
     specs = (
@@ -373,11 +366,4 @@ def verify_constraint_suite(sample_count: int, seed: int) -> ConstraintReport:
         )
         deviations["complementarity"].append(abs(sum(base.probabilities) - 1.0))
 
-    return ConstraintReport(
-        checks=tuple(
-            CheckResult.from_deviations(name, description, tol, deviations[name])
-            for name, description, tol in specs
-        ),
-        sample_count=sample_count,
-        seed=seed,
-    )
+    return ConstraintReport.from_deviations(specs, deviations, sample_count, seed)

@@ -48,7 +48,7 @@ def _validated_priors(priors: Sequence[float], n: int) -> np.ndarray:
     """
     try:
         arr = np.array(priors, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidPriors(f"priors must be {n} numbers ({exc})") from exc
     if arr.shape != (n,):
         raise InvalidPriors(f"priors must have length {n}, got shape {arr.shape}")
@@ -65,10 +65,11 @@ def _validated_priors(priors: Sequence[float], n: int) -> np.ndarray:
 
 def _numeric_array(values, dtype, what: str, non_numeric: type[QlrError]) -> np.ndarray:
     """``np.array(values, dtype=dtype)``, a copy; a ragged nesting raises
-    BadShape and a value that is not a number raises ``non_numeric``."""
+    BadShape, and a value that is not a number or is an int beyond the float
+    range raises ``non_numeric``."""
     try:
         return np.array(values, dtype=dtype)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         try:
             np.shape(values)
         except ValueError:

@@ -3,9 +3,10 @@
 This module reconstructs the block-sum posterior of :mod:`qlr.quantum`
 through explicit mechanics instead of the closed-form ratio: orthonormalize
 each hypothesis's feature states against its overlap metric (Gram-Schmidt),
-solve for the amplitudes ``b`` the contingency table demands, and read
-posteriors off squared amplitudes.  Agreement between the two paths is the
-package's core correctness check, exercised by :func:`cross_path_suite`.
+solve for the ``(n, m)`` amplitude array ``b`` the contingency table
+demands (:func:`solve_b_coefficients`), and read posteriors off squared
+amplitudes.  Agreement between the two paths is the package's core
+correctness check, exercised by :func:`cross_path_suite`.
 
 The linear algebra runs on stacks of K per-hypothesis ``m x m`` matrices,
 shape ``(K, m, m)``, with a fixed number of stacked numpy calls whatever K
@@ -37,7 +38,7 @@ from typing import Any
 
 import numpy as np
 
-from .checks import CheckResult, ConstraintReport
+from .checks import ConstraintReport, check_sample_count
 from .classical import PosteriorDistribution
 from .errors import BadIndex, InvalidBasis, NotPositiveDefinite, ShapeMismatch
 from .quantum import OverlapMatrix, posterior_general
@@ -100,34 +101,6 @@ class OrthonormalBasis:
     def residual(self) -> float:
         """Largest absolute entry of ``A c A^T - I`` over all hypotheses."""
         return float(self.hypothesis_residuals.max(initial=0.0))
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Amplitudes of the table's state in an orthonormalized basis.
-
-    ``b[a][i]`` is the amplitude of hypothesis ``a``'s i-th orthonormal
-    vector.
-    """
-
-    b: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
-        if b.ndim != 2:
-            raise ShapeMismatch(f"amplitudes must be a 2-D family, got shape {b.shape}")
-        b = b.copy()
-        b.setflags(write=False)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def normalization(self) -> float:
-        """Total sum of squared amplitudes."""
-        return float(np.sum(self.b * self.b))
-
-    def hypothesis_norms(self) -> tuple[float, ...]:
-        """Per-hypothesis sums of squared amplitudes."""
-        return tuple(float(v) for v in np.sum(self.b * self.b, axis=1))
 
 
 def _quadratic_forms(u: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -200,9 +173,10 @@ def _squared_readout(priors: np.ndarray, norms: np.ndarray) -> PosteriorDistribu
     return PosteriorDistribution.from_weights((w * norms).tolist(), "wavefunction")
 
 
-def solve_b_coefficients(table: ContingencyTable, basis: OrthonormalBasis) -> StateVector:
+def solve_b_coefficients(table: ContingencyTable, basis: OrthonormalBasis) -> np.ndarray:
     """Amplitudes the contingency table requires in the orthonormal basis.
 
+    Returns the read-only ``(n, m)`` array ``b`` with
     ``b[a] = A[a] @ c[a] @ sqrt(x[:, a])``, one stacked product over all
     hypotheses, which back-substitutes to the original feature amplitudes:
     ``A[a].T @ b[a] = sqrt(x[:, a])``.
@@ -215,7 +189,9 @@ def solve_b_coefficients(table: ContingencyTable, basis: OrthonormalBasis) -> St
             f"basis covers {basis.m} features x {basis.n} hypotheses, "
             f"table is {table.m}x{table.n}"
         )
-    return StateVector(_amplitudes(basis, np.sqrt(table.x.T)))
+    b = _amplitudes(basis, np.sqrt(table.x.T))
+    b.setflags(write=False)
+    return b
 
 
 def posterior_via_wavefunction(
@@ -236,7 +212,7 @@ def posterior_via_wavefunction(
     """
     overlap = OverlapMatrix.coerce(overlap)
     overlap.check_fits(table)
-    b = _amplitudes(gram_schmidt_basis(overlap), np.sqrt(table.x.T))
+    b = solve_b_coefficients(table, gram_schmidt_basis(overlap))
     return _squared_readout(table.priors, (b * b).sum(axis=1))
 
 
@@ -306,8 +282,7 @@ def cross_path_suite(sample_count: int, seed: int) -> ConstraintReport:
     built once.  The block-sum side stays one :func:`posterior_general` call
     per sample, the way users call it.
     """
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
+    check_sample_count(sample_count)
     rng = np.random.default_rng(seed)
     specs = (
         ("paths_agree", "state-vector posterior equals block-sum posterior", RESIDUAL_TOL),
@@ -375,11 +350,4 @@ def cross_path_suite(sample_count: int, seed: int) -> ConstraintReport:
             )
             lo = hi
 
-    return ConstraintReport(
-        checks=tuple(
-            CheckResult.from_deviations(name, description, tol, deviations[name])
-            for name, description, tol in specs
-        ),
-        sample_count=sample_count,
-        seed=seed,
-    )
+    return ConstraintReport.from_deviations(specs, deviations, sample_count, seed)

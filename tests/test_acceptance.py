@@ -147,10 +147,9 @@ def test_criterion_4_symmetry_suite():
             comp(bayes_posterior(table, 0))
             comp(naive_posterior(table))
             comp(base)
+            s = overlap_coefficients(table)
             try:
-                wf = posterior_via_wavefunction(
-                    table, overlap_coefficients(table).overlap_matrix()
-                )
+                wf = posterior_via_wavefunction(table, OverlapMatrix.from_pair(s.c1, s.c2))
             except NotPositiveDefinite:
                 pass
             else:

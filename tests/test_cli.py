@@ -410,6 +410,27 @@ def test_edge_input_gives_a_typed_error(capsys, tmp_path, name):
     assert err.startswith("qlr: error:")
 
 
+# A JSON integer beyond the float range, in a cell and in a prior.
+BEYOND_FLOAT = "1" + "0" * 400
+BEYOND_FLOAT_INPUTS = {
+    "values": f'{{"kind": "probabilities", "values": [[{BEYOND_FLOAT}, 0.5], [0.5, 0.5]]}}',
+    "priors": f'{{"kind": "probabilities", "values": [[0.5, 0.5], [0.5, 0.5]], '
+    f'"priors": [{BEYOND_FLOAT}, 0.5]}}',
+}
+
+
+@pytest.mark.parametrize(
+    "field, rule", [("values", "probability matrix"), ("priors", "priors")]
+)
+def test_json_integer_beyond_float_range_exits_2(capsys, tmp_path, field, rule):
+    path = tmp_path / "beyond_float.json"
+    path.write_text(BEYOND_FLOAT_INPUTS[field], encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path), "--format", "json")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"qlr: error: {rule} must")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", ["underflow.csv", "underflow.json"])
 def test_underflowing_overlap_is_skipped_under_all(capsys, tmp_path, name):
     path = tmp_path / name

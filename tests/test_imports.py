@@ -1,11 +1,15 @@
-"""Module boundaries: no module of the package imports a private
-(``_``-prefixed) name from a sibling module, and the state-vector checker
-does not call the overlap kernels it checks."""
+"""Module boundaries: the package's ``__all__`` lists exactly the public
+names it binds, no module of the package imports a private (``_``-prefixed)
+name from a sibling module, and the state-vector checker does not call the
+overlap kernels it checks."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import qlr
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qlr"
 
@@ -44,6 +48,28 @@ def private_imports(source: str) -> list[str]:
         ):
             found.append(f"line {node.lineno}: {ast.unparse(node)}")
     return found
+
+
+def bound_names(source: str) -> list[str]:
+    """Names a module's top-level ``from`` imports and assignments bind,
+    ``__all__`` excepted."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom):
+            names.extend(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            names.extend(t.id for t in node.targets if isinstance(t, ast.Name))
+    return [name for name in names if name != "__all__"]
+
+
+def test_all_lists_the_public_non_module_names_the_package_binds():
+    public = {
+        name
+        for name in bound_names((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+        if not _is_private(name) and not isinstance(getattr(qlr, name), types.ModuleType)
+    }
+    assert len(set(qlr.__all__)) == len(qlr.__all__)
+    assert set(qlr.__all__) == public
 
 
 @pytest.mark.parametrize(

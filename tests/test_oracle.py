@@ -12,7 +12,6 @@ from qlr import (
     DegenerateRange,
     Unsupported,
     enumerate_joint_counts,
-    enumerate_table,
     intersection_range,
     mean_frequency_posterior,
     mean_range_posterior,
@@ -70,14 +69,17 @@ class TestEnumerateJointCounts:
 
 class TestEnumerateTable:
     def test_street_summaries(self):
-        result = enumerate_table(street_counts())
-        first, second = result.per_hypothesis
-        assert first.feasible == (4, 5, 6)
-        assert first.endpoint_probabilities == (0.4, 0.6)
-        assert first.mean_frequency == 0.5
-        assert second.feasible == (2, 3, 4, 5)
-        assert second.endpoint_probabilities == (0.2, 0.5)
-        assert second.mean_frequency == 0.35
+        # Per-hypothesis summaries of the whole street table. Both populations
+        # are 10: the endpoints and means are the feasible frequencies the
+        # oracle's estimators start from.
+        counts = street_counts()
+        first, second = (enumerate_joint_counts(counts, a, 0, 1) for a in range(2))
+        assert first == [4, 5, 6]
+        assert (first[0] / 10, first[-1] / 10) == (0.4, 0.6)
+        assert sum(first) / len(first) / 10 == 0.5
+        assert second == [2, 3, 4, 5]
+        assert (second[0] / 10, second[-1] / 10) == (0.2, 0.5)
+        assert sum(second) / len(second) / 10 == 0.35
 
 
 class TestOracleMeanEstimators:

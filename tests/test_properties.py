@@ -81,7 +81,8 @@ def _identity(table):
 
 
 def _solved(table):
-    return overlap_coefficients(table).overlap_matrix()
+    s = overlap_coefficients(table)
+    return OverlapMatrix.from_pair(s.c1, s.c2)
 
 
 def _estimators(table):

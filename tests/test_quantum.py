@@ -91,14 +91,14 @@ class TestOverlapCoefficients:
     def test_diagnostics_within_unit_interval(self):
         solution = overlap_coefficients(STREET)
         assert solution.within_unit_interval
-        assert solution.gram_positive_definite == (True, True)
+        assert OverlapMatrix.from_pair(solution.c1, solution.c2).positive_definite == (True, True)
         assert (solution.c1, solution.c2) == (STREET_C1, STREET_C2)
 
     def test_diagnostics_flag_out_of_interval(self):
         table = new_table([[0.9, 0.1], [0.9, 0.2]])
         solution = overlap_coefficients(table)
         assert not solution.within_unit_interval
-        assert solution.gram_positive_definite[0] is False
+        assert OverlapMatrix.from_pair(solution.c1, solution.c2).positive_definite[0] is False
 
     def test_matches_formula_on_random_tables(self):
         rng = np.random.default_rng(42)
@@ -144,7 +144,7 @@ class TestOverlapCoefficients:
 
     def test_overlap_matrix_round_trip(self):
         solution = overlap_coefficients(STREET)
-        overlap = solution.overlap_matrix()
+        overlap = OverlapMatrix.from_pair(solution.c1, solution.c2)
         assert overlap.c[0][0, 1] == solution.c1
         assert overlap.c[1][0, 1] == solution.c2
 
@@ -275,8 +275,9 @@ class TestPosteriorGeneral:
         # The solved c1 is about 1.6e308, so the first block overflows to
         # inf, and inf weights have no posterior.
         table = new_table([[1.0, 1.0], [0.5, 2.2250738585e-309]])
+        s = overlap_coefficients(table)
         with pytest.raises(DegenerateRange):
-            posterior_general(table, overlap_coefficients(table).overlap_matrix())
+            posterior_general(table, OverlapMatrix.from_pair(s.c1, s.c2))
 
     def test_three_feature_example(self):
         # Frozen from an explicit double-loop script independent of this
@@ -306,7 +307,9 @@ class TestPosteriorGeneral:
         for _ in range(300):
             table = new_table(1.0 - rng.random((2, 2)))
             solution = overlap_coefficients(table)
-            general = posterior_general(table, solution.overlap_matrix())
+            general = posterior_general(
+                table, OverlapMatrix.from_pair(solution.c1, solution.c2)
+            )
             closed = posterior_2x2(table)
             np.testing.assert_allclose(
                 general.probabilities, closed.probabilities, atol=1e-12

@@ -11,16 +11,20 @@ from qlr import (
     BadShape,
     CountTable,
     InvalidCell,
+    InvalidHbar,
     InvalidOverlap,
     InvalidPriors,
     OverlapMatrix,
     from_counts,
+    moderation_scale,
     new_table,
     posterior_general,
 )
 
 NAN = float("nan")
 INF = float("inf")
+# A Python int that float() cannot hold: converting it raises OverflowError.
+BEYOND_FLOAT = 10**400
 CELL_RULE = "is outside (0, 1] (zero and negative cells are rejected at construction)"
 
 
@@ -284,6 +288,21 @@ TYPED_CONVERSIONS = {
         lambda: posterior_general(new_table([[0.5, 0.5]]), [[[1.0]], [[1.0, 0.0]]]),
         InvalidOverlap,
     ),
+    "int_beyond_float_cell": (
+        lambda: new_table([[BEYOND_FLOAT, 0.5], [0.5, 0.5]]),
+        InvalidCell,
+    ),
+    "int_beyond_float_prior": (lambda: new_table([[0.5, 0.5]], [BEYOND_FLOAT, 0.5]), InvalidPriors),
+    "int_beyond_float_resolved_prior": (
+        lambda: CountTable([[1, 1]], [2, 2]).resolve_priors([BEYOND_FLOAT, 0.5]),
+        InvalidPriors,
+    ),
+    "int_beyond_float_overlap": (
+        lambda: OverlapMatrix([[[1, BEYOND_FLOAT], [0.2, 1]]]),
+        InvalidOverlap,
+    ),
+    "int_beyond_float_hbar": (lambda: moderation_scale(BEYOND_FLOAT), InvalidHbar),
+    "string_hbar": (lambda: moderation_scale("a"), InvalidHbar),
 }
 
 
@@ -292,7 +311,7 @@ def test_unconvertible_input_raises_the_rules_typed_error(build, error):
     with pytest.raises(error) as caught:
         build()
     assert type(caught.value) is error
-    assert isinstance(caught.value.__cause__, (TypeError, ValueError))
+    assert isinstance(caught.value.__cause__, (TypeError, ValueError, OverflowError))
 
 
 def test_string_numbers_still_convert():

@@ -20,7 +20,6 @@ from qlr import (
     OverlapMatrix,
     PosteriorDistribution,
     ShapeMismatch,
-    StateVector,
     bayes_posterior,
     cross_path_suite,
     from_counts,
@@ -45,7 +44,8 @@ STREET_P1 = 0.5895909839179435
 
 
 def street_overlap() -> OverlapMatrix:
-    return overlap_coefficients(STREET).overlap_matrix()
+    s = overlap_coefficients(STREET)
+    return OverlapMatrix.from_pair(s.c1, s.c2)
 
 
 # Loop references: one hypothesis (and one amplitude column) at a time.  The
@@ -102,9 +102,9 @@ def test_stacked_path_matches_loop_reference(table, overlap):
     basis = gram_schmidt_basis(overlap)
     expected_basis = reference_gram_schmidt(overlap)
     np.testing.assert_allclose(basis.matrices, expected_basis, rtol=0, atol=STACKED_TOL)
-    state = solve_b_coefficients(table, basis)
+    b = solve_b_coefficients(table, basis)
     expected_b = reference_amplitudes(table.x, expected_basis, overlap.c)
-    np.testing.assert_allclose(state.b, expected_b, rtol=0, atol=STACKED_TOL)
+    np.testing.assert_allclose(b, expected_b, rtol=0, atol=STACKED_TOL)
     norms = np.sum(expected_b * expected_b, axis=1)
     expected = PosteriorDistribution.from_weights(
         [float(table.priors[a] * table.n) * norms[a] for a in range(table.n)], "wavefunction"
@@ -295,15 +295,20 @@ class TestSolveBCoefficients:
         x = np.array([[0.64, 0.25], [0.09, 0.81], [0.36, 0.49]])
         table = new_table(x)
         basis = gram_schmidt_basis(OverlapMatrix.identity(2, 3))
-        state = solve_b_coefficients(table, basis)
-        np.testing.assert_array_equal(state.b, np.sqrt(x).T)
+        b = solve_b_coefficients(table, basis)
+        np.testing.assert_array_equal(b, np.sqrt(x).T)
+
+    def test_amplitudes_are_read_only(self):
+        table = new_table([[0.64, 0.25], [0.09, 0.81]])
+        b = solve_b_coefficients(table, gram_schmidt_basis(street_overlap()))
+        assert b.shape == (table.n, table.m)
+        with pytest.raises(ValueError):
+            b[0, 0] = 2.0
 
     def test_street_normalization(self):
         basis = gram_schmidt_basis(street_overlap())
-        state = solve_b_coefficients(STREET, basis)
-        np.testing.assert_allclose(
-            state.normalization, STREET_NORMALIZATION, atol=1e-10
-        )
+        b = solve_b_coefficients(STREET, basis)
+        np.testing.assert_allclose(np.sum(b * b), STREET_NORMALIZATION, atol=1e-10)
 
     def test_back_substitution_recovers_root_cells(self):
         rng = np.random.default_rng(33)
@@ -314,9 +319,9 @@ class TestSolveBCoefficients:
             table = new_table(x)
             overlap = _random_positive_definite_overlap(rng, n, m)
             basis = gram_schmidt_basis(overlap)
-            state = solve_b_coefficients(table, basis)
+            b = solve_b_coefficients(table, basis)
             for a in range(n):
-                recovered = basis.matrices[a].T @ state.b[a]
+                recovered = basis.matrices[a].T @ b[a]
                 np.testing.assert_allclose(
                     recovered, np.sqrt(x[:, a]), atol=1e-12
                 )
@@ -326,17 +331,6 @@ class TestSolveBCoefficients:
         table = new_table([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ShapeMismatch):
             solve_b_coefficients(table, basis)
-
-
-class TestStateVector:
-    def test_rejects_non_2d(self):
-        with pytest.raises(ShapeMismatch):
-            StateVector(np.ones(4))
-
-    def test_hypothesis_norms(self):
-        state = StateVector(np.array([[1.0, 2.0], [3.0, 0.0]]))
-        assert state.hypothesis_norms() == (5.0, 9.0)
-        assert state.normalization == 14.0
 
 
 class TestPosteriorViaWavefunction:

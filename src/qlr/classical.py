@@ -28,6 +28,9 @@ METHODS = frozenset(
 
 _SUM_TOL = 1e-12
 
+# Factors and running products at or above this multiply to a normal float.
+_RESCALE_BELOW = 2.0**-511
+
 
 @dataclass(frozen=True)
 class PosteriorDistribution:
@@ -47,10 +50,12 @@ class PosteriorDistribution:
         if self.method not in METHODS:
             raise ValueError(f"unknown method tag {self.method!r}")
         p = self.probabilities
-        if any(not (0.0 <= v <= 1.0) for v in p):
-            raise ValueError(f"probabilities must lie in [0, 1], got {p}")
-        if abs(sum(p) - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities must sum to 1 within {_SUM_TOL}, got {sum(p)!r}")
+        for v in p:
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"probabilities must lie in [0, 1], got {p}")
+        total = sum(p)
+        if abs(total - 1.0) > _SUM_TOL:
+            raise ValueError(f"probabilities must sum to 1 within {_SUM_TOL}, got {total!r}")
         argmax = self.argmax_of(p)
         if self.argmax_index is None:
             object.__setattr__(self, "argmax_index", argmax)
@@ -112,22 +117,33 @@ def naive_posterior(table: ContingencyTable) -> PosteriorDistribution:
 def _products(rows: Sequence[Sequence[float]]) -> list[float]:
     """The product of each row of factors in [0, 1], up to one common power of two.
 
-    Running products are kept as frexp mantissa and exponent, so they keep
-    full precision below the float range, and are scaled up so the largest
-    lies in [0.5, 1].  Where every product is a normal float this gives the
-    plain products' posterior bit for bit: the rounding of each step depends
-    only on the mantissas, and the common factor cancels in normalization."""
-    mantissas, exponents = [], []
+    Each running product is a float times a separate power of two.  A
+    factor or running product below ``_RESCALE_BELOW`` (2^-511) is first
+    replaced by its frexp mantissa, its power moving to the exponent, so
+    both operands of every multiplication are at least 2^-511 and the
+    product is a normal float.  Such a product rounds its significand
+    exactly as the product of frexp mantissas does, so the result equals a
+    frexp-per-factor loop bit for bit and keeps full precision below the
+    float range.  The products are then scaled up so the largest lies in
+    [0.5, 1]; where every plain product is a normal float the posterior is
+    the plain products' bit for bit, since the common factor cancels in
+    normalization."""
+    products, exponents = [], []
     for row in rows:
-        mantissa, exponent = 1.0, 0
+        product, exponent = 1.0, 0
         for factor in row:
-            f, e = math.frexp(factor)
-            mantissa, k = math.frexp(mantissa * f)
-            exponent += e + k
-        mantissas.append(mantissa)
-        exponents.append(exponent)
-    top = min(0, max((e for mantissa, e in zip(mantissas, exponents) if mantissa), default=0))
-    return [math.ldexp(mantissa, e - top) for mantissa, e in zip(mantissas, exponents)]
+            if factor < _RESCALE_BELOW:
+                factor, e = math.frexp(factor)
+                exponent += e
+            if product < _RESCALE_BELOW:
+                product, e = math.frexp(product)
+                exponent += e
+            product *= factor
+        product, e = math.frexp(product)
+        products.append(product)
+        exponents.append(exponent + e)
+    top = min(0, max((e for product, e in zip(products, exponents) if product), default=0))
+    return [math.ldexp(product, e - top) for product, e in zip(products, exponents)]
 
 
 def mean_frequency_posterior(

@@ -63,18 +63,22 @@ class OverlapMatrix:
             raise InvalidOverlap(
                 f"overlap must be (n, m, m) per-hypothesis square matrices, got {c.shape}"
             )
-        blocks = c.tolist()
-        if not all(-math.inf < v < math.inf for block in blocks for row in block for v in row):
-            raise InvalidOverlap("overlap coefficients must be finite")
-        features = range(c.shape[1])
-        if any(abs(block[i][i] - 1.0) > _SYMMETRY_TOL for block in blocks for i in features):
+        # One pass over the entries; a non-finite entry outranks the other
+        # two rules wherever it lies, so those are raised after the pass.
+        bad_diagonal = bad_symmetry = False
+        for block in c.tolist():
+            for i, row in enumerate(block):
+                for v in row:
+                    if not -math.inf < v < math.inf:
+                        raise InvalidOverlap("overlap coefficients must be finite")
+                if abs(row[i] - 1.0) > _SYMMETRY_TOL:
+                    bad_diagonal = True
+                for j in range(i):
+                    if abs(row[j] - block[j][i]) > _SYMMETRY_TOL:
+                        bad_symmetry = True
+        if bad_diagonal:
             raise InvalidOverlap("overlap diagonal entries must equal 1")
-        if any(
-            abs(block[i][j] - block[j][i]) > _SYMMETRY_TOL
-            for block in blocks
-            for i in features
-            for j in range(i)
-        ):
+        if bad_symmetry:
             raise InvalidOverlap("overlap matrices must be symmetric")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
@@ -201,8 +205,15 @@ def hbar_moderated_coefficients(c1: float, c2: float, hbar: float) -> tuple[floa
 
     Raises:
         InvalidHbar: negative or non-finite moderation scale.
+        InvalidOverlap: a coefficient is not a finite number.
     """
     scale = moderation_scale(hbar)
+    try:
+        c1, c2 = float(c1), float(c2)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidOverlap(f"overlap coefficients must be numbers ({exc})") from exc
+    if not (math.isfinite(c1) and math.isfinite(c2)):
+        raise InvalidOverlap(f"overlap coefficients must be finite, got {c1!r}, {c2!r}")
     return (c1 * scale, c2 * scale)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -32,10 +32,30 @@ PRIOR_SUM_TOL = 1e-12
 MAX_POPULATION = 10**6
 
 
+# Bound on the distinct sizes whose shape-only defaults stay cached.
+_SHAPE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
+    """``prefix1..prefix<count>``, built once per prefix and size."""
+    return tuple(f"{prefix}{k + 1}" for k in range(count))
+
+
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _uniform_priors(n: int) -> np.ndarray:
+    """Read-only uniform weights, built once per ``n``.  Callers hand out a
+    view: numpy refuses to make a view of a read-only base writable again,
+    so no caller can change what the others share."""
+    priors = np.full(n, 1.0 / n)
+    priors.setflags(write=False)
+    return priors
+
+
 def _labels(given: Sequence[str] | None, prefix: str, count: int) -> tuple[str, ...]:
     """The caller's labels as strings, or ``prefix1..prefix<count>``."""
     if given is None:
-        return tuple(f"{prefix}{k + 1}" for k in range(count))
+        return _default_labels(prefix, count)
     return tuple(map(str, given))
 
 
@@ -117,9 +137,12 @@ class ContingencyTable:
                         f"cell [{i}, {a}] = {v!r} is outside (0, 1] "
                         "(zero and negative cells are rejected at construction)"
                     )
-        priors = np.full(n, 1.0 / n) if self.priors is None else _validated_priors(self.priors, n)
+        if self.priors is None:
+            priors = _uniform_priors(n).view()
+        else:
+            priors = _validated_priors(self.priors, n)
+            priors.setflags(write=False)
         x.setflags(write=False)
-        priors.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "hypotheses", hypotheses)
         object.__setattr__(self, "x", x)
@@ -146,12 +169,18 @@ class CountTable:
     ``count_rows`` and ``population_sizes`` hold the same values as Python
     integers, the ones validation checked, so per-count arithmetic never
     indexes the arrays.
+
+    ``population_shares``, the default priors, is computed at construction:
+    each hypothesis's share of the total population, read-only.  Integer
+    true division is correctly rounded, so ``p / total`` equals numpy's
+    ``populations / populations.sum()`` bit for bit.
     """
 
     counts: np.ndarray
     populations: np.ndarray
     count_rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     population_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    population_shares: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         counts = _numeric_array(self.counts, None, "counts", BadShape)
@@ -187,6 +216,10 @@ class CountTable:
         object.__setattr__(self, "populations", populations)
         object.__setattr__(self, "count_rows", tuple(map(tuple, rows)))
         object.__setattr__(self, "population_sizes", tuple(sizes))
+        total = sum(sizes)
+        shares = np.array([p / total for p in sizes])
+        shares.setflags(write=False)
+        object.__setattr__(self, "population_shares", shares)
 
     @property
     def m(self) -> int:
@@ -195,20 +228,6 @@ class CountTable:
     @property
     def n(self) -> int:
         return len(self.population_sizes)
-
-    @cached_property
-    def population_shares(self) -> np.ndarray:
-        """Default priors: each hypothesis's share of the total population,
-        read-only.
-
-        Integer true division is correctly rounded, so ``p / total`` equals
-        numpy's ``populations / populations.sum()`` bit for bit.
-        """
-        sizes = self.population_sizes
-        total = sum(sizes)
-        shares = np.array([p / total for p in sizes])
-        shares.setflags(write=False)
-        return shares
 
     def resolve_priors(self, priors: Sequence[float] | None) -> np.ndarray:
         """Validated explicit priors, or population shares when omitted.
@@ -290,7 +309,9 @@ def from_counts(
     """Convert counts to conditional probabilities with population-share priors.
 
     ``x[i, a] = counts[i, a] / populations[a]`` and
-    ``priors[a] = populations[a] / sum(populations)``.
+    ``priors[a] = populations[a] / sum(populations)``.  The cells divide the
+    validated Python integers; for integers below 2^53 that is numpy's int64
+    division bit for bit, since both are correctly rounded.
 
     Raises:
         InvalidCell: any count is zero (the zero-cell rule propagates).
@@ -303,10 +324,11 @@ def from_counts(
             raise InvalidCell(
                 f"count [{i}, {row.index(0)}] is zero; zero cells are rejected at construction"
             )
+    sizes = counts.population_sizes
     return ContingencyTable(
         features=features,
         hypotheses=hypotheses,
-        x=counts.counts / counts.populations[np.newaxis, :],
+        x=[[c / p for c, p in zip(row, sizes)] for row in counts.count_rows],
         priors=counts.population_shares,
     )
 

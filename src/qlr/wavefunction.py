@@ -11,8 +11,9 @@ correctness check, exercised by :func:`cross_path_suite`.
 The linear algebra runs on stacks of K per-hypothesis ``m x m`` matrices,
 shape ``(K, m, m)``, with a fixed number of stacked numpy calls whatever K
 and m are: one batched eigenvalue gate, one Cholesky factorisation
-``c[a] = L[a] @ L[a].T`` and its inverse, and one stacked product each for
-the residual and the amplitudes.  The basis is the Gram-Schmidt basis of the
+``c[a] = L[a] @ L[a].T`` and its inverse, one stacked product ``A @ c``
+that the residual and the amplitudes share, and one more product each to
+finish them.  The basis is the Gram-Schmidt basis of the
 feature states in the ``c[a]`` inner product, taken in index order; its rows
 are exactly the rows of ``L[a]^-1``, the unique lower-triangular matrix with
 a positive diagonal that orthonormalizes ``c[a]``.  A single table is the
@@ -32,8 +33,7 @@ squares of ``b[a]`` then equals the direct double sum
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -48,9 +48,10 @@ from .tables import ContingencyTable, new_table
 RESIDUAL_TOL = 1e-10
 
 
-def _orthonormality_residuals(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Per k, the largest absolute entry of ``a[k] @ c[k] @ a[k].T - I``."""
-    product = a @ c @ a.transpose(0, 2, 1)
+def _orthonormality_residuals(ac: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Per k, the largest absolute entry of ``ac[k] @ a[k].T - I``, where
+    ``ac[k] = a[k] @ c[k]``."""
+    product = ac @ a.transpose(0, 2, 1)
     return np.abs(product - np.eye(a.shape[1])).max(axis=(1, 2), initial=0.0)
 
 
@@ -61,10 +62,21 @@ class OrthonormalBasis:
     ``matrices`` is a ``(K, m, m)`` stack; ``matrices[a]`` holds basis row
     vectors for hypothesis ``a`` expressed in the original (overlapping)
     feature states.
+
+    Computed at construction, read-only:
+
+    - ``metric_rows``: the stacked product ``A @ c``, which both the
+      orthonormality residual ``(A @ c) @ A.T`` and the amplitudes
+      ``(A @ c) @ sqrt(x)`` start from.  numpy evaluates ``A @ c @ B`` as
+      ``(A @ c) @ B``, so sharing it changes no bit.
+    - ``hypothesis_residuals``: per hypothesis, the largest absolute entry of
+      ``A c A^T - I``.
     """
 
     matrices: np.ndarray
     source_overlap: OverlapMatrix
+    metric_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    hypothesis_residuals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.matrices, dtype=float)
@@ -74,8 +86,13 @@ class OrthonormalBasis:
                 f"basis shape {a.shape} does not match overlap shape {c.shape}"
             )
         a = a.copy()
-        a.setflags(write=False)
+        ac = a @ c
+        worst = _orthonormality_residuals(ac, a)
+        for array in (a, ac, worst):
+            array.setflags(write=False)
         object.__setattr__(self, "matrices", a)
+        object.__setattr__(self, "metric_rows", ac)
+        object.__setattr__(self, "hypothesis_residuals", worst)
         residual = self.residual()
         if not residual <= RESIDUAL_TOL:
             raise InvalidBasis(
@@ -89,14 +106,6 @@ class OrthonormalBasis:
     @property
     def m(self) -> int:
         return self.matrices.shape[1]
-
-    @cached_property
-    def hypothesis_residuals(self) -> np.ndarray:
-        """Per hypothesis, the largest absolute entry of ``A c A^T - I``,
-        from one stacked product over all K matrices."""
-        worst = _orthonormality_residuals(self.matrices, self.source_overlap.c)
-        worst.setflags(write=False)
-        return worst
 
     def residual(self) -> float:
         """Largest absolute entry of ``A c A^T - I`` over all hypotheses."""
@@ -150,7 +159,7 @@ def gram_schmidt_basis(overlap: OverlapMatrix) -> OrthonormalBasis:
     try:
         return OrthonormalBasis(rows, overlap)
     except InvalidBasis as exc:
-        residuals = _orthonormality_residuals(rows, c)
+        residuals = _orthonormality_residuals(rows @ c, rows)
         worst = int(np.argmax(residuals))
         raise NotPositiveDefinite(
             worst,
@@ -163,7 +172,7 @@ def gram_schmidt_basis(overlap: OverlapMatrix) -> OrthonormalBasis:
 def _amplitudes(basis: OrthonormalBasis, roots: np.ndarray) -> np.ndarray:
     """``b[k] = A[k] @ c[k] @ roots[k]`` over the basis stack; ``roots`` is
     ``(K, m)`` with one row of root cells per hypothesis."""
-    return (basis.matrices @ basis.source_overlap.c @ roots[:, :, None])[:, :, 0]
+    return (basis.metric_rows @ roots[:, :, None])[:, :, 0]
 
 
 def _squared_readout(priors: np.ndarray, norms: np.ndarray) -> PosteriorDistribution:

@@ -4,9 +4,10 @@ input files.
 
 Every estimator returns a finite posterior that sums to 1 or raises a typed
 :class:`~qlr.errors.QlrError`; swapping the two feature rows leaves each
-posterior unchanged; a count table's integer views and population shares
-equal what the numpy fields give; and the command line exits 0, 2 or 3 on
-any file, never with a traceback.  Draws are derandomized so the suite is
+posterior unchanged; the products behind the naive and Bayes weights equal
+a frexp-per-factor loop bit for bit; a count table's integer views and
+population shares equal what the numpy fields give; and the command line
+exits 0, 2 or 3 on any file, never with a traceback.  Draws are derandomized so the suite is
 repeatable.
 """
 
@@ -36,6 +37,7 @@ from qlr import (
     posterior_general,
     posterior_via_wavefunction,
 )
+from qlr.classical import _products
 from qlr.cli import main
 from qlr.tables import MAX_POPULATION
 
@@ -185,6 +187,47 @@ def test_block_sums_equal_the_per_hypothesis_loop(case):
         assert got is expected
     else:
         assert got.tolist() == expected.tolist()
+
+
+# ------------------------------------------------ products loop reference
+
+
+def reference_products(rows):
+    """``_products`` with every factor taken apart by frexp: the running
+    product is a mantissa in [0.5, 1) times a power of two, so each step
+    multiplies two mantissas and stays normal however small the product."""
+    mantissas, exponents = [], []
+    for row in rows:
+        mantissa, exponent = 1.0, 0
+        for factor in row:
+            f, e = math.frexp(factor)
+            mantissa, k = math.frexp(mantissa * f)
+            exponent += e + k
+        mantissas.append(mantissa)
+        exponents.append(exponent)
+    top = min(0, max((e for mantissa, e in zip(mantissas, exponents) if mantissa), default=0))
+    return [math.ldexp(mantissa, e - top) for mantissa, e in zip(mantissas, exponents)]
+
+
+# Factors over the whole of [0, 1]: a mantissa times 2^-0..2^-1074 reaches
+# every binade, subnormals included, so long rows underflow as plain products;
+# the fixed values are the exact ends and the binades beside the rescale point.
+FACTORS = st.one_of(
+    st.sampled_from((0.0, 1.0, 5e-324, 2.0**-1022, 2.0**-511, 2.0**-512, 2.0**-600)),
+    st.builds(
+        lambda mantissa, exponent: math.ldexp(mantissa, -exponent),
+        st.floats(0.5, 1.0, exclude_max=True),
+        st.integers(0, 1074),
+    ),
+    st.floats(0.0, 1.0, allow_subnormal=True),
+)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.lists(FACTORS, min_size=1, max_size=16), min_size=1, max_size=4))
+def test_products_equal_the_frexp_per_factor_loop_bit_for_bit(rows):
+    got = _products(rows)
+    assert list(map(float.hex, got)) == list(map(float.hex, reference_products(rows)))
 
 
 # ----------------------------------------------------------- count tables

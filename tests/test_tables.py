@@ -1,5 +1,7 @@
 """Construction rules for contingency tables, count tables, and ranges."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,17 @@ class TestContingencyTable:
             table.x[0, 0] = 0.9
         with pytest.raises(ValueError):
             table.priors[0] = 0.9
+
+    def test_default_priors_cannot_be_made_writable(self):
+        # Tables of one size share their default priors' storage.
+        first = new_table([[0.8, 0.7], [0.6, 0.5]])
+        second = new_table([[0.1, 0.2]])
+        for table in (first, second):
+            with pytest.raises(ValueError):
+                table.priors.setflags(write=True)
+            with pytest.raises(ValueError):
+                table.priors[0] = 0.9
+        assert first.priors.tolist() == second.priors.tolist() == [0.5, 0.5]
 
     def test_custom_labels_and_priors(self):
         table = new_table(
@@ -102,6 +115,13 @@ class TestCountTable:
         assert counts.m == 2
         assert counts.n == 2
         assert counts.counts.dtype == np.int64
+
+    def test_population_shares_are_a_field_replace_rederives(self):
+        counts = street_count_table()
+        assert "population_shares" in {f.name for f in dataclasses.fields(CountTable)}
+        grown = dataclasses.replace(counts, populations=np.array([10, 30]))
+        assert grown.population_shares.tolist() == [0.25, 0.75]
+        assert counts.population_shares.tolist() == [0.5, 0.5]
 
     def test_zero_counts_allowed(self):
         CountTable(np.array([[0, 3]]), np.array([5, 5]))

@@ -16,6 +16,7 @@ from qlr import (
     InvalidPriors,
     OverlapMatrix,
     from_counts,
+    hbar_moderated_coefficients,
     moderation_scale,
     new_table,
     posterior_general,
@@ -161,6 +162,31 @@ BAD_INPUTS = {
         InvalidOverlap,
         "overlap must be (n, m, m) per-hypothesis square matrices, got (2, 2)",
     ),
+    "non_finite_overlap_outranks_an_earlier_bad_diagonal": (
+        lambda: OverlapMatrix([[[0.9, 0.0], [0.0, 1.0]], [[1.0, NAN], [NAN, 1.0]]]),
+        InvalidOverlap,
+        "overlap coefficients must be finite",
+    ),
+    "bad_diagonal_outranks_an_earlier_asymmetry": (
+        lambda: OverlapMatrix([[[1.0, 0.5], [0.2, 1.0]], [[1.0, 0.0], [0.0, 0.9]]]),
+        InvalidOverlap,
+        "overlap diagonal entries must equal 1",
+    ),
+    "nan_moderated_coefficient": (
+        lambda: hbar_moderated_coefficients(NAN, 0.5, 1.0),
+        InvalidOverlap,
+        "overlap coefficients must be finite, got nan, 0.5",
+    ),
+    "inf_moderated_coefficient": (
+        lambda: hbar_moderated_coefficients(0.5, -INF, 1.0),
+        InvalidOverlap,
+        "overlap coefficients must be finite, got 0.5, -inf",
+    ),
+    "bad_hbar_outranks_a_bad_moderated_coefficient": (
+        lambda: hbar_moderated_coefficients(NAN, 0.5, -1.0),
+        InvalidHbar,
+        "moderation scale must be finite and nonnegative, got -1.0",
+    ),
 }
 
 
@@ -303,6 +329,18 @@ TYPED_CONVERSIONS = {
     ),
     "int_beyond_float_hbar": (lambda: moderation_scale(BEYOND_FLOAT), InvalidHbar),
     "string_hbar": (lambda: moderation_scale("a"), InvalidHbar),
+    "int_beyond_float_moderated_coefficient": (
+        lambda: hbar_moderated_coefficients(BEYOND_FLOAT, 0.5, 1.0),
+        InvalidOverlap,
+    ),
+    "string_moderated_coefficient": (
+        lambda: hbar_moderated_coefficients("a", 0.5, 1.0),
+        InvalidOverlap,
+    ),
+    "none_moderated_coefficient": (
+        lambda: hbar_moderated_coefficients(None, 0.5, 1.0),
+        InvalidOverlap,
+    ),
 }
 
 

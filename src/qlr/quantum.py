@@ -19,8 +19,7 @@ and checks them over randomized inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -43,6 +42,34 @@ PD_EIGENVALUE_TOL = 1e-12
 _SYMMETRY_TOL = 1e-12
 
 
+def _clears_tolerance(block: list[list[float]]) -> bool:
+    """Whether every eigenvalue of the symmetric ``block`` exceeds
+    ``PD_EIGENVALUE_TOL``: whether ``block - PD_EIGENVALUE_TOL * I`` has a
+    Cholesky factor.
+
+    Reads the lower triangle, as ``eigvalsh`` does, and stops at the first
+    pivot that is not ``> 0.0``, which also refuses a block whose entries
+    near the float limit make a pivot -inf or NaN.
+    """
+    lower: list[list[float]] = []
+    for i, row in enumerate(block):
+        factor_row = []
+        for j in range(i):
+            earlier = lower[j]
+            s = row[j]
+            for k in range(j):
+                s -= factor_row[k] * earlier[k]
+            factor_row.append(s / earlier[j])
+        pivot = row[i] - PD_EIGENVALUE_TOL
+        for v in factor_row:
+            pivot -= v * v
+        if not pivot > 0.0:
+            return False
+        factor_row.append(math.sqrt(pivot))
+        lower.append(factor_row)
+    return True
+
+
 @dataclass(frozen=True)
 class OverlapMatrix:
     """Per-hypothesis symmetric unit-diagonal overlap coefficients.
@@ -53,6 +80,10 @@ class OverlapMatrix:
     """
 
     c: np.ndarray
+    # Filled by the first read of ``positive_definite``; ``replace`` resets it.
+    _positive_definite: tuple[bool, ...] | None = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         try:
@@ -93,12 +124,21 @@ class OverlapMatrix:
         """Number of features."""
         return self.c.shape[1]
 
-    @cached_property
+    @property
     def positive_definite(self) -> tuple[bool, ...]:
         """Per hypothesis, whether every eigenvalue of ``c[a]`` clears
-        ``PD_EIGENVALUE_TOL``; one stacked eigenvalue solve over all ``n``."""
-        eigenvalues = np.linalg.eigvalsh(self.c)
-        return tuple((eigenvalues > PD_EIGENVALUE_TOL).all(axis=1).tolist())
+        ``PD_EIGENVALUE_TOL``.
+
+        Decided without computing an eigenvalue: ``c[a]`` passes exactly when
+        ``c[a] - PD_EIGENVALUE_TOL * I`` has a Cholesky factor, which a
+        plain-Python factorisation of each block finds out.  Computed on the
+        first read and kept; later reads return the same tuple.
+        """
+        flags = self._positive_definite
+        if flags is None:
+            flags = tuple([_clears_tolerance(block) for block in self.c.tolist()])
+            object.__setattr__(self, "_positive_definite", flags)
+        return flags
 
     def check_fits(self, table: ContingencyTable) -> None:
         """Require one m x m matrix per hypothesis of ``table``.

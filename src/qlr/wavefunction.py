@@ -9,8 +9,10 @@ amplitudes.  Agreement between the two paths is the package's core
 correctness check, exercised by :func:`cross_path_suite`.
 
 The linear algebra runs on stacks of K per-hypothesis ``m x m`` matrices,
-shape ``(K, m, m)``, with a fixed number of stacked numpy calls whatever K
-and m are: one batched eigenvalue gate, one Cholesky factorisation
+shape ``(K, m, m)``.  The positive-definite gate,
+:attr:`~qlr.quantum.OverlapMatrix.positive_definite`, is decided per block in
+plain Python by the overlap itself.  After it comes a fixed number of
+stacked numpy calls whatever K and m are: one Cholesky factorisation
 ``c[a] = L[a] @ L[a].T`` and its inverse, one stacked product ``A @ c``
 that the residual and the amplitudes share, and one more product each to
 finish them.  The basis is the Gram-Schmidt basis of the
@@ -127,7 +129,8 @@ def gram_schmidt_basis(overlap: OverlapMatrix) -> OrthonormalBasis:
     of the whole ``(K, m, m)`` stack: Gram-Schmidt in index order yields the
     unique lower-triangular ``A[a]`` with a positive diagonal and
     ``A[a] @ c[a] @ A[a].T = I``, and that matrix is ``L[a]^-1``.  The
-    eigenvalue gate is :attr:`OverlapMatrix.positive_definite`.
+    gate in front of it is :attr:`OverlapMatrix.positive_definite`, the
+    overlap's once-computed flags; the basis keeps numpy's factorisation.
 
     Raises:
         NotPositiveDefinite: some hypothesis's Gram matrix has an eigenvalue

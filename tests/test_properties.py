@@ -5,16 +5,18 @@ input files.
 Every estimator returns a finite posterior that sums to 1 or raises a typed
 :class:`~qlr.errors.QlrError`; swapping the two feature rows leaves each
 posterior unchanged; the products behind the naive and Bayes weights equal
-a frexp-per-factor loop bit for bit; a count table's integer views and
-population shares equal what the numpy fields give; and the command line
-exits 0, 2 or 3 on any file, never with a traceback.  Draws are derandomized so the suite is
-repeatable.
+a frexp-per-factor loop bit for bit; an overlap is positive definite exactly
+when its smallest eigenvalue clears the tolerance; a count table's integer
+views and population shares equal what the numpy fields give; and the
+command line exits 0, 2 or 3 on any file, never with a traceback.  Draws are
+derandomized so the suite is repeatable.
 """
 
 import contextlib
 import dataclasses
 import io
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,7 @@ from qlr import (
 )
 from qlr.classical import _products
 from qlr.cli import main
+from qlr.quantum import PD_EIGENVALUE_TOL
 from qlr.tables import MAX_POPULATION
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -189,6 +192,75 @@ def test_block_sums_equal_the_per_hypothesis_loop(case):
         assert got.tolist() == expected.tolist()
 
 
+# ----------------------------------------------- positive-definite rule
+
+# Within this distance of the tolerance an eigenvalue solver and a
+# factorisation round to either side, so the rule is asserted beyond it.
+PD_MARGIN = 1e-13
+
+
+def _eigenvalue_flags(overlap):
+    """The positive-definite rule read off the eigenvalues themselves."""
+    return tuple((np.linalg.eigvalsh(overlap.c) > PD_EIGENVALUE_TOL).all(axis=1).tolist())
+
+
+@st.composite
+def overlap_stacks(draw):
+    """1-4 symmetric unit-diagonal blocks of 1-6 features: off-diagonals
+    anywhere in [-1, 1], or the Gram matrix of unit vectors two of which
+    nearly coincide, so the smallest eigenvalue lands on either side of the
+    tolerance."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        c = np.tril(rng.uniform(-1.0, 1.0, (n, m, m)), -1)
+        c += c.transpose(0, 2, 1)
+    else:
+        v = rng.standard_normal((n, m, m + 1))
+        gap = 10.0 ** draw(st.floats(-9.0, -3.0))
+        v[:, -1] = v[:, 0] + gap * rng.standard_normal((n, m + 1))
+        v /= np.linalg.norm(v, axis=2, keepdims=True)
+        c = v @ v.transpose(0, 2, 1)
+        c = (c + c.transpose(0, 2, 1)) / 2.0
+    c[:, np.arange(m), np.arange(m)] = 1.0
+    return OverlapMatrix(c)
+
+
+@PROPERTY_SETTINGS
+@given(overlap_stacks())
+def test_positive_definite_flags_follow_the_smallest_eigenvalue(overlap):
+    flags = overlap.positive_definite
+    assert isinstance(flags, tuple) and all(type(flag) is bool for flag in flags)
+    assert len(flags) == overlap.n
+    for a, flag in enumerate(flags):
+        smallest = float(np.linalg.eigvalsh(overlap.c[a]).min())
+        if abs(smallest - PD_EIGENVALUE_TOL) > PD_MARGIN:
+            assert flag == (smallest > PD_EIGENVALUE_TOL), (a, smallest)
+
+
+def test_positive_definite_flags_agree_across_the_tolerance():
+    # Off-diagonals stepping two ulps at a time through 1 - PD_EIGENVALUE_TOL,
+    # where the smallest eigenvalue 1 - c crosses the tolerance.
+    disagreements, seen = [], set()
+    for k in range(-2000, 2001):
+        overlap = OverlapMatrix.from_pair(1 - 1e-12 + k * 2**-52, 0.5)
+        seen.add(overlap.positive_definite)
+        if overlap.positive_definite != _eigenvalue_flags(overlap):
+            disagreements.append(k)
+    assert disagreements == []
+    assert seen == {(True, True), (False, True)}
+
+
+@pytest.mark.parametrize("big", [1e300, -1e300, sys.float_info.max])
+def test_huge_overlaps_are_not_positive_definite(big):
+    assert OverlapMatrix.from_pair(big, 0.5).positive_definite == (False, True)
+    # Only features 0 and 2 overlap: at the float maximum the factor entry
+    # overflows to inf, times the zero above it, so the last pivot is NaN.
+    c = np.eye(3)[None].copy()
+    c[0, 0, 2] = c[0, 2, 0] = big
+    assert OverlapMatrix(c).positive_definite == (False,)
+
+
 # ------------------------------------------------ products loop reference
 
 
@@ -279,7 +351,7 @@ def test_count_views_hold_the_validated_integers(ct):
 @PROPERTY_SETTINGS
 @given(count_tables())
 def test_replace_rederives_the_count_views(ct):
-    _assert_views_match_fields(ct)  # caches the shares before replacing
+    _assert_views_match_fields(ct)  # the original's views, before replacing
     complement = dataclasses.replace(ct, counts=ct.populations - ct.counts)
     _assert_views_match_fields(complement)
     assert complement.count_rows == tuple(

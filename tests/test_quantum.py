@@ -1,6 +1,7 @@
 """Overlap coefficients, the closed-form 2x2 posterior, the general
 block-sum posterior, moderation, and the randomized constraint suite."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -80,6 +81,19 @@ class TestOverlapMatrix:
 
     def test_magnitude_above_one_is_allowed(self):
         OverlapMatrix.from_pair(1.2, 0.4)
+
+    def test_positive_definite_is_computed_once(self):
+        overlap = OverlapMatrix.from_pair(0.3, 1.2)
+        first = overlap.positive_definite
+        assert first == (True, False)
+        assert overlap.positive_definite is first
+
+    def test_replace_rederives_positive_definite(self):
+        overlap = OverlapMatrix.from_pair(0.3, 0.4)
+        assert overlap.positive_definite == (True, True)
+        singular = dataclasses.replace(overlap, c=OverlapMatrix.from_pair(0.3, 1.0).c)
+        assert singular.positive_definite == (True, False)
+        assert overlap.positive_definite == (True, True)
 
 
 class TestOverlapCoefficients:

@@ -40,7 +40,6 @@ from .classical import (
     mean_range_posterior,
     naive_posterior,
 )
-from .checks import CheckResult, ConstraintReport
 from .quantum import (
     CoefficientSolution,
     OverlapMatrix,
@@ -49,15 +48,19 @@ from .quantum import (
     overlap_coefficients,
     posterior_2x2,
     posterior_general,
-    verify_constraint_suite,
 )
 from .wavefunction import (
     OrthonormalBasis,
-    cross_path_suite,
     gram_schmidt_basis,
     posterior_independent,
     posterior_via_wavefunction,
     solve_b_coefficients,
+)
+from .checks import (
+    CheckResult,
+    ConstraintReport,
+    cross_path_suite,
+    verify_constraint_suite,
 )
 from .oracle import (
     OracleEstimates,

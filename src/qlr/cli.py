@@ -40,6 +40,7 @@ from itertools import combinations
 from typing import Any, Sequence
 
 from . import __version__
+from .checks import cross_path_suite, verify_constraint_suite
 from .classical import (
     bayes_posterior,
     mean_frequency_posterior,
@@ -53,10 +54,9 @@ from .quantum import (
     moderation_scale,
     overlap_coefficients,
     posterior_2x2,
-    verify_constraint_suite,
 )
 from .tables import ContingencyTable, CountTable, from_counts, intersection_range, new_table
-from .wavefunction import cross_path_suite, posterior_via_wavefunction
+from .wavefunction import posterior_via_wavefunction
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _POPULATION_LABEL = "__population__"
@@ -576,6 +576,8 @@ def cmd_ranges(args) -> dict[str, Any]:
 def cmd_verify(args) -> dict[str, Any]:
     if args.samples < 1:
         raise ParseError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise ParseError(f"--seed must be >= 0, got {args.seed}")
     constraints = verify_constraint_suite(args.samples, args.seed)
     cross = cross_path_suite(args.samples, args.seed)
     return {
@@ -634,7 +636,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="run the randomized constraint and cross-path suites"
     )
     verify.add_argument("--samples", type=int, default=1000, help="samples per check")
-    verify.add_argument("--seed", type=int, default=42, help="random seed")
+    verify.add_argument("--seed", type=int, default=42, help="random seed, an integer >= 0")
     for command in (analyze, ranges, verify):
         command.add_argument(
             "--format", choices=("json", "text"), default="text", help="output format"

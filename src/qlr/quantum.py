@@ -11,9 +11,9 @@ where ``w_a`` is the prior weight.  For 2 features x 2 hypotheses the
 coefficients are fixed in closed form by symmetry and known-value
 constraints; for any other shape the caller supplies them.
 
-``verify_constraint_suite`` re-derives the constraints that pin the closed
-form (known-value tables, row/column exchange symmetry, complementarity)
-and checks them over randomized inputs.
+:func:`qlr.checks.verify_constraint_suite` re-derives the constraints that
+pin the closed form (known-value tables, row/column exchange symmetry,
+complementarity) and checks them over randomized inputs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Any
 
 import numpy as np
 
-from .checks import ConstraintReport, check_sample_count
 from .classical import PosteriorDistribution
 from .errors import (
     InvalidHbar,
@@ -34,7 +33,7 @@ from .errors import (
     ShapeMismatch,
     Unsupported,
 )
-from .tables import ContingencyTable, new_table
+from .tables import ContingencyTable
 
 # A Gram matrix counts as positive definite when every eigenvalue clears this.
 PD_EIGENVALUE_TOL = 1e-12
@@ -193,8 +192,9 @@ def overlap_coefficients(table: ContingencyTable) -> CoefficientSolution:
 
     This is the unique data-dependent solution compatible with row-exchange
     symmetry, column-exchange duality, and the known-value tables exercised
-    by :func:`verify_constraint_suite`.  The formula can leave the unit
-    interval for lopsided tables; ``within_unit_interval`` flags that case.
+    by :func:`qlr.checks.verify_constraint_suite`.  The formula can leave
+    the unit interval for lopsided tables; ``within_unit_interval`` flags
+    that case.
 
     Raises:
         Unsupported: table shape is not 2x2.
@@ -355,66 +355,3 @@ def posterior_2x2(table: ContingencyTable, hbar: float | None = None) -> Posteri
         (w1 * block1 / total, w2 * block2 / total), "quantum"
     )
 
-
-def verify_constraint_suite(sample_count: int, seed: int) -> ConstraintReport:
-    """Randomized verification of the constraints that pin the closed form.
-
-    Per sample, draws ``m, n`` uniformly from (0, 1] and checks:
-
-    - known-value tables: rows ``(1,1);(m,n)`` and ``(m,n);(1,1)`` must give
-      ``P(H_1) = m / (m + n)``; rows ``(n,m);(m,n)``, ``(n,n);(m,m)`` and
-      ``(m,m);(m,m)`` must give 1/2 (tolerance 1e-10);
-    - row-swap invariance of a random 2x2 table (1e-12);
-    - column-swap exchange ``P1 <-> P2`` (exact);
-    - complementarity ``P1 + P2 = 1`` (1e-12).
-
-    Returns per-check pass counts and max deviations.
-    """
-    check_sample_count(sample_count)
-    rng = np.random.default_rng(seed)
-    known_tol = 1e-10
-    specs = (
-        ("known_top_ones", "rows (1,1);(m,n) give P1 = m/(m+n)", known_tol),
-        ("known_bottom_ones", "rows (m,n);(1,1) give P1 = m/(m+n)", known_tol),
-        ("known_antisymmetric", "rows (n,m);(m,n) give P1 = 1/2", known_tol),
-        ("known_equal_columns", "rows (n,n);(m,m) give P1 = 1/2", known_tol),
-        ("known_constant", "rows (m,m);(m,m) give P1 = 1/2", known_tol),
-        ("row_swap", "swapping the two feature rows leaves P unchanged", 1e-12),
-        ("column_swap", "swapping hypothesis columns exchanges P1 and P2", 0.0),
-        ("complementarity", "P1 + P2 = 1", 1e-12),
-    )
-    deviations: dict[str, list[float]] = {name: [] for name, _, _ in specs}
-
-    def p1(rows) -> float:
-        return posterior_2x2(new_table(rows)).probabilities[0]
-
-    for _ in range(sample_count):
-        m = 1.0 - rng.random()
-        n = 1.0 - rng.random()
-        expected = m / (m + n)
-        deviations["known_top_ones"].append(abs(p1([[1.0, 1.0], [m, n]]) - expected))
-        deviations["known_bottom_ones"].append(abs(p1([[m, n], [1.0, 1.0]]) - expected))
-        deviations["known_antisymmetric"].append(abs(p1([[n, m], [m, n]]) - 0.5))
-        deviations["known_equal_columns"].append(abs(p1([[n, n], [m, m]]) - 0.5))
-        deviations["known_constant"].append(abs(p1([[m, m], [m, m]]) - 0.5))
-
-        u = 1.0 - rng.random(4)
-        rows = [[u[0], u[1]], [u[2], u[3]]]
-        base = posterior_2x2(new_table(rows))
-        swapped_rows = posterior_2x2(new_table([rows[1], rows[0]]))
-        deviations["row_swap"].append(
-            max(
-                abs(base.probabilities[0] - swapped_rows.probabilities[0]),
-                abs(base.probabilities[1] - swapped_rows.probabilities[1]),
-            )
-        )
-        swapped_cols = posterior_2x2(new_table([[u[1], u[0]], [u[3], u[2]]]))
-        deviations["column_swap"].append(
-            max(
-                abs(swapped_cols.probabilities[0] - base.probabilities[1]),
-                abs(swapped_cols.probabilities[1] - base.probabilities[0]),
-            )
-        )
-        deviations["complementarity"].append(abs(sum(base.probabilities) - 1.0))
-
-    return ConstraintReport.from_deviations(specs, deviations, sample_count, seed)

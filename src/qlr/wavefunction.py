@@ -6,7 +6,9 @@ each hypothesis's feature states against its overlap metric (Gram-Schmidt),
 solve for the ``(n, m)`` amplitude array ``b`` the contingency table
 demands (:func:`solve_b_coefficients`), and read posteriors off squared
 amplitudes.  Agreement between the two paths is the package's core
-correctness check, exercised by :func:`cross_path_suite`.
+correctness check, exercised by :func:`qlr.checks.cross_path_suite`.  The
+module imports only :class:`~qlr.quantum.OverlapMatrix` from the code it
+checks.
 
 The linear algebra runs on stacks of K per-hypothesis ``m x m`` matrices,
 shape ``(K, m, m)``.  The positive-definite gate,
@@ -19,8 +21,10 @@ finish them.  The basis is the Gram-Schmidt basis of the
 feature states in the ``c[a]`` inner product, taken in index order; its rows
 are exactly the rows of ``L[a]^-1``, the unique lower-triangular matrix with
 a positive diagonal that orthonormalizes ``c[a]``.  A single table is the
-case K = n; :func:`cross_path_suite` stacks the hypotheses of all its
-samples that share a feature count and runs the path once per count.
+case K = n; :func:`qlr.checks.cross_path_suite` stacks the hypotheses of
+all its samples that share a feature count and runs the path once per count,
+through :func:`gram_schmidt_basis`, :func:`stacked_amplitudes` and
+:func:`squared_readout`.
 
 Per hypothesis ``a`` the basis rows ``A[a] = L[a]^-1`` satisfy
 
@@ -40,11 +44,10 @@ from typing import Any
 
 import numpy as np
 
-from .checks import ConstraintReport, check_sample_count
 from .classical import PosteriorDistribution
 from .errors import BadIndex, InvalidBasis, NotPositiveDefinite, ShapeMismatch
-from .quantum import OverlapMatrix, posterior_general
-from .tables import ContingencyTable, new_table
+from .quantum import OverlapMatrix
+from .tables import ContingencyTable
 
 # Residual ceiling for the orthonormality and back-substitution identities.
 RESIDUAL_TOL = 1e-10
@@ -114,12 +117,6 @@ class OrthonormalBasis:
         return float(self.hypothesis_residuals.max(initial=0.0))
 
 
-def _quadratic_forms(u: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``u[k] @ c[k] @ w[k]`` for every k of a ``(K, m)``, ``(K, m, m)``,
-    ``(K, m)`` stack."""
-    return (u[:, None, :] @ c @ w[:, :, None])[:, 0, 0]
-
-
 def gram_schmidt_basis(overlap: OverlapMatrix) -> OrthonormalBasis:
     """Orthonormalize each hypothesis's feature states against its metric.
 
@@ -172,15 +169,17 @@ def gram_schmidt_basis(overlap: OverlapMatrix) -> OrthonormalBasis:
         ) from exc
 
 
-def _amplitudes(basis: OrthonormalBasis, roots: np.ndarray) -> np.ndarray:
+def stacked_amplitudes(basis: OrthonormalBasis, roots: np.ndarray) -> np.ndarray:
     """``b[k] = A[k] @ c[k] @ roots[k]`` over the basis stack; ``roots`` is
-    ``(K, m)`` with one row of root cells per hypothesis."""
+    ``(K, m)`` with one row of root cells per hypothesis.  The amplitudes of
+    :func:`solve_b_coefficients` and of the cross-path suite."""
     return (basis.metric_rows @ roots[:, :, None])[:, :, 0]
 
 
-def _squared_readout(priors: np.ndarray, norms: np.ndarray) -> PosteriorDistribution:
+def squared_readout(priors: np.ndarray, norms: np.ndarray) -> PosteriorDistribution:
     """``P(H_a) ∝ priors[a] * n * norms[a]`` from per-hypothesis sums of
-    squared amplitudes."""
+    squared amplitudes: the readout of :func:`posterior_via_wavefunction`
+    and of the cross-path suite."""
     w = priors * len(priors)
     return PosteriorDistribution.from_weights((w * norms).tolist(), "wavefunction")
 
@@ -201,7 +200,7 @@ def solve_b_coefficients(table: ContingencyTable, basis: OrthonormalBasis) -> np
             f"basis covers {basis.m} features x {basis.n} hypotheses, "
             f"table is {table.m}x{table.n}"
         )
-    b = _amplitudes(basis, np.sqrt(table.x.T))
+    b = stacked_amplitudes(basis, np.sqrt(table.x.T))
     b.setflags(write=False)
     return b
 
@@ -225,7 +224,7 @@ def posterior_via_wavefunction(
     overlap = OverlapMatrix.coerce(overlap)
     overlap.check_fits(table)
     b = solve_b_coefficients(table, gram_schmidt_basis(overlap))
-    return _squared_readout(table.priors, (b * b).sum(axis=1))
+    return squared_readout(table.priors, (b * b).sum(axis=1))
 
 
 def posterior_independent(table: ContingencyTable, feature: int) -> PosteriorDistribution:
@@ -248,118 +247,3 @@ def posterior_independent(table: ContingencyTable, feature: int) -> PosteriorDis
     ]
     return PosteriorDistribution.from_weights([amp * amp for amp in amplitudes], "wavefunction")
 
-
-def _random_positive_definite_overlap(
-    rng: np.random.Generator, n: int, m: int
-) -> OverlapMatrix:
-    """Random per-hypothesis overlaps with eigenvalues at least 1/2.
-
-    Averaging a unit-diagonal Gram matrix of unit rows with the identity
-    keeps every eigenvalue in [1/2, 3/2] and every off-diagonal inside
-    (-1/2, 1/2).
-    """
-    g = rng.standard_normal((n, m, m + 1))
-    g /= np.linalg.norm(g, axis=2, keepdims=True)
-    gram = (g @ g.transpose(0, 2, 1) + np.eye(m)) / 2.0
-    gram = (gram + gram.transpose(0, 2, 1)) / 2.0
-    gram[:, np.arange(m), np.arange(m)] = 1.0
-    return OverlapMatrix(gram)
-
-
-def _random_table(rng: np.random.Generator, m: int, n: int) -> ContingencyTable:
-    x = 1.0 - rng.random((m, n))
-    raw = 1.0 - rng.random(n)
-    return new_table(x, raw / raw.sum())
-
-
-def cross_path_suite(sample_count: int, seed: int) -> ConstraintReport:
-    """Randomized agreement checks between the two posterior paths.
-
-    Per sample, draws a random table (2-3 features, 2-4 hypotheses), random
-    positive-definite overlaps, and random priors, then checks:
-
-    - the state-vector posterior matches the block-sum posterior (1e-10);
-    - orthonormality residual of the constructed basis (1e-10);
-    - back-substitution residual ``A^T b - sqrt(x)`` (1e-10);
-    - the sum of squared amplitudes matches the explicit double sum
-      ``sum sqrt(x_i x_j) c_ij`` (1e-10);
-    - the single-feature projection path matches the direct single-feature
-      update (1e-14);
-    - complementarity of the state-vector posterior (1e-12).
-
-    All samples are drawn first.  The basis, amplitudes, residuals and
-    squared readout then run once per feature count, on the ``(K, m, m)``
-    stack of every hypothesis of the samples with that count, through the
-    same code as :func:`posterior_via_wavefunction`; each sample's basis is
-    built once.  The block-sum side stays one :func:`posterior_general` call
-    per sample, the way users call it.
-    """
-    check_sample_count(sample_count)
-    rng = np.random.default_rng(seed)
-    specs = (
-        ("paths_agree", "state-vector posterior equals block-sum posterior", RESIDUAL_TOL),
-        ("orthonormality", "A c A^T = I for every hypothesis", RESIDUAL_TOL),
-        ("back_substitution", "A^T b recovers sqrt(x)", RESIDUAL_TOL),
-        (
-            "normalization",
-            "sum of squared amplitudes equals the explicit double sum",
-            RESIDUAL_TOL,
-        ),
-        (
-            "projection_single_feature",
-            "projection-collapse posterior equals the direct single-feature update",
-            1e-14,
-        ),
-        ("complementarity", "state-vector posterior sums to 1", 1e-12),
-    )
-    deviations: dict[str, list[float]] = {name: [] for name, _, _ in specs}
-    samples = []
-    for _ in range(sample_count):
-        m = int(rng.integers(2, 4))
-        n = int(rng.integers(2, 5))
-        table = _random_table(rng, m, n)
-        overlap = _random_positive_definite_overlap(rng, n, m)
-        samples.append((table, overlap, int(rng.integers(0, m))))
-
-    for m in sorted({table.m for table, _, _ in samples}):
-        group = [sample for sample in samples if sample[0].m == m]
-        stacked = OverlapMatrix(np.concatenate([overlap.c for _, overlap, _ in group]))
-        roots = np.concatenate([np.sqrt(table.x.T) for table, _, _ in group])
-        basis = gram_schmidt_basis(stacked)
-        b = _amplitudes(basis, roots)
-        squares = b * b
-        norms = np.sum(squares, axis=1)
-        back = (basis.matrices.transpose(0, 2, 1) @ b[:, :, None])[:, :, 0] - roots
-        back = np.abs(back).max(axis=1)
-        double_sums = _quadratic_forms(roots, stacked.c, roots)
-
-        lo = 0
-        for table, overlap, feature in group:
-            hi = lo + table.n
-            deviations["orthonormality"].append(float(basis.hypothesis_residuals[lo:hi].max()))
-            deviations["back_substitution"].append(float(back[lo:hi].max()))
-            deviations["normalization"].append(
-                abs(float(np.sum(squares[lo:hi])) - sum(double_sums[lo:hi].tolist()))
-            )
-
-            wf = _squared_readout(table.priors, norms[lo:hi])
-            general = posterior_general(table, overlap)
-            deviations["paths_agree"].append(
-                max(
-                    abs(p - q)
-                    for p, q in zip(wf.probabilities, general.probabilities)
-                )
-            )
-            deviations["complementarity"].append(abs(sum(wf.probabilities) - 1.0))
-
-            projected = posterior_independent(table, feature)
-            direct = np.array(
-                [float(table.priors[a]) * float(table.x[feature, a]) for a in range(table.n)]
-            )
-            direct /= direct.sum()
-            deviations["projection_single_feature"].append(
-                max(abs(p - q) for p, q in zip(projected.probabilities, direct))
-            )
-            lo = hi
-
-    return ConstraintReport.from_deviations(specs, deviations, sample_count, seed)

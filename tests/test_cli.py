@@ -531,6 +531,33 @@ class TestVerifyCommand:
         assert code == 2
         assert "--samples" in err
 
+    def test_negative_seed_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--samples", "3", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qlr: error:")
+        assert "--seed" in err
+
+    def test_verify_loads_no_numpy_random(self):
+        # The test process has imported numpy.random already, so the check
+        # runs in a fresh interpreter.
+        script = (
+            "import sys\n"
+            "import qlr.cli\n"
+            "code = qlr.cli.main(['verify', '--samples', '3'])\n"
+            "print(sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)))\n"
+            "sys.exit(code)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+
     def test_corrupted_estimator_fails_the_suite(self, capsys, monkeypatch):
         def corrupted(table, hbar=None):
             return PosteriorDistribution((0.25, 0.75), "quantum", 1)

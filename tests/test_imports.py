@@ -1,7 +1,8 @@
 """Module boundaries: the package's ``__all__`` lists exactly the public
 names it binds, no module of the package imports a private (``_``-prefixed)
-name from a sibling module, and the state-vector checker does not call the
-overlap kernels it checks."""
+name from a sibling module, the state-vector checker does not call the
+overlap kernels it checks, and the kernel modules import none of the
+randomized suites' code."""
 
 import ast
 import types
@@ -96,19 +97,18 @@ def test_no_private_names_cross_module_lines(path):
 
 
 # The state-vector path in wavefunction.py checks these kernels of
-# quantum.py, so it may not use them to compute its own posterior; only the
-# suite that compares the two paths calls the block-sum kernel.
+# quantum.py, so it may not use them to compute its own posterior.  The
+# suite that compares the two paths lives in checks.py, so no function of
+# wavefunction.py may reference a kernel, and neither may an import.
 CHECKED_KERNELS = frozenset(
     {"posterior_general", "posterior_2x2", "overlap_coefficients", "hbar_moderated_coefficients"}
 )
-ALLOWED_CALLERS = {"posterior_general": frozenset({"cross_path_suite"})}
 
 
 def kernel_references(source: str) -> list[str]:
-    """References to a checked kernel outside the functions allowed to make
-    them, as ``line N: name in scope`` strings.  Scope is the top-level
-    function or class holding the reference, or ``<module>``; an import of
-    ``posterior_general`` is allowed, an import of any other kernel is not."""
+    """Imports of and references to a checked kernel, as ``line N: import
+    name`` and ``line N: name in scope`` strings.  Scope is the top-level
+    function or class holding the reference, or ``<module>``."""
     tree = ast.parse(source)
     aliases = {}
     found = []
@@ -127,15 +127,14 @@ def kernel_references(source: str) -> list[str]:
             for alias in node.names:
                 if alias.name in CHECKED_KERNELS:
                     aliases[alias.asname or alias.name] = alias.name
-                    if alias.name not in ALLOWED_CALLERS:
-                        found.append(f"line {node.lineno}: import {alias.name}")
+                    found.append(f"line {node.lineno}: import {alias.name}")
     for top in tree.body:
         if isinstance(top, (ast.ImportFrom, ast.Import)):
             continue
         scope = getattr(top, "name", "<module>")
         for node in ast.walk(top):
             kernel = kernel_of(node)
-            if kernel and scope not in ALLOWED_CALLERS.get(kernel, ()):
+            if kernel:
                 found.append(f"line {node.lineno}: {kernel} in {scope}")
     return found
 
@@ -157,15 +156,34 @@ def test_checker_flags_kernel_references(source):
     assert kernel_references(source)
 
 
-def test_checker_allows_the_suite_to_call_the_block_sum_kernel():
+def test_checker_flags_the_suite_calling_the_block_sum_kernel():
     source = (
         "from .quantum import posterior_general\n"
         "def cross_path_suite(t, o):\n"
         "    return posterior_general(t, o)"
     )
-    assert kernel_references(source) == []
+    assert kernel_references(source) == [
+        "line 1: import posterior_general",
+        "line 3: posterior_general in cross_path_suite",
+    ]
 
 
 def test_state_vector_path_does_not_call_the_kernels_it_checks():
     source = (PACKAGE / "wavefunction.py").read_text(encoding="utf-8")
     assert kernel_references(source) == []
+
+
+@pytest.mark.parametrize("name", ["quantum.py", "wavefunction.py"])
+def test_kernel_modules_import_no_suite_code(name):
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+    imported, attributes = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            attributes.add(ast.unparse(node))
+    assert not imported & {"checks", "new_table", "random", "numpy.random"}
+    assert not attributes & {"np.random", "numpy.random"}

@@ -39,6 +39,7 @@ from qlr import (
     posterior_general,
     posterior_via_wavefunction,
 )
+from qlr.checks import draw_cross_path_samples
 from qlr.classical import _products
 from qlr.cli import main
 from qlr.quantum import PD_EIGENVALUE_TOL
@@ -259,6 +260,25 @@ def test_huge_overlaps_are_not_positive_definite(big):
     c = np.eye(3)[None].copy()
     c[0, 0, 2] = c[0, 2, 0] = big
     assert OverlapMatrix(c).positive_definite == (False,)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**64), st.integers(1, 8))
+def test_cross_path_draw_gives_valid_tables_and_well_conditioned_overlaps(seed, count):
+    samples = draw_cross_path_samples(count, seed)
+    assert len(samples) == count
+    for sample in samples:
+        table, overlap = sample.table, sample.overlap
+        assert 2 <= table.m <= 3 and 2 <= table.n <= 4
+        assert 0 <= sample.feature < table.m
+        assert ((table.x > 0.0) & (table.x <= 1.0)).all()
+        assert (table.priors > 0.0).all()
+        assert abs(math.fsum(table.priors.tolist()) - 1.0) <= SUM_TOL
+        assert overlap.c.shape == (table.n, table.m, table.m)
+        # (G G^T + I) / 2 of unit rows: eigenvalues in [1/2, (m + 1)/2].
+        eigenvalues = np.linalg.eigvalsh(overlap.c)
+        assert eigenvalues.min() >= 0.5 - 1e-12
+        assert eigenvalues.max() <= (table.m + 1) / 2 + 1e-12
 
 
 # ------------------------------------------------ products loop reference

@@ -396,10 +396,15 @@ class TestConstraintSuite:
         with pytest.raises(ValueError):
             verify_constraint_suite(0, 42)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_int(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            verify_constraint_suite(5, seed)
+
     def test_detects_a_corrupted_posterior(self, monkeypatch):
         def corrupted(table, hbar=None):
             return PosteriorDistribution((0.25, 0.75), "quantum", 1)
 
         monkeypatch.setattr(qlr.quantum, "posterior_2x2", corrupted)
-        report = qlr.quantum.verify_constraint_suite(20, 42)
+        report = qlr.checks.verify_constraint_suite(20, 42)
         assert not report.passed

@@ -3,13 +3,14 @@ amplitude posterior, the single-feature projection, and the cross-path
 suite."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import qlr.wavefunction as wavefunction
+import qlr.quantum as quantum
 from qlr import (
     BadIndex,
     CountTable,
@@ -33,7 +34,8 @@ from qlr import (
     solve_b_coefficients,
 )
 from qlr.quantum import PD_EIGENVALUE_TOL
-from qlr.wavefunction import RESIDUAL_TOL, _random_positive_definite_overlap
+from qlr.checks import random_positive_definite_overlap
+from qlr.wavefunction import RESIDUAL_TOL
 
 STREET = from_counts(CountTable(np.array([[8, 7], [6, 5]]), np.array([10, 10])))
 
@@ -82,13 +84,14 @@ def reference_cases():
     """Random positive-definite overlaps for every (n, m) in {2,3,4}^2, the
     identity overlap and the street overlap, each with a table to fit."""
     rng = np.random.default_rng(36)
+    draws = random.Random(36)
     cases = []
     for n in (2, 3, 4):
         for m in (2, 3, 4):
             for k in range(5):
                 x = 1.0 - rng.random((m, n))
                 raw = 1.0 - rng.random(n)
-                overlap = _random_positive_definite_overlap(rng, n, m)
+                overlap = random_positive_definite_overlap(draws, n, m)
                 table = new_table(x, raw / raw.sum())
                 cases.append(pytest.param(table, overlap, id=f"random-n{n}-m{m}-{k}"))
     identity = OverlapMatrix.identity(3, 4)
@@ -143,10 +146,11 @@ class TestGramSchmidtBasis:
 
     def test_random_positive_definite_overlaps_pass(self):
         rng = np.random.default_rng(31)
+        draws = random.Random(31)
         for _ in range(100):
             n = int(rng.integers(2, 5))
             m = int(rng.integers(2, 4))
-            overlap = _random_positive_definite_overlap(rng, n, m)
+            overlap = random_positive_definite_overlap(draws, n, m)
             offdiag = overlap.c.copy()
             offdiag[:, np.arange(m), np.arange(m)] = 0.0
             assert np.abs(offdiag).max() < 0.5
@@ -228,13 +232,14 @@ def near_singular_stacks():
     the residual ceiling's range (1e-5..1e-10) and the 1e-12 gate, down to
     exactly singular; the other hypotheses are well conditioned."""
     rng = np.random.default_rng(37)
+    draws = random.Random(37)
     cases = []
     for e in np.linspace(5.0, 17.0, 49):
         t = 10.0 ** -e
         cases.append((OverlapMatrix.from_pair(1.0 - t, 0.3), 0))
         cases.append((OverlapMatrix.from_pair(0.3, 1.0 - t), 1))
         for m in (3, 4, 5):
-            stack = np.array(_random_positive_definite_overlap(rng, 3, m).c)
+            stack = np.array(random_positive_definite_overlap(draws, 3, m).c)
             stack[1] = near_singular_block(rng, m, m - 1, t)
             cases.append((OverlapMatrix(stack), 1))
     return cases
@@ -312,12 +317,13 @@ class TestSolveBCoefficients:
 
     def test_back_substitution_recovers_root_cells(self):
         rng = np.random.default_rng(33)
+        draws = random.Random(33)
         for _ in range(100):
             m = int(rng.integers(2, 4))
             n = int(rng.integers(2, 5))
             x = 1.0 - rng.random((m, n))
             table = new_table(x)
-            overlap = _random_positive_definite_overlap(rng, n, m)
+            overlap = random_positive_definite_overlap(draws, n, m)
             basis = gram_schmidt_basis(overlap)
             b = solve_b_coefficients(table, basis)
             for a in range(n):
@@ -353,13 +359,14 @@ class TestPosteriorViaWavefunction:
 
     def test_matches_block_sum_posterior(self):
         rng = np.random.default_rng(34)
+        draws = random.Random(34)
         for _ in range(100):
             m = int(rng.integers(2, 4))
             n = int(rng.integers(2, 5))
             x = 1.0 - rng.random((m, n))
             raw = 1.0 - rng.random(n)
             table = new_table(x, raw / raw.sum())
-            overlap = _random_positive_definite_overlap(rng, n, m)
+            overlap = random_positive_definite_overlap(draws, n, m)
             wf = posterior_via_wavefunction(table, overlap)
             general = posterior_general(table, overlap)
             np.testing.assert_allclose(
@@ -461,15 +468,20 @@ class TestCrossPathSuite:
         with pytest.raises(ValueError):
             cross_path_suite(0, 42)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_int(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            cross_path_suite(5, seed)
+
     def test_detects_a_perturbed_block_sum_posterior(self, monkeypatch):
-        real = wavefunction.posterior_general
+        real = quantum.posterior_general
 
         def perturbed(table, overlap):
             p = list(real(table, overlap).probabilities)
             p[0], p[1] = p[0] + 1e-6, p[1] - 1e-6
             return PosteriorDistribution.from_probabilities(p, "quantum")
 
-        monkeypatch.setattr(wavefunction, "posterior_general", perturbed)
+        monkeypatch.setattr(quantum, "posterior_general", perturbed)
         report = cross_path_suite(20, 42)
         assert not report.passed
         by_name = {check.name: check for check in report.checks}

@@ -33,7 +33,8 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from . import quantum
-from .tables import ContingencyTable, new_table
+from .errors import ParseError
+from .tables import ContingencyTable, is_integer, new_table
 from .wavefunction import (
     RESIDUAL_TOL,
     gram_schmidt_basis,
@@ -43,20 +44,15 @@ from .wavefunction import (
 )
 
 
-def check_sample_count(sample_count: int) -> None:
-    """Raises ValueError unless a suite is asked for at least one sample."""
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
-
-
-def check_seed(seed: int) -> None:
-    """Raises ValueError unless ``seed`` is an int >= 0.
-
-    ``random.Random`` would take a negative seed as its absolute value, so
-    ``-1`` would silently repeat seed 1's draws.
-    """
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+def suite_arguments(sample_count: int, seed: int) -> tuple[int, int]:
+    """The suites' argument rule: both as Python ints; raises ParseError
+    unless each is an int (not a bool) or a numpy integer, ``samples`` at
+    least 1 and ``seed`` at least 0.  ``random.Random`` would take a
+    negative seed as its absolute value, repeating another seed's draws."""
+    for name, value, minimum in (("samples", sample_count, 1), ("seed", seed, 0)):
+        if not (is_integer(value) and value >= minimum):
+            raise ParseError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(sample_count), int(seed)
 
 
 @dataclass(frozen=True)
@@ -111,15 +107,15 @@ class ConstraintReport:
     def from_deviations(
         cls,
         specs: Sequence[tuple[str, str, float]],
-        deviations: Mapping[str, Sequence[float]],
+        per_sample: Sequence[Mapping[str, float]],
         sample_count: int,
         seed: int,
     ) -> "ConstraintReport":
         """One :class:`CheckResult` per ``(name, description, tolerance)``
-        spec, in spec order, from the deviations recorded under its name."""
+        spec, in spec order, from each sample's deviations by check name."""
         return cls(
             checks=tuple(
-                CheckResult.from_deviations(name, description, tol, deviations[name])
+                CheckResult.from_deviations(name, description, tol, [s[name] for s in per_sample])
                 for name, description, tol in specs
             ),
             sample_count=sample_count,
@@ -141,22 +137,6 @@ class ConstraintReport:
             "seed": self.seed,
             "passed": self.passed,
         }
-
-
-def _report(
-    specs: Sequence[tuple[str, str, float]],
-    per_sample: Sequence[Mapping[str, float]],
-    sample_count: int,
-    seed: int,
-) -> ConstraintReport:
-    deviations = {name: [sample[name] for sample in per_sample] for name, _, _ in specs}
-    return ConstraintReport.from_deviations(specs, deviations, sample_count, seed)
-
-
-def _rng(sample_count: int, seed: int) -> random.Random:
-    check_sample_count(sample_count)
-    check_seed(seed)
-    return random.Random(seed)
 
 
 def _unit(rng: random.Random) -> float:
@@ -196,10 +176,10 @@ def draw_constraint_samples(sample_count: int, seed: int) -> list[ConstraintSamp
     and four cells, each uniform on (0, 1].
 
     Raises:
-        ValueError: ``sample_count`` is below 1, or ``seed`` is not an int
-            >= 0.
+        ParseError: ``sample_count`` or ``seed`` breaks :func:`suite_arguments`.
     """
-    rng = _rng(sample_count, seed)
+    sample_count, seed = suite_arguments(sample_count, seed)
+    rng = random.Random(seed)
     return [
         ConstraintSample(_unit(rng), _unit(rng), (_unit(rng), _unit(rng), _unit(rng), _unit(rng)))
         for _ in range(sample_count)
@@ -246,11 +226,13 @@ def verify_constraint_suite(sample_count: int, seed: int) -> ConstraintReport:
     1e-10 for the known values, 1e-12 for the row swap and
     complementarity, and 0 (exact) for the column swap.
 
-    Returns per-check pass counts and max deviations.
+    Returns per-check pass counts and max deviations; raises ParseError
+    when ``sample_count`` or ``seed`` breaks :func:`suite_arguments`.
     """
+    sample_count, seed = suite_arguments(sample_count, seed)
     samples = draw_constraint_samples(sample_count, seed)
     per_sample = [check_constraint_sample(sample) for sample in samples]
-    return _report(CONSTRAINT_CHECKS, per_sample, sample_count, seed)
+    return ConstraintReport.from_deviations(CONSTRAINT_CHECKS, per_sample, sample_count, seed)
 
 
 # ----------------------------------------------------------------- cross path
@@ -328,10 +310,10 @@ def draw_cross_path_samples(sample_count: int, seed: int) -> list[CrossPathSampl
     feature index.
 
     Raises:
-        ValueError: ``sample_count`` is below 1, or ``seed`` is not an int
-            >= 0.
+        ParseError: ``sample_count`` or ``seed`` breaks :func:`suite_arguments`.
     """
-    rng = _rng(sample_count, seed)
+    sample_count, seed = suite_arguments(sample_count, seed)
+    rng = random.Random(seed)
     samples = []
     for _ in range(sample_count):
         m = rng.randrange(2, 4)
@@ -417,7 +399,9 @@ def cross_path_suite(sample_count: int, seed: int) -> ConstraintReport:
     checks them with :func:`check_cross_path_samples`, against tolerances
     of ``RESIDUAL_TOL`` (1e-10) for the two paths, the two residuals and
     the normalization, 1e-14 for the single-feature projection and 1e-12
-    for complementarity.
+    for complementarity.  Raises ParseError when ``sample_count`` or
+    ``seed`` breaks :func:`suite_arguments`.
     """
-    samples = draw_cross_path_samples(sample_count, seed)
-    return _report(CROSS_PATH_CHECKS, check_cross_path_samples(samples), sample_count, seed)
+    sample_count, seed = suite_arguments(sample_count, seed)
+    per_sample = check_cross_path_samples(draw_cross_path_samples(sample_count, seed))
+    return ConstraintReport.from_deviations(CROSS_PATH_CHECKS, per_sample, sample_count, seed)

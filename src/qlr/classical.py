@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BadIndex, DegenerateRange, Unsupported
-from .tables import ContingencyTable, CountTable, intersection_range
+from .errors import DegenerateRange, Unsupported
+from .tables import ContingencyTable, CountTable, check_index, intersection_range
 
 METHODS = frozenset(
     {"bayes", "naive", "mean_frequency", "mean_range", "quantum", "wavefunction", "oracle_mean"}
@@ -98,10 +98,9 @@ def bayes_posterior(table: ContingencyTable, feature: int) -> PosteriorDistribut
     ``P(H_a | D_i) = prior_a * x[i, a] / sum_b prior_b * x[i, b]``.
 
     Raises:
-        BadIndex: feature index out of range.
+        BadIndex: ``feature`` breaks :func:`~qlr.tables.check_index`.
     """
-    if not 0 <= feature < table.m:
-        raise BadIndex(f"feature index {feature} out of range for m={table.m}")
+    check_index(feature, len(table.features), "feature index")
     weights = _products(list(zip(table.priors.tolist(), table.x[feature].tolist())))
     return PosteriorDistribution.from_weights(weights, "bayes")
 

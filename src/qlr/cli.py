@@ -103,7 +103,10 @@ def _parse_integer(cell: str, line: int, column: int) -> int:
             line=line,
             column=column,
         )
-    return int(cell)
+    try:
+        return int(cell)
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError(f"integer of {len(cell)} digits is too long", line, column) from None
 
 
 def _parse_csv(text: str, path: str) -> _LoadedInput:
@@ -173,6 +176,10 @@ def _parse_json(text: str, path: str) -> _LoadedInput:
         raise ParseError(
             f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested deeper than the recursion limit") from None
+    except ValueError:  # an integer with more digits than the interpreter converts
+        raise ParseError("invalid JSON: an integer is too long") from None
     _require(isinstance(data, dict), "top-level JSON value must be an object")
     kind = data.get("kind")
     _require(
@@ -574,10 +581,6 @@ def cmd_ranges(args) -> dict[str, Any]:
 
 
 def cmd_verify(args) -> dict[str, Any]:
-    if args.samples < 1:
-        raise ParseError(f"--samples must be >= 1, got {args.samples}")
-    if args.seed < 0:
-        raise ParseError(f"--seed must be >= 0, got {args.seed}")
     constraints = verify_constraint_suite(args.samples, args.seed)
     cross = cross_path_suite(args.samples, args.seed)
     return {

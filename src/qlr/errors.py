@@ -32,8 +32,9 @@ class InvalidPriors(QlrError, ValueError):
 
 
 class BadIndex(QlrError, IndexError):
-    """A feature or hypothesis index is out of range (or i == j where distinct
-    features are required)."""
+    """A feature or hypothesis index is not an integer (a bool is not one),
+    is out of range, or equals the other where distinct features are
+    required."""
 
     exit_code = 3
 
@@ -103,7 +104,8 @@ class InvalidBasis(QlrError, ValueError):
 
 
 class ParseError(QlrError, ValueError):
-    """An input file could not be parsed.
+    """An input file could not be parsed, or a suite's ``samples`` or
+    ``seed`` is not an integer at or above its minimum (1 and 0).
 
     Attributes:
         line, column: 1-based position of the offending token when known.

@@ -201,12 +201,7 @@ def overlap_coefficients(table: ContingencyTable) -> CoefficientSolution:
         OverlapUnderflow: a cell product underflows to zero or a coefficient
             is not finite (cell products too small).
     """
-    if (table.m, table.n) != (2, 2):
-        raise Unsupported(
-            f"closed-form coefficients exist only for 2x2 tables, got {table.m}x{table.n}"
-        )
-    x1, y1 = float(table.x[0, 0]), float(table.x[1, 0])
-    x2, y2 = float(table.x[0, 1]), float(table.x[1, 1])
+    x1, y1, x2, y2 = _cells_2x2(table, "coefficients exist")
     p1, p2 = x1 * y1, x2 * y2
     _check_products(p1, p2)
     c1 = math.sqrt(p1) / (2.0 * x2 * y2)
@@ -214,6 +209,15 @@ def overlap_coefficients(table: ContingencyTable) -> CoefficientSolution:
     if not (math.isfinite(c1) and math.isfinite(c2)):
         raise OverlapUnderflow(f"overlap coefficients must be finite, got c1={c1!r}, c2={c2!r}")
     return CoefficientSolution(c1, c2)
+
+
+def _cells_2x2(table: ContingencyTable, result: str) -> tuple[float, float, float, float]:
+    """The closed form's cells ``x1, y1, x2, y2``, hypothesis 1's two then
+    hypothesis 2's; raises Unsupported, naming ``result``, unless 2x2."""
+    if table.x.shape != (2, 2):
+        raise Unsupported(f"closed-form {result} only for 2x2 tables, got {table.m}x{table.n}")
+    (x1, x2), (y1, y2) = table.x.tolist()
+    return x1, y1, x2, y2
 
 
 def _check_products(p1: float, p2: float) -> None:
@@ -330,13 +334,8 @@ def posterior_2x2(table: ContingencyTable, hbar: float | None = None) -> Posteri
         OverlapUnderflow: a cell product underflows to zero or a weighted
             block is not finite (cell products too small).
     """
-    if (table.m, table.n) != (2, 2):
-        raise Unsupported(
-            f"closed-form posterior exists only for 2x2 tables, got {table.m}x{table.n}"
-        )
+    x1, y1, x2, y2 = _cells_2x2(table, "posterior exists")
     scale = 1.0 if hbar is None else moderation_scale(hbar)
-    x1, y1 = float(table.x[0, 0]), float(table.x[1, 0])
-    x2, y2 = float(table.x[0, 1]), float(table.x[1, 1])
     if scale == 0.0:
         block1, block2 = x1 + y1, x2 + y2
     else:

@@ -83,6 +83,21 @@ def _validated_priors(priors: Sequence[float], n: int) -> np.ndarray:
     return arr
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int (not a bool) or a numpy integer."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_index(value, size: int, what: str) -> None:
+    """The index rule: raises BadIndex, naming the index ``what``, unless
+    ``value`` is an int (not a bool) or a numpy integer in ``[0, size)``."""
+    # The plain int, the common case, skips the isinstance tests.
+    if type(value) is int or is_integer(value):
+        if 0 <= value < size:
+            return
+    raise BadIndex(f"{what} must be an integer in [0, {size}), got {value!r}")
+
+
 def _numeric_array(values, dtype, what: str, non_numeric: type[QlrError]) -> np.ndarray:
     """``np.array(values, dtype=dtype)``, a copy; a ragged nesting raises
     BadShape, and a value that is not a number or is an int beyond the float
@@ -243,16 +258,12 @@ class CountTable:
         """Validate a hypothesis index and two distinct feature indices.
 
         Raises:
-            BadIndex: out-of-range indices or ``i == j``.
+            BadIndex: an index breaks :func:`check_index`, or ``i == j``.
         """
-        n = len(self.population_sizes)
         m = len(self.count_rows)
-        if not 0 <= hypothesis < n:
-            raise BadIndex(f"hypothesis index {hypothesis} out of range for n={n}")
-        if not 0 <= i < m:
-            raise BadIndex(f"feature index i={i} out of range for m={m}")
-        if not 0 <= j < m:
-            raise BadIndex(f"feature index j={j} out of range for m={m}")
+        check_index(hypothesis, len(self.population_sizes), "hypothesis index")
+        check_index(i, m, "feature index i")
+        check_index(j, m, "feature index j")
         if i == j:
             raise BadIndex(f"feature indices must differ, got i == j == {i}")
 
@@ -325,12 +336,15 @@ def from_counts(
                 f"count [{i}, {row.index(0)}] is zero; zero cells are rejected at construction"
             )
     sizes = counts.population_sizes
-    return ContingencyTable(
+    table = ContingencyTable(
         features=features,
         hypotheses=hypotheses,
         x=[[c / p for c, p in zip(row, sizes)] for row in counts.count_rows],
-        priors=counts.population_shares,
+        priors=None,
     )
+    # Validated shares skip the prior rule; numpy won't make this view writable.
+    object.__setattr__(table, "priors", counts.population_shares.view())
+    return table
 
 
 def intersection_range(counts: CountTable, hypothesis: int, i: int, j: int) -> IntegerRange:
@@ -342,7 +356,7 @@ def intersection_range(counts: CountTable, hypothesis: int, i: int, j: int) -> I
     are realizable joint counts.
 
     Raises:
-        BadIndex: out-of-range indices or ``i == j``.
+        BadIndex: an index breaks :func:`check_index`, or ``i == j``.
     """
     counts.check_pair(hypothesis, i, j)
     a = counts.count_rows[i][hypothesis]

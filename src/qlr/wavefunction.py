@@ -45,9 +45,9 @@ from typing import Any
 import numpy as np
 
 from .classical import PosteriorDistribution
-from .errors import BadIndex, InvalidBasis, NotPositiveDefinite, ShapeMismatch
+from .errors import InvalidBasis, NotPositiveDefinite, ShapeMismatch
 from .quantum import OverlapMatrix
-from .tables import ContingencyTable
+from .tables import ContingencyTable, check_index
 
 # Residual ceiling for the orthonormality and back-substitution identities.
 RESIDUAL_TOL = 1e-10
@@ -237,13 +237,10 @@ def posterior_independent(table: ContingencyTable, feature: int) -> PosteriorDis
     agreement is this function's purpose.
 
     Raises:
-        BadIndex: feature index out of range.
+        BadIndex: ``feature`` breaks :func:`~qlr.tables.check_index`.
     """
-    if not 0 <= feature < table.m:
-        raise BadIndex(f"feature index {feature} out of range for {table.m} features")
-    amplitudes = [
-        math.sqrt(float(table.priors[a])) * math.sqrt(float(table.x[feature, a]))
-        for a in range(table.n)
-    ]
+    check_index(feature, len(table.features), "feature index")
+    cells = table.x[feature].tolist()
+    amplitudes = [math.sqrt(w) * math.sqrt(v) for w, v in zip(table.priors.tolist(), cells)]
     return PosteriorDistribution.from_weights([amp * amp for amp in amplitudes], "wavefunction")
 

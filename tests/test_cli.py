@@ -431,6 +431,28 @@ def test_json_integer_beyond_float_range_exits_2(capsys, tmp_path, field, rule):
     assert "Traceback" not in err
 
 
+# Files past one of the interpreter's own limits: nesting deeper than the
+# recursion limit, and an integer with more digits than int() converts.
+LONG_INTEGER = "1" * 5000
+OVER_LIMIT_INPUTS = {
+    "deep_array.json": "[" * 100_000 + "]" * 100_000,
+    "deep_object.json": '{"a": ' * 3000 + "1" + "}" * 3000,
+    "long_count.csv": f"feature,A,B\nd1,{LONG_INTEGER},1\nd2,1,1\n__population__,2,2\n",
+    "long_count.json": f'{{"kind": "counts", "counts": [[{LONG_INTEGER}, 1], [1, 1]], '
+    '"populations": [2, 2]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVER_LIMIT_INPUTS))
+def test_input_past_an_interpreter_limit_exits_2(capsys, tmp_path, name):
+    path = tmp_path / name
+    path.write_text(OVER_LIMIT_INPUTS[name], encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("qlr: error:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", ["underflow.csv", "underflow.json"])
 def test_underflowing_overlap_is_skipped_under_all(capsys, tmp_path, name):
     path = tmp_path / name
@@ -529,14 +551,14 @@ class TestVerifyCommand:
     def test_zero_samples_is_an_input_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--samples", "0")
         assert code == 2
-        assert "--samples" in err
+        assert "samples must be" in err
 
     def test_negative_seed_is_an_input_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--samples", "3", "--seed", "-1")
         assert code == 2
         assert out == ""
         assert err.startswith("qlr: error:")
-        assert "--seed" in err
+        assert "seed must be" in err
 
     def test_verify_loads_no_numpy_random(self):
         # The test process has imported numpy.random already, so the check

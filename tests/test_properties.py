@@ -7,8 +7,9 @@ Every estimator returns a finite posterior that sums to 1 or raises a typed
 posterior unchanged; the products behind the naive and Bayes weights equal
 a frexp-per-factor loop bit for bit; an overlap is positive definite exactly
 when its smallest eigenvalue clears the tolerance; a count table's integer
-views and population shares equal what the numpy fields give; and the
-command line exits 0, 2 or 3 on any file, never with a traceback.  Draws are
+views and population shares equal what the numpy fields give; every public
+numeric argument, whatever its value, gives a result or a typed error; and
+the command line exits 0, 2 or 3 on any file, never with a traceback.  Draws are
 derandomized so the suite is repeatable.
 """
 
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qlr import (
@@ -31,13 +32,22 @@ from qlr import (
     PosteriorDistribution,
     QlrError,
     bayes_posterior,
+    cross_path_suite,
+    enumerate_joint_counts,
+    hbar_moderated_coefficients,
     intersection_range,
+    mean_frequency_posterior,
+    mean_range_posterior,
+    moderation_scale,
     naive_posterior,
     new_table,
+    oracle_mean_estimators,
     overlap_coefficients,
     posterior_2x2,
     posterior_general,
+    posterior_independent,
     posterior_via_wavefunction,
+    verify_constraint_suite,
 )
 from qlr.checks import draw_cross_path_samples
 from qlr.classical import _products
@@ -380,6 +390,87 @@ def test_replace_rederives_the_count_views(ct):
     grown = dataclasses.replace(ct, populations=np.minimum(2 * ct.populations, MAX_POPULATION))
     _assert_views_match_fields(grown)
     assert grown.count_rows == ct.count_rows
+
+
+# ------------------------------------------------ numeric argument contract
+
+# Values no numeric argument should turn into an untyped error: non-finite
+# floats, ints beyond the float range, non-numbers, sequences, edge
+# integers, a subnormal, a bool, a fraction and numpy scalars.
+ARGUMENT_JUNK = [
+    math.nan, math.inf, -math.inf, 10**400, -(10**400), "a", None, [], [1, 2],
+    -1, 0, 1e-320, True, 1.5, np.int64(1), np.float64(1.0),
+]
+ARGUMENT_VALUES = st.one_of(
+    st.sampled_from(ARGUMENT_JUNK),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=3),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+)
+_TABLE = new_table([[0.6, 0.3], [0.5, 0.4]])
+_COUNTS = CountTable([[3, 2], [4, 5]], [6, 7])
+
+# Each public numeric argument slot, as a call with the value in that slot.
+# The result-type constructors PosteriorDistribution and IntegerRange are
+# left out: qlr builds them from values it has already checked, so a bad
+# value there is a fault in qlr, reported with a plain ValueError, not an
+# input to refuse.
+ARGUMENT_SLOTS = {
+    "new_table.cell": lambda v: new_table([[v, 0.5], [0.5, 0.5]]),
+    "new_table.prior": lambda v: new_table([[0.5, 0.5]], [v, 0.5]),
+    "CountTable.count": lambda v: CountTable([[v, 1], [1, 1]], [2, 2]),
+    "CountTable.population": lambda v: CountTable([[1, 1], [1, 1]], [v, 2]),
+    "bayes_posterior.feature": lambda v: bayes_posterior(_TABLE, v),
+    "posterior_independent.feature": lambda v: posterior_independent(_TABLE, v),
+    "intersection_range.hypothesis": lambda v: intersection_range(_COUNTS, v, 0, 1),
+    "intersection_range.i": lambda v: intersection_range(_COUNTS, 0, v, 1),
+    "intersection_range.j": lambda v: intersection_range(_COUNTS, 0, 0, v),
+    "enumerate_joint_counts.hypothesis": lambda v: enumerate_joint_counts(_COUNTS, v, 0, 1),
+    "enumerate_joint_counts.i": lambda v: enumerate_joint_counts(_COUNTS, 0, v, 1),
+    "enumerate_joint_counts.j": lambda v: enumerate_joint_counts(_COUNTS, 0, 0, v),
+    "mean_frequency_posterior.prior": lambda v: mean_frequency_posterior(_COUNTS, [v, 0.5]),
+    "mean_range_posterior.prior": lambda v: mean_range_posterior(_COUNTS, [v, 0.5]),
+    "oracle_mean_estimators.prior": lambda v: oracle_mean_estimators(_COUNTS, [v, 0.5]),
+    "posterior_2x2.hbar": lambda v: posterior_2x2(_TABLE, v),
+    "moderation_scale.hbar": moderation_scale,
+    "hbar_moderated_coefficients.c1": lambda v: hbar_moderated_coefficients(v, 0.5, 1.0),
+    "OverlapMatrix.from_pair.c1": lambda v: OverlapMatrix.from_pair(v, 0.5),
+    "posterior_general.overlap": lambda v: posterior_general(_TABLE, [[[1.0, v], [v, 1.0]]] * 2),
+    "verify_constraint_suite.samples": lambda v: verify_constraint_suite(v, 1),
+    "verify_constraint_suite.seed": lambda v: verify_constraint_suite(2, v),
+    "cross_path_suite.samples": lambda v: cross_path_suite(v, 1),
+    "cross_path_suite.seed": lambda v: cross_path_suite(2, v),
+}
+
+# A huge but valid sample count is a request for work, not junk:
+# verify_constraint_suite(10**400, 1) simply never ends.  Counts above this
+# cap are left out of the property.
+SUITE_SAMPLE_CAP = 8
+
+
+def _with_junk_examples(test):
+    """Run ``test`` on every value of ``ARGUMENT_JUNK`` besides its draws."""
+    for value in ARGUMENT_JUNK:
+        test = example(value=value)(test)
+    return test
+
+
+@pytest.mark.parametrize("slot", sorted(ARGUMENT_SLOTS))
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@_with_junk_examples
+@given(value=ARGUMENT_VALUES)
+def test_every_numeric_argument_gives_a_result_or_a_typed_error(slot, value):
+    if slot.endswith(".samples") and isinstance(value, (int, np.integer)):
+        assume(value <= SUITE_SAMPLE_CAP)
+    try:
+        ARGUMENT_SLOTS[slot](value)
+    except QlrError:
+        pass
 
 
 # --------------------------------------------------------------- CLI fuzz

@@ -226,6 +226,20 @@ class TestPosterior2x2:
             posterior_2x2(new_table([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]))
 
 
+@pytest.mark.parametrize(
+    "call, result",
+    [(overlap_coefficients, "coefficients exist"), (posterior_2x2, "posterior exists")],
+)
+@pytest.mark.parametrize("x", [[[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], [[0.5, 0.5]], [[0.5, 0.5]] * 3])
+def test_closed_form_refuses_other_shapes_with_its_own_message(call, result, x):
+    table = new_table(x)
+    with pytest.raises(Unsupported) as caught:
+        call(table)
+    assert str(caught.value) == (
+        f"closed-form {result} only for 2x2 tables, got {table.m}x{table.n}"
+    )
+
+
 class TestHbarModeration:
     def test_zero_switches_overlap_off(self):
         assert hbar_moderated_coefficients(0.7, 0.3, 0.0) == (0.0, 0.0)

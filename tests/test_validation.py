@@ -1,6 +1,7 @@
 """The constructors' validation contract: each bad input's error class and
-exact message, the prior-sum boundary, read-only copied fields, and typed
-errors for ragged or non-numeric input."""
+exact message, the prior-sum boundary, read-only copied fields, typed
+errors for ragged or non-numeric input, and the rules for indices and for
+the suites' arguments."""
 
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from qlr import (
+    BadIndex,
     BadShape,
     CountTable,
     InvalidCell,
@@ -15,11 +17,18 @@ from qlr import (
     InvalidOverlap,
     InvalidPriors,
     OverlapMatrix,
+    ParseError,
+    bayes_posterior,
+    cross_path_suite,
+    enumerate_joint_counts,
     from_counts,
     hbar_moderated_coefficients,
+    intersection_range,
     moderation_scale,
     new_table,
     posterior_general,
+    posterior_independent,
+    verify_constraint_suite,
 )
 
 NAN = float("nan")
@@ -292,6 +301,15 @@ def test_fields_are_read_only_copies():
     assert overlap.c.tolist() == np.stack([np.eye(2), np.eye(2)]).tolist()
 
 
+def test_count_derived_priors_are_a_read_only_view_of_the_shares():
+    count_table = CountTable([[3, 2], [4, 5]], [6, 7])
+    priors = from_counts(count_table).priors
+    assert priors.base is count_table.population_shares
+    assert priors.tolist() == [6 / 13, 7 / 13]
+    with pytest.raises(ValueError):
+        priors.setflags(write=True)
+
+
 def test_labels_are_strings():
     table = new_table([[0.5, 0.5]], features=(7,), hypotheses=("A", 2.5))
     assert table.features == ("7",)
@@ -356,3 +374,34 @@ def test_string_numbers_still_convert():
     table = new_table([["0.5", 0.5]], ["0.25", 0.75])
     assert table.x.tolist() == [[0.5, 0.5]]
     assert math.isclose(table.priors[0], 0.25)
+
+
+TABLE = new_table([[0.6, 0.3], [0.5, 0.4]])
+COUNTS = CountTable([[3, 2], [4, 5]], [6, 7])
+INDEXED_CALLS = {
+    "bayes_posterior": lambda k: bayes_posterior(TABLE, k),
+    "posterior_independent": lambda k: posterior_independent(TABLE, k),
+    "intersection_range": lambda k: intersection_range(COUNTS, k, 0, 1),
+    "enumerate_joint_counts": lambda k: enumerate_joint_counts(COUNTS, 0, 1, k),
+}
+
+
+@pytest.mark.parametrize("call", INDEXED_CALLS.values(), ids=INDEXED_CALLS.keys())
+def test_index_rule_takes_numpy_integers_and_refuses_bools(call):
+    assert call(np.int64(0)) == call(np.uint8(0)) == call(0)
+    for index in (True, False, 0.0, np.float64(0.0)):
+        with pytest.raises(BadIndex, match="must be an integer in"):
+            call(index)
+
+
+SUITES = {"verify_constraint_suite": verify_constraint_suite, "cross_path_suite": cross_path_suite}
+
+
+@pytest.mark.parametrize("suite", SUITES.values(), ids=SUITES.keys())
+def test_suite_arguments_take_numpy_integers_and_refuse_bools(suite):
+    report = suite(np.int64(3), np.uint16(5))
+    assert report == suite(3, 5)
+    assert (type(report.sample_count), type(report.seed)) == (int, int)
+    for args, name in (((True, 5), "samples"), ((3, False), "seed")):
+        with pytest.raises(ParseError, match=f"^{name} must be an integer >= "):
+            suite(*args)

@@ -355,7 +355,7 @@ def check_cross_path_samples(samples: Sequence[CrossPathSample]) -> list[dict[st
     for m in sorted({sample.table.m for sample in samples}):
         group = [k for k, sample in enumerate(samples) if sample.table.m == m]
         stacked = quantum.OverlapMatrix(np.concatenate([samples[k].overlap.c for k in group]))
-        roots = np.concatenate([np.sqrt(samples[k].table.x.T) for k in group])
+        roots = np.concatenate([np.sqrt(np.array(samples[k].table.x).T) for k in group])
         basis = gram_schmidt_basis(stacked)
         b = stacked_amplitudes(basis, roots)
         squares = b * b
@@ -371,7 +371,7 @@ def check_cross_path_samples(samples: Sequence[CrossPathSample]) -> list[dict[st
             wf = squared_readout(table.priors, norms[lo:hi])
             general = quantum.posterior_general(table, samples[k].overlap)
             projected = posterior_independent(table, feature)
-            direct = [float(table.priors[a]) * float(table.x[feature, a]) for a in range(table.n)]
+            direct = [p * v for p, v in zip(table.priors, table.x[feature])]
             total = math.fsum(direct)
             deviations[k] = {
                 "paths_agree": max(

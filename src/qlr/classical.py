@@ -23,7 +23,7 @@ from .errors import DegenerateRange, Unsupported
 from .tables import ContingencyTable, CountTable, check_index, intersection_range
 
 METHODS = frozenset(
-    {"bayes", "naive", "mean_frequency", "mean_range", "quantum", "wavefunction", "oracle_mean"}
+    {"bayes", "naive", "mean_frequency", "mean_range", "quantum", "wavefunction"}
 )
 
 _SUM_TOL = 1e-12
@@ -95,21 +95,21 @@ class PosteriorDistribution:
 
 def bayes_posterior(table: ContingencyTable, feature: int) -> PosteriorDistribution:
     """Posterior from a single observed feature:
-    ``P(H_a | D_i) = prior_a * x[i, a] / sum_b prior_b * x[i, b]``.
+    ``P(H_a | D_i) = prior_a * x[i][a] / sum_b prior_b * x[i][b]``.
 
     Raises:
         BadIndex: ``feature`` breaks :func:`~qlr.tables.check_index`.
     """
     check_index(feature, len(table.features), "feature index")
-    weights = _products(list(zip(table.priors.tolist(), table.x[feature].tolist())))
+    weights = _products(list(zip(table.priors, table.x[feature])))
     return PosteriorDistribution.from_weights(weights, "bayes")
 
 
 def naive_posterior(table: ContingencyTable) -> PosteriorDistribution:
     """Posterior that ignores feature co-dependence:
-    ``P(H_a | all D) ∝ prior_a * prod_i x[i, a]``.
+    ``P(H_a | all D) ∝ prior_a * prod_i x[i][a]``.
     """
-    weights = _products(list(zip(table.priors.tolist(), *table.x.tolist())))
+    weights = _products(list(zip(table.priors, *table.x)))
     return PosteriorDistribution.from_weights(weights, "naive")
 
 
@@ -162,8 +162,8 @@ def mean_frequency_posterior(
         raise Unsupported(f"mean-frequency estimator needs exactly 2 features, got {counts.m}")
     if counts.n < 2:
         raise Unsupported(f"need at least 2 hypotheses, got {counts.n}")
-    w = counts.resolve_priors(priors).tolist()
-    sizes = counts.population_sizes
+    w = counts.resolve_priors(priors)
+    sizes = counts.populations
     weights = []
     for a in range(counts.n):
         r = intersection_range(counts, a, 0, 1)
@@ -190,10 +190,10 @@ def mean_range_posterior(
         raise Unsupported(
             f"mean-range estimator needs 2 features x 2 hypotheses, got {counts.m}x{counts.n}"
         )
-    w1, w2 = counts.resolve_priors(priors).tolist()
+    w1, w2 = counts.resolve_priors(priors)
     r1 = intersection_range(counts, 0, 0, 1)
     r2 = intersection_range(counts, 1, 0, 1)
-    p1, p2 = counts.population_sizes
+    p1, p2 = counts.populations
     low = _weighted_count_ratio(r1.lo, r2.hi, p1, p2, w1, w2)
     high = _weighted_count_ratio(r1.hi, r2.lo, p1, p2, w1, w2)
     prob1 = (low + high) / 2

@@ -382,11 +382,17 @@ def _expand_selectors(raw_methods: Sequence[str], m: int) -> tuple[list[str], se
             continue
         if sel.startswith("bayes:"):
             suffix = sel[len("bayes:"):]
-            if not _INT_RE.match(suffix) or int(suffix) < 1:
+            try:
+                feature = int(suffix) if _INT_RE.match(suffix) else 0
+            except ValueError:  # more digits than the interpreter converts
+                raise ParseError(
+                    f"--method bayes feature index of {len(suffix)} digits is too long"
+                ) from None
+            if feature < 1:
                 raise ParseError(
                     f"--method bayes needs a 1-based feature index, got {raw!r}"
                 )
-            sel = f"bayes:{int(suffix)}"
+            sel = f"bayes:{feature}"
         elif sel == "bayes":
             raise ParseError("--method bayes needs a feature index, e.g. bayes:1")
         elif sel not in _BASE_METHODS:
@@ -418,7 +424,7 @@ class _AnalysisRun:
         """
         loaded = self.loaded
         if loaded.kind == "counts":
-            if any(0 in row for row in loaded.count_table.count_rows):
+            if any(0 in row for row in loaded.count_table.counts):
                 raise Unsupported("probability-based methods need nonzero counts")
             base = from_counts(
                 loaded.count_table,
@@ -497,8 +503,8 @@ def _input_echo(loaded: _LoadedInput) -> dict[str, Any]:
         "hypotheses": list(loaded.hypotheses),
     }
     if loaded.kind == "counts":
-        echo["counts"] = [list(row) for row in loaded.count_table.count_rows]
-        echo["populations"] = list(loaded.count_table.population_sizes)
+        echo["counts"] = [list(row) for row in loaded.count_table.counts]
+        echo["populations"] = list(loaded.count_table.populations)
     else:
         echo["values"] = [[float(v) for v in row] for row in loaded.values]
     return echo
@@ -552,7 +558,7 @@ def cmd_analyze(args) -> dict[str, Any]:
     report: dict[str, Any] = {
         "command": "analyze",
         "version": __version__,
-        "input": {**_input_echo(loaded), "priors": priors.tolist()},
+        "input": {**_input_echo(loaded), "priors": list(priors)},
         "methods": methods,
         "warnings": run.warnings,
     }

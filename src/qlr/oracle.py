@@ -30,9 +30,9 @@ def enumerate_joint_counts(
         BadIndex: invalid hypothesis or feature indices, or i == j.
     """
     counts.check_pair(hypothesis, i, j)
-    c_i = counts.count_rows[i][hypothesis]
-    c_j = counts.count_rows[j][hypothesis]
-    pop = counts.population_sizes[hypothesis]
+    c_i = counts.counts[i][hypothesis]
+    c_j = counts.counts[j][hypothesis]
+    pop = counts.populations[hypothesis]
     return [k for k in range(pop + 1) if k <= c_i and k <= c_j and pop - c_i - c_j + k >= 0]
 
 
@@ -40,15 +40,11 @@ def enumerate_joint_counts(
 class OracleEstimates:
     """Mean estimators recomputed by enumeration.
 
-    ``mean_range`` and ``enumeration_mean`` exist only for binary
-    hypotheses; ``skipped_pairs`` counts joint-count pairs dropped from the
-    enumeration mean because both counts were zero.
+    ``mean_range`` exists only for binary hypotheses.
     """
 
     mean_frequency: PosteriorDistribution
     mean_range: PosteriorDistribution | None
-    enumeration_mean: PosteriorDistribution | None
-    skipped_pairs: int
 
 
 def oracle_mean_estimators(counts, priors=None) -> OracleEstimates:
@@ -56,8 +52,7 @@ def oracle_mean_estimators(counts, priors=None) -> OracleEstimates:
 
     The mean-frequency estimator averages each hypothesis's feasible joint
     counts directly; the mean-range estimator scans every feasible
-    joint-count pair for the extreme prior-weighted ratios; the enumeration
-    mean averages P(H_1) = k1 / (k1 + k2) uniformly over all pairs.
+    joint-count pair for the extreme prior-weighted ratios.
 
     Raises:
         Unsupported: not 2 features, or fewer than 2 hypotheses.
@@ -68,8 +63,8 @@ def oracle_mean_estimators(counts, priors=None) -> OracleEstimates:
         raise Unsupported(f"enumeration needs exactly 2 features, got {counts.m}")
     if counts.n < 2:
         raise Unsupported(f"enumeration needs at least 2 hypotheses, got {counts.n}")
-    w = counts.resolve_priors(priors).tolist()
-    pops = counts.population_sizes
+    w = counts.resolve_priors(priors)
+    pops = counts.populations
     feasible = [enumerate_joint_counts(counts, a, 0, 1) for a in range(counts.n)]
 
     weights = [w[a] * (sum(f) / len(f) / pops[a]) for a, f in enumerate(feasible)]
@@ -81,7 +76,7 @@ def oracle_mean_estimators(counts, priors=None) -> OracleEstimates:
     )
 
     if counts.n != 2:
-        return OracleEstimates(mean_frequency, None, None, 0)
+        return OracleEstimates(mean_frequency, None)
 
     f1, f2 = feasible
     p1, p2 = pops
@@ -96,29 +91,10 @@ def oracle_mean_estimators(counts, priors=None) -> OracleEstimates:
         raise DegenerateRange(
             "an extreme joint-count pairing leaves nothing to normalize"
         )
-    # One scan of every feasible pair: the prior-weighted ratio for the
-    # range, and the plain ratio k1 / (k1 + k2) for the enumeration mean.
-    ratios = []
-    plain = []
-    skipped = 0
-    weighted2 = [(k2, w2 * (k2 / p2)) for k2 in f2]
-    for k1 in f1:
-        a = w1 * (k1 / p1)
-        for k2, b in weighted2:
-            if a + b > 0.0:
-                ratios.append(a / (a + b))
-            if k1 + k2:
-                plain.append(k1 / (k1 + k2))
-            else:
-                skipped += 1
+    # One scan of every feasible pair for the prior-weighted ratio.
+    weighted1 = [w1 * (k1 / p1) for k1 in f1]
+    weighted2 = [w2 * (k2 / p2) for k2 in f2]
+    ratios = [a / (a + b) for a in weighted1 for b in weighted2 if a + b > 0.0]
     prob1 = (min(ratios) + max(ratios)) / 2
     mean_range = PosteriorDistribution.from_probabilities((prob1, 1.0 - prob1), "mean_range")
-
-    if not plain:
-        raise DegenerateRange("every feasible joint-count pair sums to zero")
-    mean1 = sum(plain) / len(plain)
-    enumeration_mean = PosteriorDistribution.from_probabilities(
-        (mean1, 1.0 - mean1), "oracle_mean"
-    )
-
-    return OracleEstimates(mean_frequency, mean_range, enumeration_mean, skipped)
+    return OracleEstimates(mean_frequency, mean_range)

@@ -69,19 +69,21 @@ def _clears_tolerance(block: list[list[float]]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OverlapMatrix:
     """Per-hypothesis symmetric unit-diagonal overlap coefficients.
 
-    ``c`` has shape (n_hypotheses, m_features, m_features); ``c[a][i][j]`` is
-    the inner product between the feature-``i`` and feature-``j`` states of
-    hypothesis ``a``.  0 means independent features, 1 coincident.
+    ``c`` is a read-only float64 array of shape (n_hypotheses, m_features,
+    m_features); ``c[a][i][j]`` is the inner product between the feature-``i``
+    and feature-``j`` states of hypothesis ``a``.  0 means independent
+    features, 1 coincident.  ``c`` stays an array because both its readers
+    are numpy kernels; ``==`` and ``hash`` go by identity.
     """
 
     c: np.ndarray
     # Filled by the first read of ``positive_definite``; ``replace`` resets it.
     _positive_definite: tuple[bool, ...] | None = field(
-        init=False, default=None, repr=False, compare=False
+        init=False, default=None, repr=False
     )
 
     def __post_init__(self):
@@ -214,9 +216,9 @@ def overlap_coefficients(table: ContingencyTable) -> CoefficientSolution:
 def _cells_2x2(table: ContingencyTable, result: str) -> tuple[float, float, float, float]:
     """The closed form's cells ``x1, y1, x2, y2``, hypothesis 1's two then
     hypothesis 2's; raises Unsupported, naming ``result``, unless 2x2."""
-    if table.x.shape != (2, 2):
+    if (table.m, table.n) != (2, 2):
         raise Unsupported(f"closed-form {result} only for 2x2 tables, got {table.m}x{table.n}")
-    (x1, x2), (y1, y2) = table.x.tolist()
+    (x1, x2), (y1, y2) = table.x
     return x1, y1, x2, y2
 
 
@@ -261,11 +263,6 @@ def hbar_moderated_coefficients(c1: float, c2: float, hbar: float) -> tuple[floa
     return (c1 * scale, c2 * scale)
 
 
-def _prior_weights(table: ContingencyTable) -> np.ndarray:
-    """Per-hypothesis block weights, normalized so uniform priors give 1."""
-    return table.priors * table.n
-
-
 def _block_sums(table: ContingencyTable, overlap: OverlapMatrix) -> list[float]:
     """Per-hypothesis amplitude block sums
     ``sum_{i,j} sqrt(x[i,a] * x[j,a]) * c[a][i][j]``.
@@ -275,7 +272,7 @@ def _block_sums(table: ContingencyTable, overlap: OverlapMatrix) -> list[float]:
     """
     # One row per hypothesis, contiguous, so that each row sum and each
     # quadratic form is the same reduction a single column would get.
-    cols = np.ascontiguousarray(table.x.T)
+    cols = np.array(table.x).T.copy()
     s = np.sqrt(cols)
     off = overlap.c.copy()
     diagonal = np.arange(table.m)
@@ -310,9 +307,9 @@ def posterior_general(
                 f"hypothesis {a} block sum {block!r} is not positive; "
                 "overlaps are too negative for this table"
             )
-    w = _prior_weights(table).tolist()
+    n = table.n
     return PosteriorDistribution.from_weights(
-        [wa * block for wa, block in zip(w, blocks)], "quantum"
+        [p * n * block for p, block in zip(table.priors, blocks)], "quantum"
     )
 
 
@@ -343,8 +340,8 @@ def posterior_2x2(table: ContingencyTable, hbar: float | None = None) -> Posteri
         _check_products(p1, p2)
         block1 = scale * (p1 / p2) + x1 + y1
         block2 = scale * (p2 / p1) + x2 + y2
-    w1 = float(table.priors[0]) * 2.0
-    w2 = float(table.priors[1]) * 2.0
+    w1 = table.priors[0] * 2.0
+    w2 = table.priors[1] * 2.0
     total = w1 * block1 + w2 * block2
     if not math.isfinite(total):
         raise OverlapUnderflow(

@@ -3,7 +3,7 @@
 Conventions used throughout the package:
 
 - Rows index features (the observed properties), columns index hypotheses
-  (the competing populations).  ``x[i, a]`` is the conditional probability of
+  (the competing populations).  ``x[i][a]`` is the conditional probability of
   feature ``i`` given hypothesis ``a``.
 - Cells must lie in (0, 1]; zero cells are rejected at construction because
   every downstream overlap formula divides by cell products.  Callers that
@@ -11,7 +11,10 @@ Conventions used throughout the package:
 - Priors are nonnegative and sum to 1 within 1e-12.  Count-derived tables use
   population shares as priors.
 
-All types are immutable after construction and safe to share across threads.
+Input is converted and checked with numpy, but every table field is a
+tuple of Python numbers, one row tuple per feature.  All types are immutable
+after construction, safe to share across threads, and compare and hash by
+value.
 """
 
 from __future__ import annotations
@@ -43,13 +46,9 @@ def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _uniform_priors(n: int) -> np.ndarray:
-    """Read-only uniform weights, built once per ``n``.  Callers hand out a
-    view: numpy refuses to make a view of a read-only base writable again,
-    so no caller can change what the others share."""
-    priors = np.full(n, 1.0 / n)
-    priors.setflags(write=False)
-    return priors
+def _uniform_priors(n: int) -> tuple[float, ...]:
+    """Uniform weights, built once per ``n``."""
+    return (1.0 / n,) * n
 
 
 def _labels(given: Sequence[str] | None, prefix: str, count: int) -> tuple[str, ...]:
@@ -59,8 +58,9 @@ def _labels(given: Sequence[str] | None, prefix: str, count: int) -> tuple[str, 
     return tuple(map(str, given))
 
 
-def _validated_priors(priors: Sequence[float], n: int) -> np.ndarray:
-    """The prior rule: n finite nonnegative weights summing to 1.
+def _validated_priors(priors: Sequence[float], n: int) -> tuple[float, ...]:
+    """The prior rule: n finite nonnegative weights summing to 1, returned as
+    floats.
 
     Raises:
         InvalidPriors: not n numbers, a negative or non-finite weight, or a
@@ -80,7 +80,7 @@ def _validated_priors(priors: Sequence[float], n: int) -> np.ndarray:
     total = float(arr.sum())
     if abs(total - 1.0) > PRIOR_SUM_TOL:
         raise InvalidPriors(f"priors must sum to 1 within {PRIOR_SUM_TOL}, got {total!r}")
-    return arr
+    return tuple(weights)
 
 
 def is_integer(value) -> bool:
@@ -96,6 +96,19 @@ def check_index(value, size: int, what: str) -> None:
         if 0 <= value < size:
             return
     raise BadIndex(f"{what} must be an integer in [0, {size}), got {value!r}")
+
+
+def _holds_bool(values) -> bool:
+    """Whether ``values`` is or nests a bool; numpy casts a bool mixed with
+    integers to an integer, so the array's dtype does not show it."""
+    # The plain int, the common case, skips the isinstance tests.
+    if type(values) is int:
+        return False
+    if isinstance(values, (list, tuple)):
+        return any(map(_holds_bool, values))
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind == "b"
+    return isinstance(values, (bool, np.bool_))
 
 
 def _numeric_array(values, dtype, what: str, non_numeric: type[QlrError]) -> np.ndarray:
@@ -114,13 +127,13 @@ def _numeric_array(values, dtype, what: str, non_numeric: type[QlrError]) -> np.
 
 @dataclass(frozen=True)
 class ContingencyTable:
-    """Grid of conditional probabilities ``x[i, a]`` plus prior weights.
+    """Grid of conditional probabilities ``x[i][a]`` plus prior weights.
 
     Attributes:
         features: m feature labels (row order is significant for reporting).
         hypotheses: n hypothesis labels.
-        x: (m, n) matrix of conditional probabilities, each in (0, 1].
-        priors: n nonnegative weights summing to 1.
+        x: m rows of n conditional probabilities, each a float in (0, 1].
+        priors: n nonnegative floats summing to 1.
 
     At construction ``None`` labels default to ``D1..Dm`` / ``H1..Hn`` and
     ``None`` priors to uniform weights.
@@ -128,8 +141,8 @@ class ContingencyTable:
 
     features: tuple[str, ...]
     hypotheses: tuple[str, ...]
-    x: np.ndarray
-    priors: np.ndarray
+    x: tuple[tuple[float, ...], ...]
+    priors: tuple[float, ...]
 
     def __post_init__(self):
         x = _numeric_array(self.x, float, "probability matrix", InvalidCell)
@@ -145,7 +158,8 @@ class ContingencyTable:
                 f"labels ({len(features)} features, {len(hypotheses)} "
                 f"hypotheses) do not match a {m}x{n} matrix"
             )
-        for i, row in enumerate(x.tolist()):
+        rows = tuple(map(tuple, x.tolist()))
+        for i, row in enumerate(rows):
             for a, v in enumerate(row):
                 if not 0.0 < v <= 1.0:
                     raise InvalidCell(
@@ -153,49 +167,43 @@ class ContingencyTable:
                         "(zero and negative cells are rejected at construction)"
                     )
         if self.priors is None:
-            priors = _uniform_priors(n).view()
+            priors = _uniform_priors(n)
         else:
             priors = _validated_priors(self.priors, n)
-            priors.setflags(write=False)
-        x.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "hypotheses", hypotheses)
-        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "x", rows)
         object.__setattr__(self, "priors", priors)
 
     @property
     def m(self) -> int:
         """Number of features (rows)."""
-        return self.x.shape[0]
+        return len(self.x)
 
     @property
     def n(self) -> int:
         """Number of hypotheses (columns)."""
-        return self.x.shape[1]
+        return len(self.priors)
 
 
 @dataclass(frozen=True)
 class CountTable:
     """Integer feature counts and population sizes per hypothesis.
 
-    ``counts[i, a]`` is the number of population members of hypothesis ``a``
+    ``counts[i][a]`` is the number of population members of hypothesis ``a``
     exhibiting feature ``i``; ``populations[a]`` is the population size.
-
-    ``count_rows`` and ``population_sizes`` hold the same values as Python
-    integers, the ones validation checked, so per-count arithmetic never
-    indexes the arrays.
+    Both hold Python ints, one row tuple per feature.  A bool is not an
+    integer here, even where numpy would cast it to one.
 
     ``population_shares``, the default priors, is computed at construction:
-    each hypothesis's share of the total population, read-only.  Integer
+    each hypothesis's share of the total population, as floats.  Integer
     true division is correctly rounded, so ``p / total`` equals numpy's
     ``populations / populations.sum()`` bit for bit.
     """
 
-    counts: np.ndarray
-    populations: np.ndarray
-    count_rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    population_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    population_shares: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: tuple[tuple[int, ...], ...]
+    populations: tuple[int, ...]
+    population_shares: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         counts = _numeric_array(self.counts, None, "counts", BadShape)
@@ -207,7 +215,11 @@ class CountTable:
             raise BadShape(f"need at least one feature and one hypothesis, got {m}x{n}")
         if populations.shape != (n,):
             raise BadShape(f"populations must have length {n}, got shape {populations.shape}")
-        if counts.dtype.kind not in "iu" or populations.dtype.kind not in "iu":
+        if (
+            counts.dtype.kind not in "iu"
+            or populations.dtype.kind not in "iu"
+            or _holds_bool((self.counts, self.populations))
+        ):
             raise BadShape(
                 f"counts and populations must be integers no larger than {MAX_POPULATION}"
             )
@@ -223,28 +235,20 @@ class CountTable:
             for a, (count, size) in enumerate(zip(row, sizes)):
                 if count > size:
                     raise BadShape(f"count [{i}, {a}] = {count} exceeds population {size}")
-        counts = counts.astype(np.int64, copy=False)
-        populations = populations.astype(np.int64, copy=False)
-        counts.setflags(write=False)
-        populations.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "populations", populations)
-        object.__setattr__(self, "count_rows", tuple(map(tuple, rows)))
-        object.__setattr__(self, "population_sizes", tuple(sizes))
         total = sum(sizes)
-        shares = np.array([p / total for p in sizes])
-        shares.setflags(write=False)
-        object.__setattr__(self, "population_shares", shares)
+        object.__setattr__(self, "counts", tuple(map(tuple, rows)))
+        object.__setattr__(self, "populations", tuple(sizes))
+        object.__setattr__(self, "population_shares", tuple([p / total for p in sizes]))
 
     @property
     def m(self) -> int:
-        return len(self.count_rows)
+        return len(self.counts)
 
     @property
     def n(self) -> int:
-        return len(self.population_sizes)
+        return len(self.populations)
 
-    def resolve_priors(self, priors: Sequence[float] | None) -> np.ndarray:
+    def resolve_priors(self, priors: Sequence[float] | None) -> tuple[float, ...]:
         """Validated explicit priors, or population shares when omitted.
 
         Raises:
@@ -260,8 +264,8 @@ class CountTable:
         Raises:
             BadIndex: an index breaks :func:`check_index`, or ``i == j``.
         """
-        m = len(self.count_rows)
-        check_index(hypothesis, len(self.population_sizes), "hypothesis index")
+        m = len(self.counts)
+        check_index(hypothesis, len(self.populations), "hypothesis index")
         check_index(i, m, "feature index i")
         check_index(j, m, "feature index j")
         if i == j:
@@ -319,10 +323,11 @@ def from_counts(
 ) -> ContingencyTable:
     """Convert counts to conditional probabilities with population-share priors.
 
-    ``x[i, a] = counts[i, a] / populations[a]`` and
-    ``priors[a] = populations[a] / sum(populations)``.  The cells divide the
-    validated Python integers; for integers below 2^53 that is numpy's int64
-    division bit for bit, since both are correctly rounded.
+    ``x[i][a] = counts[i][a] / populations[a]``, and the priors are the
+    count table's ``population_shares``, ``populations[a] / sum(populations)``,
+    shared rather than validated again.  The cells divide Python integers;
+    for integers below 2^53 that is numpy's int64 division bit for bit,
+    since both are correctly rounded.
 
     Raises:
         InvalidCell: any count is zero (the zero-cell rule propagates).
@@ -330,20 +335,20 @@ def from_counts(
     """
     if counts.n < 2:
         raise BadShape(f"need at least 2 hypotheses to form a table, got {counts.n}")
-    for i, row in enumerate(counts.count_rows):
+    for i, row in enumerate(counts.counts):
         if 0 in row:
             raise InvalidCell(
                 f"count [{i}, {row.index(0)}] is zero; zero cells are rejected at construction"
             )
-    sizes = counts.population_sizes
+    sizes = counts.populations
     table = ContingencyTable(
         features=features,
         hypotheses=hypotheses,
-        x=[[c / p for c, p in zip(row, sizes)] for row in counts.count_rows],
+        x=[[c / p for c, p in zip(row, sizes)] for row in counts.counts],
         priors=None,
     )
-    # Validated shares skip the prior rule; numpy won't make this view writable.
-    object.__setattr__(table, "priors", counts.population_shares.view())
+    # The shares were computed from validated populations; skip the prior rule.
+    object.__setattr__(table, "priors", counts.population_shares)
     return table
 
 
@@ -359,7 +364,7 @@ def intersection_range(counts: CountTable, hypothesis: int, i: int, j: int) -> I
         BadIndex: an index breaks :func:`check_index`, or ``i == j``.
     """
     counts.check_pair(hypothesis, i, j)
-    a = counts.count_rows[i][hypothesis]
-    b = counts.count_rows[j][hypothesis]
-    p = counts.population_sizes[hypothesis]
+    a = counts.counts[i][hypothesis]
+    b = counts.counts[j][hypothesis]
+    p = counts.populations[hypothesis]
     return IntegerRange(lo=max(0, a + b - p), hi=min(a, b))

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -60,13 +60,13 @@ def _orthonormality_residuals(ac: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.abs(product - np.eye(a.shape[1])).max(axis=(1, 2), initial=0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
     """Per-hypothesis change-of-basis matrices orthonormalizing an overlap.
 
     ``matrices`` is a ``(K, m, m)`` stack; ``matrices[a]`` holds basis row
     vectors for hypothesis ``a`` expressed in the original (overlapping)
-    feature states.
+    feature states.  ``==`` and ``hash`` go by identity.
 
     Computed at construction, read-only:
 
@@ -80,8 +80,8 @@ class OrthonormalBasis:
 
     matrices: np.ndarray
     source_overlap: OverlapMatrix
-    metric_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    hypothesis_residuals: np.ndarray = field(init=False, repr=False, compare=False)
+    metric_rows: np.ndarray = field(init=False, repr=False)
+    hypothesis_residuals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.matrices, dtype=float)
@@ -176,12 +176,14 @@ def stacked_amplitudes(basis: OrthonormalBasis, roots: np.ndarray) -> np.ndarray
     return (basis.metric_rows @ roots[:, :, None])[:, :, 0]
 
 
-def squared_readout(priors: np.ndarray, norms: np.ndarray) -> PosteriorDistribution:
+def squared_readout(priors: Sequence[float], norms: np.ndarray) -> PosteriorDistribution:
     """``P(H_a) ∝ priors[a] * n * norms[a]`` from per-hypothesis sums of
     squared amplitudes: the readout of :func:`posterior_via_wavefunction`
     and of the cross-path suite."""
-    w = priors * len(priors)
-    return PosteriorDistribution.from_weights((w * norms).tolist(), "wavefunction")
+    n = len(priors)
+    return PosteriorDistribution.from_weights(
+        [p * n * norm for p, norm in zip(priors, norms.tolist())], "wavefunction"
+    )
 
 
 def solve_b_coefficients(table: ContingencyTable, basis: OrthonormalBasis) -> np.ndarray:
@@ -200,7 +202,7 @@ def solve_b_coefficients(table: ContingencyTable, basis: OrthonormalBasis) -> np
             f"basis covers {basis.m} features x {basis.n} hypotheses, "
             f"table is {table.m}x{table.n}"
         )
-    b = stacked_amplitudes(basis, np.sqrt(table.x.T))
+    b = stacked_amplitudes(basis, np.sqrt(np.array(table.x).T))
     b.setflags(write=False)
     return b
 
@@ -230,7 +232,7 @@ def posterior_via_wavefunction(
 def posterior_independent(table: ContingencyTable, feature: int) -> PosteriorDistribution:
     """Single-feature posterior via explicit projection and collapse.
 
-    Builds the joint state with amplitudes ``sqrt(priors[a]) * sqrt(x[i, a])``
+    Builds the joint state with amplitudes ``sqrt(priors[a]) * sqrt(x[i][a])``
     over orthogonal hypothesis-feature states, projects onto the observed
     feature's subspace, and renormalizes the squared amplitudes.  Agrees with
     the direct single-feature update to rounding error; realizing that
@@ -240,7 +242,6 @@ def posterior_independent(table: ContingencyTable, feature: int) -> PosteriorDis
         BadIndex: ``feature`` breaks :func:`~qlr.tables.check_index`.
     """
     check_index(feature, len(table.features), "feature index")
-    cells = table.x[feature].tolist()
-    amplitudes = [math.sqrt(w) * math.sqrt(v) for w, v in zip(table.priors.tolist(), cells)]
+    amplitudes = [math.sqrt(w) * math.sqrt(v) for w, v in zip(table.priors, table.x[feature])]
     return PosteriorDistribution.from_weights([amp * amp for amp in amplitudes], "wavefunction")
 

@@ -181,7 +181,6 @@ def test_criterion_4_symmetry_suite():
                 oracle_valid += 1
                 comp(estimates.mean_frequency)
                 comp(estimates.mean_range)
-                comp(estimates.enumeration_mean)
 
         assert worst_row < 1e-12
         assert worst_comp < 1e-12

@@ -106,7 +106,7 @@ class TestBayesPosterior:
             table = new_table(1.0 - rng.random((m, n)), raw / raw.sum())
             i = int(rng.integers(0, m))
             pd = bayes_posterior(table, i)
-            expected = table.priors * table.x[i]
+            expected = np.multiply(table.priors, table.x[i])
             expected = expected / expected.sum()
             np.testing.assert_allclose(pd.probabilities, expected, atol=1e-15)
 
@@ -153,9 +153,9 @@ class TestNaivePosterior:
             table = new_table(10.0 ** rng.uniform(-100.0, 0.0, (3, 3)), raw / raw.sum())
             weights = []
             for a in range(3):
-                w = float(table.priors[a])
+                w = table.priors[a]
                 for i in range(3):
-                    w *= float(table.x[i, a])
+                    w *= table.x[i][a]
                 weights.append(w)
             assert naive_posterior(table) == PosteriorDistribution.from_weights(weights, "naive")
 
@@ -191,8 +191,8 @@ class TestMeanFrequencyPosterior:
         pd = mean_frequency_posterior(counts)
         mus = []
         for a in range(3):
-            lo = max(0, int(counts.counts[0, a]) + int(counts.counts[1, a]) - 10)
-            hi = min(int(counts.counts[0, a]), int(counts.counts[1, a]))
+            lo = max(0, counts.counts[0][a] + counts.counts[1][a] - 10)
+            hi = min(counts.counts[0][a], counts.counts[1][a])
             mus.append((lo + hi) / 2 / 10)
         expected = np.array(mus) / sum(mus)
         np.testing.assert_allclose(pd.probabilities, expected, atol=1e-15)

@@ -453,6 +453,13 @@ def test_input_past_an_interpreter_limit_exits_2(capsys, tmp_path, name):
     assert "Traceback" not in err
 
 
+def test_selector_past_the_integer_digit_limit_exits_2(capsys, repo_cwd):
+    code, out, err = run_cli(capsys, "analyze", STREETS_CSV, "--method", f"bayes:{LONG_INTEGER}")
+    assert (code, out) == (2, "")
+    assert err.startswith("qlr: error:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", ["underflow.csv", "underflow.json"])
 def test_underflowing_overlap_is_skipped_under_all(capsys, tmp_path, name):
     path = tmp_path / name

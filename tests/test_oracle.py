@@ -1,8 +1,6 @@
 """Brute-force enumeration oracle, cross-validated against the closed-form
 range and mean estimators."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -97,28 +95,11 @@ class TestOracleMeanEstimators:
             oracle.mean_range.probabilities, closed.probabilities, atol=1e-15
         )
 
-    def test_street_enumeration_mean(self):
-        oracle = oracle_mean_estimators(street_counts())
-        np.testing.assert_allclose(
-            oracle.enumeration_mean.probabilities[0],
-            0.5949585137085137,
-            atol=1e-15,
-        )
-        assert oracle.skipped_pairs == 0
-        exact = Fraction(0)
-        for k1 in (4, 5, 6):
-            for k2 in (2, 3, 4, 5):
-                exact += Fraction(k1, k1 + k2)
-        assert exact / 12 == Fraction(65969, 110880)
-
     def test_symmetric_table_is_even_odds(self):
         counts = CountTable(np.array([[6, 6], [4, 4]]), np.array([10, 10]))
         oracle = oracle_mean_estimators(counts)
         assert oracle.mean_frequency.probabilities == (0.5, 0.5)
         assert oracle.mean_range.probabilities == (0.5, 0.5)
-        np.testing.assert_allclose(
-            oracle.enumeration_mean.probabilities, (0.5, 0.5), atol=1e-12
-        )
 
     def test_lopsided_table(self):
         counts = CountTable(np.array([[9, 9], [9, 1]]), np.array([10, 10]))
@@ -129,16 +110,6 @@ class TestOracleMeanEstimators:
         np.testing.assert_allclose(
             oracle.mean_range.probabilities[0], 17 / 18, atol=1e-15
         )
-        expected = (1.0 + 8 / 9 + 1.0 + 0.9) / 4
-        np.testing.assert_allclose(
-            oracle.enumeration_mean.probabilities[0], expected, atol=1e-15
-        )
-
-    def test_skipped_pairs_counted(self):
-        counts = CountTable(np.array([[1, 1], [1, 1]]), np.array([10, 10]))
-        oracle = oracle_mean_estimators(counts)
-        assert oracle.skipped_pairs == 1
-        assert oracle.enumeration_mean.probabilities == (0.5, 0.5)
 
     def test_degenerate_extreme_pairing_matches_closed_form(self):
         counts = CountTable(np.array([[0, 1], [1, 1]]), np.array([2, 2]))
@@ -176,8 +147,6 @@ class TestOracleMeanEstimators:
         closed = mean_frequency_posterior(counts)
         assert oracle.mean_frequency.probabilities == closed.probabilities
         assert oracle.mean_range is None
-        assert oracle.enumeration_mean is None
-        assert oracle.skipped_pairs == 0
 
     def test_unsupported_shapes(self):
         three_features = CountTable(

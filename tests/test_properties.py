@@ -89,7 +89,7 @@ def tables(draw, shapes=((1, 2), (2, 2), (2, 3), (3, 2), (3, 3))):
 def _swapped(table):
     """The table with its first two feature rows exchanged."""
     order = [1, 0, *range(2, table.m)]
-    return new_table(table.x[order], table.priors)
+    return new_table([table.x[k] for k in order], table.priors)
 
 
 def _identity(table):
@@ -163,7 +163,7 @@ def reference_block_sum_posterior(table, overlap):
     blocks = []
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(table.n):
-            col = table.x[:, a]
+            col = np.array(table.x)[:, a]
             s = np.sqrt(col)
             off = np.array(overlap.c[a])
             np.fill_diagonal(off, 0.0)
@@ -172,7 +172,7 @@ def reference_block_sum_posterior(table, overlap):
         if block <= 0.0:
             raise NonPositiveTotal(f"hypothesis {a} block sum {block!r} is not positive")
     return PosteriorDistribution.from_weights(
-        [float(table.priors[a] * table.n) * blocks[a] for a in range(table.n)], "quantum"
+        [table.priors[a] * table.n * blocks[a] for a in range(table.n)], "quantum"
     )
 
 
@@ -281,9 +281,9 @@ def test_cross_path_draw_gives_valid_tables_and_well_conditioned_overlaps(seed, 
         table, overlap = sample.table, sample.overlap
         assert 2 <= table.m <= 3 and 2 <= table.n <= 4
         assert 0 <= sample.feature < table.m
-        assert ((table.x > 0.0) & (table.x <= 1.0)).all()
-        assert (table.priors > 0.0).all()
-        assert abs(math.fsum(table.priors.tolist()) - 1.0) <= SUM_TOL
+        assert all(0.0 < v <= 1.0 for row in table.x for v in row)
+        assert all(p > 0.0 for p in table.priors)
+        assert abs(math.fsum(table.priors) - 1.0) <= SUM_TOL
         assert overlap.c.shape == (table.n, table.m, table.m)
         # (G G^T + I) / 2 of unit rows: eigenvalues in [1/2, (m + 1)/2].
         eigenvalues = np.linalg.eigvalsh(overlap.c)
@@ -347,49 +347,49 @@ def count_tables(draw):
     return CountTable(np.array(counts, dtype=dtype), np.array(populations, dtype=dtype))
 
 
-def _assert_views_match_fields(ct):
-    assert ct.counts.dtype == np.int64 and ct.populations.dtype == np.int64
-    assert type(ct.count_rows) is tuple
-    assert all(type(row) is tuple for row in ct.count_rows)
-    assert all(type(v) is int for row in ct.count_rows for v in row)
-    assert ct.count_rows == tuple(map(tuple, ct.counts.tolist()))
-    assert type(ct.population_sizes) is tuple
-    assert all(type(v) is int for v in ct.population_sizes)
-    assert ct.population_sizes == tuple(ct.populations.tolist())
-    assert (ct.m, ct.n) == ct.counts.shape
-    shares = ct.population_shares
-    reference = ct.populations / ct.populations.sum()
-    assert shares.dtype == reference.dtype and shares.tobytes() == reference.tobytes()
-    assert not shares.flags.writeable
-    assert ct.resolve_priors(None) is shares
+def _assert_fields_hold_python_ints(ct):
+    """Counts and populations are tuples of Python ints, one row per
+    feature, and the shares are numpy's division bit for bit."""
+    assert type(ct.counts) is tuple
+    assert all(type(row) is tuple and len(row) == ct.n for row in ct.counts)
+    assert all(type(v) is int for row in ct.counts for v in row)
+    assert type(ct.populations) is tuple
+    assert all(type(v) is int for v in ct.populations)
+    assert (ct.m, ct.n) == (len(ct.counts), len(ct.populations))
+    populations = np.array(ct.populations)
+    reference = (populations / populations.sum()).tolist()
+    assert list(map(float.hex, ct.population_shares)) == list(map(float.hex, reference))
+    assert ct.resolve_priors(None) is ct.population_shares
 
 
 @PROPERTY_SETTINGS
 @given(count_tables())
-def test_count_views_hold_the_validated_integers(ct):
-    _assert_views_match_fields(ct)
+def test_count_fields_hold_the_validated_integers(ct):
+    _assert_fields_hold_python_ints(ct)
     for a in range(ct.n):
         for i in range(ct.m):
             for j in range(ct.m):
                 if i == j:
                     continue
-                c_i, c_j, p = (int(v) for v in (ct.counts[i, a], ct.counts[j, a], ct.populations[a]))
+                c_i, c_j, p = ct.counts[i][a], ct.counts[j][a], ct.populations[a]
                 r = intersection_range(ct, a, i, j)
                 assert (r.lo, r.hi) == (max(0, c_i + c_j - p), min(c_i, c_j))
 
 
 @PROPERTY_SETTINGS
 @given(count_tables())
-def test_replace_rederives_the_count_views(ct):
-    _assert_views_match_fields(ct)  # the original's views, before replacing
-    complement = dataclasses.replace(ct, counts=ct.populations - ct.counts)
-    _assert_views_match_fields(complement)
-    assert complement.count_rows == tuple(
-        tuple(p - c for c, p in zip(row, ct.population_sizes)) for row in ct.count_rows
+def test_replace_rederives_the_count_fields(ct):
+    _assert_fields_hold_python_ints(ct)  # the original's fields, before replacing
+    complement = dataclasses.replace(ct, counts=np.subtract(ct.populations, ct.counts))
+    _assert_fields_hold_python_ints(complement)
+    assert complement.counts == tuple(
+        tuple(p - c for c, p in zip(row, ct.populations)) for row in ct.counts
     )
-    grown = dataclasses.replace(ct, populations=np.minimum(2 * ct.populations, MAX_POPULATION))
-    _assert_views_match_fields(grown)
-    assert grown.count_rows == ct.count_rows
+    grown = dataclasses.replace(
+        ct, populations=np.minimum(np.multiply(2, ct.populations), MAX_POPULATION)
+    )
+    _assert_fields_hold_python_ints(grown)
+    assert grown.counts == ct.counts
 
 
 # ------------------------------------------------ numeric argument contract

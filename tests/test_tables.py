@@ -35,23 +35,20 @@ class TestContingencyTable:
         assert table.hypotheses == ("H1", "H2")
         np.testing.assert_allclose(table.priors, [0.5, 0.5])
 
-    def test_arrays_are_read_only(self):
+    def test_fields_are_tuples_that_refuse_assignment(self):
         table = new_table([[0.8, 0.7], [0.6, 0.5]])
-        with pytest.raises(ValueError):
-            table.x[0, 0] = 0.9
-        with pytest.raises(ValueError):
+        assert table.x == ((0.8, 0.7), (0.6, 0.5))
+        with pytest.raises(TypeError):
+            table.x[0][0] = 0.9
+        with pytest.raises(TypeError):
             table.priors[0] = 0.9
 
-    def test_default_priors_cannot_be_made_writable(self):
-        # Tables of one size share their default priors' storage.
+    def test_default_priors_are_one_shared_tuple_per_size(self):
         first = new_table([[0.8, 0.7], [0.6, 0.5]])
         second = new_table([[0.1, 0.2]])
-        for table in (first, second):
-            with pytest.raises(ValueError):
-                table.priors.setflags(write=True)
-            with pytest.raises(ValueError):
-                table.priors[0] = 0.9
-        assert first.priors.tolist() == second.priors.tolist() == [0.5, 0.5]
+        assert first.priors is second.priors
+        assert first.priors == (0.5, 0.5)
+        assert new_table([[0.1, 0.2, 0.3]]).priors == (1 / 3,) * 3
 
     def test_custom_labels_and_priors(self):
         table = new_table(
@@ -90,7 +87,7 @@ class TestContingencyTable:
 
     def test_one_is_a_valid_probability(self):
         table = new_table([[1.0, 1.0]])
-        assert table.x[0, 0] == 1.0
+        assert table.x[0][0] == 1.0
 
     def test_rejects_bad_priors(self):
         rows = [[0.5, 0.5]]
@@ -114,14 +111,16 @@ class TestCountTable:
         counts = street_count_table()
         assert counts.m == 2
         assert counts.n == 2
-        assert counts.counts.dtype == np.int64
+        assert counts.counts == ((8, 7), (6, 5))
+        assert counts.populations == (10, 10)
+        assert all(type(v) is int for row in counts.counts for v in row)
 
     def test_population_shares_are_a_field_replace_rederives(self):
         counts = street_count_table()
         assert "population_shares" in {f.name for f in dataclasses.fields(CountTable)}
         grown = dataclasses.replace(counts, populations=np.array([10, 30]))
-        assert grown.population_shares.tolist() == [0.25, 0.75]
-        assert counts.population_shares.tolist() == [0.5, 0.5]
+        assert grown.population_shares == (0.25, 0.75)
+        assert counts.population_shares == (0.5, 0.5)
 
     def test_zero_counts_allowed(self):
         CountTable(np.array([[0, 3]]), np.array([5, 5]))
@@ -149,6 +148,32 @@ class TestCountTable:
     def test_rejects_population_shape_mismatch(self):
         with pytest.raises(BadShape):
             CountTable(np.array([[1, 2]]), np.array([5]))
+
+
+class TestValueSemantics:
+    """Tables compare and hash by value, so equal inputs give one set member."""
+
+    def assert_one_value(self, first, second):
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+
+    def test_equal_probability_tables(self):
+        rows = [[0.8, 0.7], [0.6, 0.5]]
+        self.assert_one_value(
+            new_table(rows, [0.25, 0.75]), new_table(np.array(rows), (0.25, 0.75))
+        )
+        assert new_table(rows, [0.25, 0.75]) != new_table(rows)
+        assert new_table(rows) != new_table(rows, hypotheses=("A", "B"))
+
+    def test_equal_count_tables(self):
+        self.assert_one_value(CountTable([[8, 7], [6, 5]], [10, 10]), street_count_table())
+        assert street_count_table() != CountTable([[8, 7], [6, 5]], [10, 11])
+
+    def test_equal_count_derived_tables(self):
+        converted = from_counts(street_count_table())
+        self.assert_one_value(converted, from_counts(street_count_table()))
+        self.assert_one_value(converted, new_table([[0.8, 0.7], [0.6, 0.5]]))
 
 
 class TestIntegerRange:

@@ -106,7 +106,7 @@ def test_stacked_path_matches_loop_reference(table, overlap):
     expected_basis = reference_gram_schmidt(overlap)
     np.testing.assert_allclose(basis.matrices, expected_basis, rtol=0, atol=STACKED_TOL)
     b = solve_b_coefficients(table, basis)
-    expected_b = reference_amplitudes(table.x, expected_basis, overlap.c)
+    expected_b = reference_amplitudes(np.array(table.x), expected_basis, overlap.c)
     np.testing.assert_allclose(b, expected_b, rtol=0, atol=STACKED_TOL)
     norms = np.sum(expected_b * expected_b, axis=1)
     expected = PosteriorDistribution.from_weights(
@@ -293,6 +293,15 @@ class TestOrthonormalBasis:
         basis = gram_schmidt_basis(OverlapMatrix.identity(2, 2))
         with pytest.raises(ValueError):
             basis.matrices[0, 0, 0] = 2.0
+
+    def test_overlaps_and_bases_compare_by_identity(self):
+        overlap = OverlapMatrix.from_pair(0.2, 0.3)
+        twin = OverlapMatrix.from_pair(0.2, 0.3)
+        assert overlap == overlap and overlap != twin
+        assert len({overlap, twin}) == 2
+        basis, other = gram_schmidt_basis(overlap), gram_schmidt_basis(overlap)
+        assert basis == basis and basis != other
+        assert len({basis, other}) == 2
 
 
 class TestSolveBCoefficients:

@@ -10,7 +10,6 @@ from .errors import (
     BadIndex,
     BadShape,
     DegenerateRange,
-    InvalidBasis,
     InvalidCell,
     InvalidHbar,
     InvalidOverlap,
@@ -50,11 +49,10 @@ from .quantum import (
     posterior_general,
 )
 from .wavefunction import (
-    OrthonormalBasis,
     gram_schmidt_basis,
+    positive_definite,
     posterior_independent,
     posterior_via_wavefunction,
-    solve_b_coefficients,
 )
 from .checks import (
     CheckResult,
@@ -84,7 +82,6 @@ __all__ = [
     "NonPositiveTotal",
     "InvalidHbar",
     "NotPositiveDefinite",
-    "InvalidBasis",
     "ParseError",
     "NotCounts",
     "ContingencyTable",
@@ -109,9 +106,8 @@ __all__ = [
     "posterior_2x2",
     "posterior_general",
     "verify_constraint_suite",
-    "OrthonormalBasis",
+    "positive_definite",
     "gram_schmidt_basis",
-    "solve_b_coefficients",
     "posterior_via_wavefunction",
     "posterior_independent",
     "cross_path_suite",

@@ -356,11 +356,11 @@ def check_cross_path_samples(samples: Sequence[CrossPathSample]) -> list[dict[st
         group = [k for k, sample in enumerate(samples) if sample.table.m == m]
         stacked = quantum.OverlapMatrix(np.concatenate([samples[k].overlap.c for k in group]))
         roots = np.concatenate([np.sqrt(np.array(samples[k].table.x).T) for k in group])
-        basis = gram_schmidt_basis(stacked)
-        b = stacked_amplitudes(basis, roots)
+        rows, metric_rows, residuals = gram_schmidt_basis(stacked)
+        b = stacked_amplitudes(metric_rows, roots)
         squares = b * b
         norms = np.sum(squares, axis=1)
-        back = (basis.matrices.transpose(0, 2, 1) @ b[:, :, None])[:, :, 0] - roots
+        back = (rows.transpose(0, 2, 1) @ b[:, :, None])[:, :, 0] - roots
         back = np.abs(back).max(axis=1)
         double_sums = _quadratic_forms(roots, stacked.c, roots)
 
@@ -377,7 +377,7 @@ def check_cross_path_samples(samples: Sequence[CrossPathSample]) -> list[dict[st
                 "paths_agree": max(
                     abs(p - q) for p, q in zip(wf.probabilities, general.probabilities)
                 ),
-                "orthonormality": float(basis.hypothesis_residuals[lo:hi].max()),
+                "orthonormality": float(residuals[lo:hi].max()),
                 "back_substitution": float(back[lo:hi].max()),
                 "normalization": abs(
                     math.fsum(squares[lo:hi].ravel().tolist())

@@ -56,7 +56,7 @@ from .quantum import (
     posterior_2x2,
 )
 from .tables import ContingencyTable, CountTable, from_counts, intersection_range, new_table
-from .wavefunction import posterior_via_wavefunction
+from .wavefunction import positive_definite, posterior_via_wavefunction
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _POPULATION_LABEL = "__population__"
@@ -453,7 +453,7 @@ class _AnalysisRun:
         if self.hbar is not None:
             pair = hbar_moderated_coefficients(*pair, self.hbar)
         overlap = OverlapMatrix.from_pair(*pair)
-        flags = overlap.positive_definite
+        flags = positive_definite(overlap)
         self.diagnostics = {
             "c1": solution.c1,
             "c2": solution.c2,

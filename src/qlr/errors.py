@@ -99,10 +99,6 @@ class NotPositiveDefinite(QlrError, ValueError):
         )
 
 
-class InvalidBasis(QlrError, ValueError):
-    """A change-of-basis matrix fails the orthonormality identity."""
-
-
 class ParseError(QlrError, ValueError):
     """An input file could not be parsed, or a suite's ``samples`` or
     ``seed`` is not an integer at or above its minimum (1 and 0).

@@ -19,7 +19,7 @@ complementarity) and checks them over randomized inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -33,40 +33,9 @@ from .errors import (
     ShapeMismatch,
     Unsupported,
 )
-from .tables import ContingencyTable
-
-# A Gram matrix counts as positive definite when every eigenvalue clears this.
-PD_EIGENVALUE_TOL = 1e-12
+from .tables import ContingencyTable, holds_bool
 
 _SYMMETRY_TOL = 1e-12
-
-
-def _clears_tolerance(block: list[list[float]]) -> bool:
-    """Whether every eigenvalue of the symmetric ``block`` exceeds
-    ``PD_EIGENVALUE_TOL``: whether ``block - PD_EIGENVALUE_TOL * I`` has a
-    Cholesky factor.
-
-    Reads the lower triangle, as ``eigvalsh`` does, and stops at the first
-    pivot that is not ``> 0.0``, which also refuses a block whose entries
-    near the float limit make a pivot -inf or NaN.
-    """
-    lower: list[list[float]] = []
-    for i, row in enumerate(block):
-        factor_row = []
-        for j in range(i):
-            earlier = lower[j]
-            s = row[j]
-            for k in range(j):
-                s -= factor_row[k] * earlier[k]
-            factor_row.append(s / earlier[j])
-        pivot = row[i] - PD_EIGENVALUE_TOL
-        for v in factor_row:
-            pivot -= v * v
-        if not pivot > 0.0:
-            return False
-        factor_row.append(math.sqrt(pivot))
-        lower.append(factor_row)
-    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,10 +50,6 @@ class OverlapMatrix:
     """
 
     c: np.ndarray
-    # Filled by the first read of ``positive_definite``; ``replace`` resets it.
-    _positive_definite: tuple[bool, ...] | None = field(
-        init=False, default=None, repr=False
-    )
 
     def __post_init__(self):
         try:
@@ -124,22 +89,6 @@ class OverlapMatrix:
     def m(self) -> int:
         """Number of features."""
         return self.c.shape[1]
-
-    @property
-    def positive_definite(self) -> tuple[bool, ...]:
-        """Per hypothesis, whether every eigenvalue of ``c[a]`` clears
-        ``PD_EIGENVALUE_TOL``.
-
-        Decided without computing an eigenvalue: ``c[a]`` passes exactly when
-        ``c[a] - PD_EIGENVALUE_TOL * I`` has a Cholesky factor, which a
-        plain-Python factorisation of each block finds out.  Computed on the
-        first read and kept; later reads return the same tuple.
-        """
-        flags = self._positive_definite
-        if flags is None:
-            flags = tuple([_clears_tolerance(block) for block in self.c.tolist()])
-            object.__setattr__(self, "_positive_definite", flags)
-        return flags
 
     def check_fits(self, table: ContingencyTable) -> None:
         """Require one m x m matrix per hypothesis of ``table``.
@@ -233,11 +182,13 @@ def _check_products(p1: float, p2: float) -> None:
 
 def moderation_scale(hbar: float) -> float:
     """``1 - exp(-hbar)``, the factor ``hbar`` applies to the overlaps; raises
-    InvalidHbar unless hbar is finite and >= 0."""
+    InvalidHbar unless hbar is a finite number >= 0 (a bool is not one)."""
     try:
         h = float(hbar)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidHbar(f"moderation scale must be a finite number, got {hbar!r}") from exc
+    if holds_bool(hbar):
+        raise InvalidHbar(f"moderation scale must be a finite number, got {hbar!r}")
     if not math.isfinite(h) or h < 0.0:
         raise InvalidHbar(f"moderation scale must be finite and nonnegative, got {hbar!r}")
     return -math.expm1(-h)
@@ -246,8 +197,9 @@ def moderation_scale(hbar: float) -> float:
 def hbar_moderated_coefficients(c1: float, c2: float, hbar: float) -> tuple[float, float]:
     """Scale both overlap coefficients by ``1 - exp(-hbar)``.
 
-    ``hbar = 0`` switches the overlaps off entirely (independent-feature
-    limit); large ``hbar`` leaves them untouched.
+    ``hbar = 0`` switches the overlaps off entirely, which leaves the
+    prior-weighted column sums, not naive Bayes; large ``hbar`` leaves them
+    untouched.
 
     Raises:
         InvalidHbar: negative or non-finite moderation scale.
@@ -322,8 +274,11 @@ def posterior_2x2(table: ContingencyTable, hbar: float | None = None) -> Posteri
         block1 = s*r + x1 + y1        block2 = s/r + x2 + y2
 
     and ``P(H_1) = w1*block1 / (w1*block1 + w2*block2)``.  ``hbar = 0``
-    therefore yields the independent-feature (column-sum) reduction, which
-    is formed without the ratio.
+    therefore yields zero overlap, the prior-weighted column sums
+    ``block1 = x1 + y1``, ``block2 = x2 + y2``, formed without the ratio.
+    Naive Bayes is not a limit of ``hbar``: on rows ``(0.3, 0.6); (0.4,
+    0.2)`` ``hbar = 0`` gives ``(0.4667, 0.5333)`` where naive Bayes gives
+    ``(0.5, 0.5)``.
 
     Raises:
         Unsupported: table shape is not 2x2.

@@ -70,6 +70,8 @@ def _validated_priors(priors: Sequence[float], n: int) -> tuple[float, ...]:
         arr = np.array(priors, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidPriors(f"priors must be {n} numbers ({exc})") from exc
+    if holds_bool(priors):
+        raise InvalidPriors(f"priors must be {n} numbers (a bool is not a number)")
     if arr.shape != (n,):
         raise InvalidPriors(f"priors must have length {n}, got shape {arr.shape}")
     weights = arr.tolist()
@@ -98,16 +100,19 @@ def check_index(value, size: int, what: str) -> None:
     raise BadIndex(f"{what} must be an integer in [0, {size}), got {value!r}")
 
 
-def _holds_bool(values) -> bool:
+def holds_bool(values) -> bool:
     """Whether ``values`` is or nests a bool; numpy casts a bool mixed with
-    integers to an integer, so the array's dtype does not show it."""
-    # The plain int, the common case, skips the isinstance tests.
-    if type(values) is int:
-        return False
+    numbers to a number, so the array's dtype does not show it.  The test
+    by which counts, cells, priors and ``hbar`` refuse a bool."""
     if isinstance(values, (list, tuple)):
-        return any(map(_holds_bool, values))
+        for v in values:
+            # Plain floats and ints, the common entries, skip the call.
+            if type(v) is not float and type(v) is not int and holds_bool(v):
+                return True
+        return False
     if isinstance(values, np.ndarray):
-        return values.dtype.kind == "b"
+        kind = values.dtype.kind
+        return kind == "b" or (kind == "O" and holds_bool(values.tolist()))
     return isinstance(values, (bool, np.bool_))
 
 
@@ -146,6 +151,8 @@ class ContingencyTable:
 
     def __post_init__(self):
         x = _numeric_array(self.x, float, "probability matrix", InvalidCell)
+        if holds_bool(self.x):
+            raise InvalidCell("probability matrix must hold only numbers (a bool is not a number)")
         if x.ndim != 2:
             raise BadShape(f"probability matrix must be 2-D, got {x.ndim}-D")
         m, n = x.shape
@@ -218,7 +225,7 @@ class CountTable:
         if (
             counts.dtype.kind not in "iu"
             or populations.dtype.kind not in "iu"
-            or _holds_bool((self.counts, self.populations))
+            or holds_bool((self.counts, self.populations))
         ):
             raise BadShape(
                 f"counts and populations must be integers no larger than {MAX_POPULATION}"

@@ -3,17 +3,17 @@
 This module reconstructs the block-sum posterior of :mod:`qlr.quantum`
 through explicit mechanics instead of the closed-form ratio: orthonormalize
 each hypothesis's feature states against its overlap metric (Gram-Schmidt),
-solve for the ``(n, m)`` amplitude array ``b`` the contingency table
-demands (:func:`solve_b_coefficients`), and read posteriors off squared
-amplitudes.  Agreement between the two paths is the package's core
-correctness check, exercised by :func:`qlr.checks.cross_path_suite`.  The
-module imports only :class:`~qlr.quantum.OverlapMatrix` from the code it
-checks.
+form the ``(n, m)`` amplitude array ``b`` the contingency table demands
+(:func:`stacked_amplitudes`), and read posteriors off squared amplitudes.
+Agreement between the two paths is the package's core correctness check,
+exercised by :func:`qlr.checks.cross_path_suite`.  The module imports only
+:class:`~qlr.quantum.OverlapMatrix` from the code it checks, and owns the
+feasibility rule, :func:`positive_definite`, that decides whether the path
+applies at all.
 
 The linear algebra runs on stacks of K per-hypothesis ``m x m`` matrices,
-shape ``(K, m, m)``.  The positive-definite gate,
-:attr:`~qlr.quantum.OverlapMatrix.positive_definite`, is decided per block in
-plain Python by the overlap itself.  After it comes a fixed number of
+shape ``(K, m, m)``, held in read-only numpy arrays.  The positive-definite
+gate is decided per block in plain Python.  After it comes a fixed number of
 stacked numpy calls whatever K and m are: one Cholesky factorisation
 ``c[a] = L[a] @ L[a].T`` and its inverse, one stacked product ``A @ c``
 that the residual and the amplitudes share, and one more product each to
@@ -39,95 +39,84 @@ squares of ``b[a]`` then equals the direct double sum
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
 
 from .classical import PosteriorDistribution
-from .errors import InvalidBasis, NotPositiveDefinite, ShapeMismatch
+from .errors import NotPositiveDefinite
 from .quantum import OverlapMatrix
 from .tables import ContingencyTable, check_index
+
+# A Gram matrix counts as positive definite when every eigenvalue clears this.
+PD_EIGENVALUE_TOL = 1e-12
 
 # Residual ceiling for the orthonormality and back-substitution identities.
 RESIDUAL_TOL = 1e-10
 
 
-def _orthonormality_residuals(ac: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Per k, the largest absolute entry of ``ac[k] @ a[k].T - I``, where
-    ``ac[k] = a[k] @ c[k]``."""
-    product = ac @ a.transpose(0, 2, 1)
-    return np.abs(product - np.eye(a.shape[1])).max(axis=(1, 2), initial=0.0)
+def _clears_tolerance(block: list[list[float]]) -> bool:
+    """Whether every eigenvalue of the symmetric ``block`` exceeds
+    ``PD_EIGENVALUE_TOL``: whether ``block - PD_EIGENVALUE_TOL * I`` has a
+    Cholesky factor.
 
-
-@dataclass(frozen=True, eq=False)
-class OrthonormalBasis:
-    """Per-hypothesis change-of-basis matrices orthonormalizing an overlap.
-
-    ``matrices`` is a ``(K, m, m)`` stack; ``matrices[a]`` holds basis row
-    vectors for hypothesis ``a`` expressed in the original (overlapping)
-    feature states.  ``==`` and ``hash`` go by identity.
-
-    Computed at construction, read-only:
-
-    - ``metric_rows``: the stacked product ``A @ c``, which both the
-      orthonormality residual ``(A @ c) @ A.T`` and the amplitudes
-      ``(A @ c) @ sqrt(x)`` start from.  numpy evaluates ``A @ c @ B`` as
-      ``(A @ c) @ B``, so sharing it changes no bit.
-    - ``hypothesis_residuals``: per hypothesis, the largest absolute entry of
-      ``A c A^T - I``.
+    Reads the lower triangle, as ``eigvalsh`` does, and stops at the first
+    pivot that is not ``> 0.0``, which also refuses a block whose entries
+    near the float limit make a pivot -inf or NaN.
     """
-
-    matrices: np.ndarray
-    source_overlap: OverlapMatrix
-    metric_rows: np.ndarray = field(init=False, repr=False)
-    hypothesis_residuals: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        a = np.asarray(self.matrices, dtype=float)
-        c = self.source_overlap.c
-        if a.shape != c.shape:
-            raise InvalidBasis(
-                f"basis shape {a.shape} does not match overlap shape {c.shape}"
-            )
-        a = a.copy()
-        ac = a @ c
-        worst = _orthonormality_residuals(ac, a)
-        for array in (a, ac, worst):
-            array.setflags(write=False)
-        object.__setattr__(self, "matrices", a)
-        object.__setattr__(self, "metric_rows", ac)
-        object.__setattr__(self, "hypothesis_residuals", worst)
-        residual = self.residual()
-        if not residual <= RESIDUAL_TOL:
-            raise InvalidBasis(
-                f"orthonormality residual {residual!r} exceeds {RESIDUAL_TOL}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.matrices.shape[1]
-
-    def residual(self) -> float:
-        """Largest absolute entry of ``A c A^T - I`` over all hypotheses."""
-        return float(self.hypothesis_residuals.max(initial=0.0))
+    lower: list[list[float]] = []
+    for i, row in enumerate(block):
+        factor_row = []
+        for j in range(i):
+            earlier = lower[j]
+            s = row[j]
+            for k in range(j):
+                s -= factor_row[k] * earlier[k]
+            factor_row.append(s / earlier[j])
+        pivot = row[i] - PD_EIGENVALUE_TOL
+        for v in factor_row:
+            pivot -= v * v
+        if not pivot > 0.0:
+            return False
+        factor_row.append(math.sqrt(pivot))
+        lower.append(factor_row)
+    return True
 
 
-def gram_schmidt_basis(overlap: OverlapMatrix) -> OrthonormalBasis:
+def positive_definite(overlap: OverlapMatrix) -> tuple[bool, ...]:
+    """Per hypothesis, whether every eigenvalue of ``c[a]`` clears
+    ``PD_EIGENVALUE_TOL``: the gate of :func:`gram_schmidt_basis`.
+
+    Decided without computing an eigenvalue: ``c[a]`` passes exactly when
+    ``c[a] - PD_EIGENVALUE_TOL * I`` has a Cholesky factor, which a
+    plain-Python factorisation of each block finds out.
+    """
+    return tuple([_clears_tolerance(block) for block in overlap.c.tolist()])
+
+
+def gram_schmidt_basis(overlap: OverlapMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormalize each hypothesis's feature states against its metric.
+
+    Returns three read-only arrays over the ``(K, m, m)`` stack ``c``:
+
+    - ``rows``, shape ``(K, m, m)``: ``rows[a]`` holds the basis row vectors
+      ``A[a]`` of hypothesis ``a``, expressed in the original (overlapping)
+      feature states;
+    - ``metric_rows``, shape ``(K, m, m)``: the product ``A @ c``, which
+      both the orthonormality residual ``(A @ c) @ A.T`` and the amplitudes
+      ``(A @ c) @ sqrt(x)`` start from.  numpy evaluates ``A @ c @ B`` as
+      ``(A @ c) @ B``, so sharing it changes no bit;
+    - ``residuals``, shape ``(K,)``: per hypothesis, the largest absolute
+      entry of ``A c A^T - I``, each at most ``RESIDUAL_TOL``.
 
     The basis is the Gram-Schmidt basis of the feature states ``e_1..e_m``
     in the ``c[a]`` inner product, processed in index order.  It is computed
     as ``L[a]^-1`` from one Cholesky factorisation ``c[a] = L[a] @ L[a].T``
-    of the whole ``(K, m, m)`` stack: Gram-Schmidt in index order yields the
-    unique lower-triangular ``A[a]`` with a positive diagonal and
-    ``A[a] @ c[a] @ A[a].T = I``, and that matrix is ``L[a]^-1``.  The
-    gate in front of it is :attr:`OverlapMatrix.positive_definite`, the
-    overlap's once-computed flags; the basis keeps numpy's factorisation.
+    of the whole stack: Gram-Schmidt in index order yields the unique
+    lower-triangular ``A[a]`` with a positive diagonal and
+    ``A[a] @ c[a] @ A[a].T = I``, and that matrix is ``L[a]^-1``.  The gate
+    in front of it is :func:`positive_definite`; the basis keeps numpy's
+    factorisation.
 
     Raises:
         NotPositiveDefinite: some hypothesis's Gram matrix has an eigenvalue
@@ -139,7 +128,7 @@ def gram_schmidt_basis(overlap: OverlapMatrix) -> OrthonormalBasis:
             or the smallest eigenvalue.  The block-sum posterior remains
             available.
     """
-    flags = overlap.positive_definite
+    flags = positive_definite(overlap)
     if not all(flags):
         raise NotPositiveDefinite(flags.index(False))
     c = overlap.c
@@ -156,24 +145,34 @@ def gram_schmidt_basis(overlap: OverlapMatrix) -> OrthonormalBasis:
             f"Gram matrix for hypothesis {worst} has no Cholesky factor in floating point",
         ) from exc
     rows = np.linalg.inv(lower)
-    try:
-        return OrthonormalBasis(rows, overlap)
-    except InvalidBasis as exc:
-        residuals = _orthonormality_residuals(rows @ c, rows)
+    metric_rows = rows @ c
+    product = metric_rows @ rows.transpose(0, 2, 1)
+    residuals = np.abs(product - np.eye(c.shape[1])).max(axis=(1, 2), initial=0.0)
+    # A NaN residual fails the ceiling too, and argmax names its hypothesis.
+    if not residuals.max(initial=0.0) <= RESIDUAL_TOL:
         worst = int(np.argmax(residuals))
         raise NotPositiveDefinite(
             worst,
             f"Gram matrix for hypothesis {worst} is too ill-conditioned for an "
             f"orthonormal basis: orthonormality residual {float(residuals[worst])!r} "
             f"exceeds {RESIDUAL_TOL}",
-        ) from exc
+        )
+    for array in (rows, metric_rows, residuals):
+        array.setflags(write=False)
+    return rows, metric_rows, residuals
 
 
-def stacked_amplitudes(basis: OrthonormalBasis, roots: np.ndarray) -> np.ndarray:
-    """``b[k] = A[k] @ c[k] @ roots[k]`` over the basis stack; ``roots`` is
-    ``(K, m)`` with one row of root cells per hypothesis.  The amplitudes of
-    :func:`solve_b_coefficients` and of the cross-path suite."""
-    return (basis.metric_rows @ roots[:, :, None])[:, :, 0]
+def stacked_amplitudes(metric_rows: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Amplitudes the contingency table requires in the orthonormal basis:
+    ``b[k] = A[k] @ c[k] @ roots[k]`` over a ``(K, m, m)`` stack of
+    ``metric_rows`` ``A @ c`` from :func:`gram_schmidt_basis`, with ``roots``
+    the ``(K, m)`` root cells ``sqrt(x[:, a])``, one row per hypothesis.
+
+    They back-substitute to the original feature amplitudes,
+    ``A[k].T @ b[k] = roots[k]``.  The amplitudes of
+    :func:`posterior_via_wavefunction` and of the cross-path suite.
+    """
+    return (metric_rows @ roots[:, :, None])[:, :, 0]
 
 
 def squared_readout(priors: Sequence[float], norms: np.ndarray) -> PosteriorDistribution:
@@ -184,27 +183,6 @@ def squared_readout(priors: Sequence[float], norms: np.ndarray) -> PosteriorDist
     return PosteriorDistribution.from_weights(
         [p * n * norm for p, norm in zip(priors, norms.tolist())], "wavefunction"
     )
-
-
-def solve_b_coefficients(table: ContingencyTable, basis: OrthonormalBasis) -> np.ndarray:
-    """Amplitudes the contingency table requires in the orthonormal basis.
-
-    Returns the read-only ``(n, m)`` array ``b`` with
-    ``b[a] = A[a] @ c[a] @ sqrt(x[:, a])``, one stacked product over all
-    hypotheses, which back-substitutes to the original feature amplitudes:
-    ``A[a].T @ b[a] = sqrt(x[:, a])``.
-
-    Raises:
-        ShapeMismatch: basis dimensions disagree with the table.
-    """
-    if (basis.n, basis.m) != (table.n, table.m):
-        raise ShapeMismatch(
-            f"basis covers {basis.m} features x {basis.n} hypotheses, "
-            f"table is {table.m}x{table.n}"
-        )
-    b = stacked_amplitudes(basis, np.sqrt(np.array(table.x).T))
-    b.setflags(write=False)
-    return b
 
 
 def posterior_via_wavefunction(
@@ -225,7 +203,8 @@ def posterior_via_wavefunction(
     """
     overlap = OverlapMatrix.coerce(overlap)
     overlap.check_fits(table)
-    b = solve_b_coefficients(table, gram_schmidt_basis(overlap))
+    _, metric_rows, _ = gram_schmidt_basis(overlap)
+    b = stacked_amplitudes(metric_rows, np.sqrt(np.array(table.x).T))
     return squared_readout(table.priors, (b * b).sum(axis=1))
 
 

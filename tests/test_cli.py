@@ -226,7 +226,6 @@ EXIT_CODES = {
     "InvalidOverlap": 2,
     "OverlapUnderflow": 3,
     "InvalidHbar": 2,
-    "InvalidBasis": 2,
     "ParseError": 2,
     "BadIndex": 3,
     "Unsupported": 3,

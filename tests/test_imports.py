@@ -1,8 +1,9 @@
 """Module boundaries: the package's ``__all__`` lists exactly the public
 names it binds, no module of the package imports a private (``_``-prefixed)
 name from a sibling module, the state-vector checker does not call the
-overlap kernels it checks, and the kernel modules import none of the
-randomized suites' code."""
+overlap kernels it checks, the kernel module holds none of the checker's
+names, and the kernel modules import none of the randomized suites'
+code."""
 
 import ast
 import types
@@ -171,6 +172,62 @@ def test_checker_flags_the_suite_calling_the_block_sum_kernel():
 def test_state_vector_path_does_not_call_the_kernels_it_checks():
     source = (PACKAGE / "wavefunction.py").read_text(encoding="utf-8")
     assert kernel_references(source) == []
+
+
+# The state-vector path owns its feasibility rule and its basis, so the
+# kernel module it checks may not define, import or read them.
+STATE_VECTOR_NAMES = frozenset({"positive_definite", "PD_EIGENVALUE_TOL", "gram_schmidt_basis"})
+
+
+def state_vector_references(source: str) -> list[str]:
+    """Every name, attribute, definition, import, parameter or string
+    constant that spells a state-vector name, as ``line N: name``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            spelled = [node.id]
+        elif isinstance(node, ast.Attribute):
+            spelled = [node.attr]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            spelled = [node.name]
+        elif isinstance(node, ast.alias):
+            spelled = [node.name, node.asname]
+        elif isinstance(node, ast.arg):
+            spelled = [node.arg]
+        elif isinstance(node, ast.Constant):
+            spelled = [node.value]
+        else:
+            continue
+        found.extend(
+            f"line {node.lineno}: {name}" for name in spelled if name in STATE_VECTOR_NAMES
+        )
+    return found
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "PD_EIGENVALUE_TOL = 1e-12",
+        "class OverlapMatrix:\n    @property\n    def positive_definite(self):\n        pass",
+        "from .wavefunction import positive_definite as flags",
+        "from . import wavefunction\nwavefunction.gram_schmidt_basis",
+        "def f(overlap):\n    return overlap.positive_definite",
+        "def f(PD_EIGENVALUE_TOL=0.0):\n    pass",
+        "getattr(wavefunction, 'gram_schmidt_basis')",
+    ],
+)
+def test_checker_flags_state_vector_names(source):
+    assert state_vector_references(source)
+
+
+def test_checker_allows_a_name_inside_a_longer_one():
+    source = "gram_positive_definite = flags\n'positive_definite flags'"
+    assert state_vector_references(source) == []
+
+
+def test_kernel_module_references_no_state_vector_name():
+    source = (PACKAGE / "quantum.py").read_text(encoding="utf-8")
+    assert state_vector_references(source) == []
 
 
 @pytest.mark.parametrize("name", ["quantum.py", "wavefunction.py"])

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from qlr import (
     CountTable,
     NonPositiveTotal,
+    NotPositiveDefinite,
     OverlapMatrix,
     PosteriorDistribution,
     QlrError,
@@ -45,6 +46,7 @@ from qlr import (
     overlap_coefficients,
     posterior_2x2,
     posterior_general,
+    positive_definite,
     posterior_independent,
     posterior_via_wavefunction,
     verify_constraint_suite,
@@ -52,8 +54,8 @@ from qlr import (
 from qlr.checks import draw_cross_path_samples
 from qlr.classical import _products
 from qlr.cli import main
-from qlr.quantum import PD_EIGENVALUE_TOL
 from qlr.tables import MAX_POPULATION
+from qlr.wavefunction import PD_EIGENVALUE_TOL, RESIDUAL_TOL
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -240,7 +242,7 @@ def overlap_stacks(draw):
 @PROPERTY_SETTINGS
 @given(overlap_stacks())
 def test_positive_definite_flags_follow_the_smallest_eigenvalue(overlap):
-    flags = overlap.positive_definite
+    flags = positive_definite(overlap)
     assert isinstance(flags, tuple) and all(type(flag) is bool for flag in flags)
     assert len(flags) == overlap.n
     for a, flag in enumerate(flags):
@@ -255,8 +257,9 @@ def test_positive_definite_flags_agree_across_the_tolerance():
     disagreements, seen = [], set()
     for k in range(-2000, 2001):
         overlap = OverlapMatrix.from_pair(1 - 1e-12 + k * 2**-52, 0.5)
-        seen.add(overlap.positive_definite)
-        if overlap.positive_definite != _eigenvalue_flags(overlap):
+        flags = positive_definite(overlap)
+        seen.add(flags)
+        if flags != _eigenvalue_flags(overlap):
             disagreements.append(k)
     assert disagreements == []
     assert seen == {(True, True), (False, True)}
@@ -264,12 +267,46 @@ def test_positive_definite_flags_agree_across_the_tolerance():
 
 @pytest.mark.parametrize("big", [1e300, -1e300, sys.float_info.max])
 def test_huge_overlaps_are_not_positive_definite(big):
-    assert OverlapMatrix.from_pair(big, 0.5).positive_definite == (False, True)
+    assert positive_definite(OverlapMatrix.from_pair(big, 0.5)) == (False, True)
     # Only features 0 and 2 overlap: at the float maximum the factor entry
     # overflows to inf, times the zero above it, so the last pivot is NaN.
     c = np.eye(3)[None].copy()
     c[0, 0, 2] = c[0, 2, 0] = big
-    assert OverlapMatrix(c).positive_definite == (False,)
+    assert positive_definite(OverlapMatrix(c)) == (False,)
+
+
+@st.composite
+def wide_overlap_cases(draw):
+    """A table of 2 or 3 features and 2-4 hypotheses, with overlaps whose
+    off-diagonals are uniform on (-1.5, 1.5), so that many are indefinite."""
+    m, n = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    table = draw(tables(shapes=((m, n),)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = np.tril(rng.uniform(-1.5, 1.5, (n, m, m)), -1)
+    c += c.transpose(0, 2, 1)
+    c[:, np.arange(m), np.arange(m)] = 1.0
+    return table, OverlapMatrix(c)
+
+
+@PROPERTY_SETTINGS
+@given(wide_overlap_cases())
+def test_state_vector_path_refuses_at_the_gate_or_matches_the_block_sums(case):
+    # The gate's flags name the refused hypothesis; past the gate a refusal
+    # (ill-conditioning) still names one, and a posterior matches the
+    # block-sum posterior within the residual ceiling.
+    table, overlap = case
+    flags = positive_definite(overlap)
+    try:
+        wf = posterior_via_wavefunction(table, overlap)
+    except NotPositiveDefinite as exc:
+        if all(flags):
+            assert 0 <= exc.hypothesis < table.n
+        else:
+            assert exc.hypothesis == flags.index(False)
+        return
+    assert all(flags)
+    general = posterior_general(table, overlap).probabilities
+    assert max(abs(p - q) for p, q in zip(wf.probabilities, general)) <= RESIDUAL_TOL
 
 
 @PROPERTY_SETTINGS

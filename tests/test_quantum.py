@@ -1,7 +1,6 @@
 """Overlap coefficients, the closed-form 2x2 posterior, the general
 block-sum posterior, moderation, and the randomized constraint suite."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +22,7 @@ from qlr import (
     hbar_moderated_coefficients,
     new_table,
     overlap_coefficients,
+    positive_definite,
     posterior_2x2,
     posterior_general,
     verify_constraint_suite,
@@ -82,18 +82,11 @@ class TestOverlapMatrix:
     def test_magnitude_above_one_is_allowed(self):
         OverlapMatrix.from_pair(1.2, 0.4)
 
-    def test_positive_definite_is_computed_once(self):
-        overlap = OverlapMatrix.from_pair(0.3, 1.2)
-        first = overlap.positive_definite
-        assert first == (True, False)
-        assert overlap.positive_definite is first
-
-    def test_replace_rederives_positive_definite(self):
-        overlap = OverlapMatrix.from_pair(0.3, 0.4)
-        assert overlap.positive_definite == (True, True)
-        singular = dataclasses.replace(overlap, c=OverlapMatrix.from_pair(0.3, 1.0).c)
-        assert singular.positive_definite == (True, False)
-        assert overlap.positive_definite == (True, True)
+    def test_overlaps_compare_by_identity(self):
+        overlap = OverlapMatrix.from_pair(0.2, 0.3)
+        twin = OverlapMatrix.from_pair(0.2, 0.3)
+        assert overlap == overlap and overlap != twin
+        assert len({overlap, twin}) == 2
 
 
 class TestOverlapCoefficients:
@@ -105,14 +98,14 @@ class TestOverlapCoefficients:
     def test_diagnostics_within_unit_interval(self):
         solution = overlap_coefficients(STREET)
         assert solution.within_unit_interval
-        assert OverlapMatrix.from_pair(solution.c1, solution.c2).positive_definite == (True, True)
+        assert positive_definite(OverlapMatrix.from_pair(solution.c1, solution.c2)) == (True, True)
         assert (solution.c1, solution.c2) == (STREET_C1, STREET_C2)
 
     def test_diagnostics_flag_out_of_interval(self):
         table = new_table([[0.9, 0.1], [0.9, 0.2]])
         solution = overlap_coefficients(table)
         assert not solution.within_unit_interval
-        assert OverlapMatrix.from_pair(solution.c1, solution.c2).positive_definite[0] is False
+        assert positive_definite(OverlapMatrix.from_pair(solution.c1, solution.c2))[0] is False
 
     def test_matches_formula_on_random_tables(self):
         rng = np.random.default_rng(42)

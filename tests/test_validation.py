@@ -26,6 +26,7 @@ from qlr import (
     intersection_range,
     moderation_scale,
     new_table,
+    posterior_2x2,
     posterior_general,
     posterior_independent,
     verify_constraint_suite,
@@ -65,6 +66,32 @@ BAD_INPUTS = {
         lambda: new_table([[0.5, 0.5], [0.0, 2.0]], [INF, 0.5]),
         InvalidCell,
         f"cell [1, 0] = 0.0 {CELL_RULE}",
+    ),
+    # numpy casts a bool to 1.0 or 0.0; the cell and prior rules refuse it.
+    "bool_cell": (
+        lambda: new_table([[True, 0.5], [0.5, 0.5]]),
+        InvalidCell,
+        "probability matrix must hold only numbers (a bool is not a number)",
+    ),
+    "numpy_bool_cell_row": (
+        lambda: new_table([np.array([True, True]), [0.5, 0.5]]),
+        InvalidCell,
+        "probability matrix must hold only numbers (a bool is not a number)",
+    ),
+    "bool_cell_in_an_object_array": (
+        lambda: new_table(np.array([[0.5, 0.5], [0.5, True]], dtype=object)),
+        InvalidCell,
+        "probability matrix must hold only numbers (a bool is not a number)",
+    ),
+    "bool_prior": (
+        lambda: new_table([[0.5, 0.5]], [True, False]),
+        InvalidPriors,
+        "priors must be 2 numbers (a bool is not a number)",
+    ),
+    "numpy_bool_prior_for_counts": (
+        lambda: CountTable([[1, 1]], [2, 2]).resolve_priors([np.True_, 0.0]),
+        InvalidPriors,
+        "priors must be 2 numbers (a bool is not a number)",
     ),
     "too_many_feature_labels": (
         lambda: new_table([[0.5, 0.5]], features=("a", "b")),
@@ -216,6 +243,21 @@ BAD_INPUTS = {
         lambda: hbar_moderated_coefficients(0.5, -INF, 1.0),
         InvalidOverlap,
         "overlap coefficients must be finite, got 0.5, -inf",
+    ),
+    "bool_hbar": (
+        lambda: moderation_scale(True),
+        InvalidHbar,
+        "moderation scale must be a finite number, got True",
+    ),
+    "false_hbar_in_the_closed_form": (
+        lambda: posterior_2x2(new_table([[0.5, 0.4], [0.3, 0.6]]), False),
+        InvalidHbar,
+        "moderation scale must be a finite number, got False",
+    ),
+    "numpy_bool_hbar_in_moderation": (
+        lambda: hbar_moderated_coefficients(0.5, 0.5, np.True_),
+        InvalidHbar,
+        f"moderation scale must be a finite number, got {np.True_!r}",
     ),
     "bad_hbar_outranks_a_bad_moderated_coefficient": (
         lambda: hbar_moderated_coefficients(NAN, 0.5, -1.0),

@@ -1,4 +1,4 @@
-"""State-vector path: Gram-Schmidt bases, amplitude solving, the squared
+"""State-vector path: Gram-Schmidt bases, amplitudes, the squared
 amplitude posterior, the single-feature projection, and the cross-path
 suite."""
 
@@ -14,10 +14,8 @@ import qlr.quantum as quantum
 from qlr import (
     BadIndex,
     CountTable,
-    InvalidBasis,
     InvalidOverlap,
     NotPositiveDefinite,
-    OrthonormalBasis,
     OverlapMatrix,
     PosteriorDistribution,
     ShapeMismatch,
@@ -27,15 +25,14 @@ from qlr import (
     gram_schmidt_basis,
     new_table,
     overlap_coefficients,
+    positive_definite,
     posterior_2x2,
     posterior_general,
     posterior_independent,
     posterior_via_wavefunction,
-    solve_b_coefficients,
 )
-from qlr.quantum import PD_EIGENVALUE_TOL
 from qlr.checks import random_positive_definite_overlap
-from qlr.wavefunction import RESIDUAL_TOL
+from qlr.wavefunction import PD_EIGENVALUE_TOL, RESIDUAL_TOL, stacked_amplitudes
 
 STREET = from_counts(CountTable(np.array([[8, 7], [6, 5]]), np.array([10, 10])))
 
@@ -48,6 +45,11 @@ STREET_P1 = 0.5895909839179435
 def street_overlap() -> OverlapMatrix:
     s = overlap_coefficients(STREET)
     return OverlapMatrix.from_pair(s.c1, s.c2)
+
+
+def table_amplitudes(table, metric_rows: np.ndarray) -> np.ndarray:
+    """The ``(n, m)`` amplitudes of ``table`` in a basis's ``A @ c``."""
+    return stacked_amplitudes(metric_rows, np.sqrt(np.array(table.x).T))
 
 
 # Loop references: one hypothesis (and one amplitude column) at a time.  The
@@ -102,10 +104,10 @@ def reference_cases():
 
 @pytest.mark.parametrize("table,overlap", reference_cases())
 def test_stacked_path_matches_loop_reference(table, overlap):
-    basis = gram_schmidt_basis(overlap)
+    rows, metric_rows, _ = gram_schmidt_basis(overlap)
     expected_basis = reference_gram_schmidt(overlap)
-    np.testing.assert_allclose(basis.matrices, expected_basis, rtol=0, atol=STACKED_TOL)
-    b = solve_b_coefficients(table, basis)
+    np.testing.assert_allclose(rows, expected_basis, rtol=0, atol=STACKED_TOL)
+    b = table_amplitudes(table, metric_rows)
     expected_b = reference_amplitudes(np.array(table.x), expected_basis, overlap.c)
     np.testing.assert_allclose(b, expected_b, rtol=0, atol=STACKED_TOL)
     norms = np.sum(expected_b * expected_b, axis=1)
@@ -122,16 +124,26 @@ def test_stacked_path_matches_loop_reference(table, overlap):
 
 class TestGramSchmidtBasis:
     def test_identity_overlap_gives_identity_basis(self):
-        basis = gram_schmidt_basis(OverlapMatrix.identity(3, 4))
+        rows, _, _ = gram_schmidt_basis(OverlapMatrix.identity(3, 4))
         for a in range(3):
-            np.testing.assert_array_equal(basis.matrices[a], np.eye(4))
+            np.testing.assert_array_equal(rows[a], np.eye(4))
 
     def test_orthonormality_residual(self):
-        basis = gram_schmidt_basis(OverlapMatrix.from_pair(0.5, -0.3))
-        assert basis.residual() < 1e-14
+        _, _, residuals = gram_schmidt_basis(OverlapMatrix.from_pair(0.5, -0.3))
+        assert residuals.shape == (2,)
+        assert residuals.max() < 1e-14
 
     def test_street_basis_residual(self):
-        assert gram_schmidt_basis(street_overlap()).residual() < 1e-13
+        _, _, residuals = gram_schmidt_basis(street_overlap())
+        assert residuals.max() < 1e-13
+
+    def test_basis_arrays_are_read_only(self):
+        overlap = OverlapMatrix.from_pair(0.5, -0.3)
+        rows, metric_rows, residuals = gram_schmidt_basis(overlap)
+        np.testing.assert_array_equal(metric_rows, rows @ overlap.c)
+        for array in (rows, metric_rows, residuals):
+            with pytest.raises(ValueError):
+                array[0] = 2.0
 
     def test_degenerate_overlap_names_the_hypothesis(self):
         with pytest.raises(NotPositiveDefinite) as info:
@@ -156,8 +168,8 @@ class TestGramSchmidtBasis:
             assert np.abs(offdiag).max() < 0.5
             for a in range(n):
                 assert np.linalg.eigvalsh(overlap.c[a]).min() > 0.49
-            basis = gram_schmidt_basis(overlap)
-            assert basis.residual() < 1e-12
+            _, _, residuals = gram_schmidt_basis(overlap)
+            assert residuals.max() < 1e-12
 
 
 # The basis is computed as L^-1 of a Cholesky factorisation, the loop
@@ -209,9 +221,9 @@ def test_basis_is_the_gram_schmidt_basis_near_singularity(overlap):
     residual refusal is checked against the refused Gram matrix's condition
     number: it must be ill-conditioned enough for its residual to reach the
     ceiling."""
-    flags = overlap.positive_definite
+    flags = positive_definite(overlap)
     try:
-        basis = gram_schmidt_basis(overlap)
+        rows, _, _ = gram_schmidt_basis(overlap)
     except NotPositiveDefinite as exc:
         if not all(flags):
             assert exc.hypothesis == flags.index(False)
@@ -224,7 +236,7 @@ def test_basis_is_the_gram_schmidt_basis_near_singularity(overlap):
     for a in range(overlap.n):
         kappa = np.linalg.cond(overlap.c[a])
         tol = BASIS_KAPPA_FACTOR * np.finfo(float).eps * kappa * np.abs(expected[a]).max()
-        np.testing.assert_allclose(basis.matrices[a], expected[a], rtol=0, atol=tol)
+        np.testing.assert_allclose(rows[a], expected[a], rtol=0, atol=tol)
 
 
 def near_singular_stacks():
@@ -251,12 +263,12 @@ def test_near_singular_sweep_gives_a_basis_or_a_typed_refusal():
     routes = set()
     for overlap, ill in near_singular_stacks():
         try:
-            basis = gram_schmidt_basis(overlap)
+            _, _, residuals = gram_schmidt_basis(overlap)
         except NotPositiveDefinite as exc:
             assert exc.hypothesis == ill
-            routes.add("gate" if not all(overlap.positive_definite) else "residual")
+            routes.add("gate" if not all(positive_definite(overlap)) else "residual")
         else:
-            assert basis.residual() <= RESIDUAL_TOL
+            assert residuals.max() <= RESIDUAL_TOL
             routes.add("basis")
     assert routes == {"basis", "residual", "gate"}
 
@@ -277,51 +289,38 @@ def test_failed_factorisation_is_a_typed_refusal(monkeypatch):
     assert info.value.exit_code == 3
 
 
-class TestOrthonormalBasis:
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(InvalidBasis):
-            OrthonormalBasis(np.eye(2), OverlapMatrix.identity(2, 2))
+@pytest.mark.parametrize("scale, worst", [(2.0, 0), (np.nan, 1)])
+def test_rows_that_miss_the_residual_ceiling_are_a_typed_refusal(monkeypatch, scale, worst):
+    # Should the inverse come out wrong, the residual route refuses it and
+    # names the hypothesis with the largest residual; a NaN residual counts
+    # as the largest.
+    def wrong(lower):
+        rows = np.stack([np.eye(2), np.eye(2)])
+        rows[worst] *= scale
+        return rows
 
-    def test_rejects_non_orthonormal_rows(self):
-        overlap = OverlapMatrix.identity(2, 2)
-        with pytest.raises(InvalidBasis, match="residual"):
-            OrthonormalBasis(2.0 * np.stack([np.eye(2), np.eye(2)]), overlap)
-        with pytest.raises(InvalidBasis, match="residual"):
-            OrthonormalBasis(np.full((2, 2, 2), np.nan), overlap)
-
-    def test_matrices_are_read_only(self):
-        basis = gram_schmidt_basis(OverlapMatrix.identity(2, 2))
-        with pytest.raises(ValueError):
-            basis.matrices[0, 0, 0] = 2.0
-
-    def test_overlaps_and_bases_compare_by_identity(self):
-        overlap = OverlapMatrix.from_pair(0.2, 0.3)
-        twin = OverlapMatrix.from_pair(0.2, 0.3)
-        assert overlap == overlap and overlap != twin
-        assert len({overlap, twin}) == 2
-        basis, other = gram_schmidt_basis(overlap), gram_schmidt_basis(overlap)
-        assert basis == basis and basis != other
-        assert len({basis, other}) == 2
+    monkeypatch.setattr(np.linalg, "inv", wrong)
+    with pytest.raises(NotPositiveDefinite, match="residual") as info:
+        gram_schmidt_basis(OverlapMatrix.identity(2, 2))
+    assert info.value.hypothesis == worst
 
 
-class TestSolveBCoefficients:
+class TestStackedAmplitudes:
     def test_identity_overlap_returns_root_cells(self):
         x = np.array([[0.64, 0.25], [0.09, 0.81], [0.36, 0.49]])
         table = new_table(x)
-        basis = gram_schmidt_basis(OverlapMatrix.identity(2, 3))
-        b = solve_b_coefficients(table, basis)
+        _, metric_rows, _ = gram_schmidt_basis(OverlapMatrix.identity(2, 3))
+        b = table_amplitudes(table, metric_rows)
         np.testing.assert_array_equal(b, np.sqrt(x).T)
 
-    def test_amplitudes_are_read_only(self):
-        table = new_table([[0.64, 0.25], [0.09, 0.81]])
-        b = solve_b_coefficients(table, gram_schmidt_basis(street_overlap()))
-        assert b.shape == (table.n, table.m)
-        with pytest.raises(ValueError):
-            b[0, 0] = 2.0
+    def test_one_amplitude_row_per_hypothesis(self):
+        table = new_table([[0.64, 0.25, 0.5], [0.09, 0.81, 0.5]])
+        _, metric_rows, _ = gram_schmidt_basis(OverlapMatrix.identity(3, 2))
+        assert table_amplitudes(table, metric_rows).shape == (table.n, table.m)
 
     def test_street_normalization(self):
-        basis = gram_schmidt_basis(street_overlap())
-        b = solve_b_coefficients(STREET, basis)
+        _, metric_rows, _ = gram_schmidt_basis(street_overlap())
+        b = table_amplitudes(STREET, metric_rows)
         np.testing.assert_allclose(np.sum(b * b), STREET_NORMALIZATION, atol=1e-10)
 
     def test_back_substitution_recovers_root_cells(self):
@@ -333,19 +332,13 @@ class TestSolveBCoefficients:
             x = 1.0 - rng.random((m, n))
             table = new_table(x)
             overlap = random_positive_definite_overlap(draws, n, m)
-            basis = gram_schmidt_basis(overlap)
-            b = solve_b_coefficients(table, basis)
+            rows, metric_rows, _ = gram_schmidt_basis(overlap)
+            b = table_amplitudes(table, metric_rows)
             for a in range(n):
-                recovered = basis.matrices[a].T @ b[a]
+                recovered = rows[a].T @ b[a]
                 np.testing.assert_allclose(
                     recovered, np.sqrt(x[:, a]), atol=1e-12
                 )
-
-    def test_shape_mismatch(self):
-        basis = gram_schmidt_basis(OverlapMatrix.identity(2, 2))
-        table = new_table([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(ShapeMismatch):
-            solve_b_coefficients(table, basis)
 
 
 class TestPosteriorViaWavefunction:
@@ -409,7 +402,7 @@ class TestPosteriorViaWavefunction:
         # a capability gap of the method (exit 3), not a bad basis (exit 2).
         table = new_table([[0.5, 0.4], [0.3, 0.6]])
         overlap = OverlapMatrix.from_pair(*pair)
-        assert overlap.positive_definite == (True, True)
+        assert positive_definite(overlap) == (True, True)
         with pytest.raises(NotPositiveDefinite, match="residual") as info:
             posterior_via_wavefunction(table, overlap)
         assert info.value.exit_code == 3

@@ -19,8 +19,8 @@ is a ``math.fsum``, since the built-in ``sum`` of floats rounds
 differently from Python 3.12 on.
 
 The suites read the kernels they check as attributes of
-:mod:`qlr.quantum` at call time, so a kernel patched in its home module is
-the one the suites check.
+:mod:`qlr.quantum` and :mod:`qlr.classical` at call time, so a kernel
+patched in its home module is the one the suites check.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from . import quantum
+from . import classical, quantum
 from .errors import ParseError
 from .tables import ContingencyTable, is_integer, new_table
 from .wavefunction import (
@@ -125,10 +125,6 @@ class ConstraintReport:
     @property
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
-
-    @property
-    def max_deviation(self) -> float:
-        return max(check.max_deviation for check in self.checks)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -340,7 +336,7 @@ def check_cross_path_samples(samples: Sequence[CrossPathSample]) -> list[dict[st
     - the sum of squared amplitudes matches the explicit double sum
       ``sum sqrt(x_i x_j) c_ij``;
     - the single-feature projection path matches the direct single-feature
-      update;
+      update of :func:`qlr.classical.bayes_posterior`;
     - complementarity of the state-vector posterior.
 
     The basis, amplitudes, residuals and squared readout run once per
@@ -348,8 +344,9 @@ def check_cross_path_samples(samples: Sequence[CrossPathSample]) -> list[dict[st
     samples with that count, through the same code as
     :func:`qlr.wavefunction.posterior_via_wavefunction`; each sample's
     basis is built once.  The block-sum side stays one
-    :func:`qlr.quantum.posterior_general` call per sample, the way users
-    call it.
+    :func:`qlr.quantum.posterior_general` call per sample, and the
+    single-feature side one :func:`qlr.classical.bayes_posterior` call, the
+    way users call them.
     """
     deviations: list[dict[str, float]] = [{} for _ in samples]
     for m in sorted({sample.table.m for sample in samples}):
@@ -371,8 +368,7 @@ def check_cross_path_samples(samples: Sequence[CrossPathSample]) -> list[dict[st
             wf = squared_readout(table.priors, norms[lo:hi])
             general = quantum.posterior_general(table, samples[k].overlap)
             projected = posterior_independent(table, feature)
-            direct = [p * v for p, v in zip(table.priors, table.x[feature])]
-            total = math.fsum(direct)
+            direct = classical.bayes_posterior(table, feature)
             deviations[k] = {
                 "paths_agree": max(
                     abs(p - q) for p, q in zip(wf.probabilities, general.probabilities)
@@ -384,7 +380,7 @@ def check_cross_path_samples(samples: Sequence[CrossPathSample]) -> list[dict[st
                     - math.fsum(double_sums[lo:hi].tolist())
                 ),
                 "projection_single_feature": max(
-                    abs(p - d / total) for p, d in zip(projected.probabilities, direct)
+                    abs(p - q) for p, q in zip(projected.probabilities, direct.probabilities)
                 ),
                 "complementarity": abs(math.fsum(wf.probabilities) - 1.0),
             }

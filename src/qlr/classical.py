@@ -37,9 +37,10 @@ class PosteriorDistribution:
     """Per-hypothesis probabilities summing to 1, tagged with the producing
     method.
 
-    ``argmax_index`` is always the smallest index attaining the maximum, so
-    ties resolve deterministically.  It is derived when omitted and checked
-    when given.
+    ``probabilities`` must already be a tuple; the constructor checks it but
+    does not convert it.  ``argmax_index`` is always the smallest index
+    attaining the maximum, so ties resolve deterministically.  It is derived
+    when omitted and checked when given.
     """
 
     probabilities: tuple[float, ...]
@@ -56,27 +57,11 @@ class PosteriorDistribution:
         total = sum(p)
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities must sum to 1 within {_SUM_TOL}, got {total!r}")
-        argmax = self.argmax_of(p)
+        argmax = p.index(max(p))
         if self.argmax_index is None:
             object.__setattr__(self, "argmax_index", argmax)
         elif self.argmax_index != argmax:
             raise ValueError("argmax_index must be the smallest index attaining the maximum")
-
-    @property
-    def n(self) -> int:
-        return len(self.probabilities)
-
-    @staticmethod
-    def argmax_of(values: Sequence[float]) -> int:
-        """The smallest index attaining the maximum of ``values``."""
-        return values.index(max(values))
-
-    @classmethod
-    def from_probabilities(
-        cls, probabilities: Sequence[float], method: str
-    ) -> "PosteriorDistribution":
-        """Tag already-normalized probabilities, deriving ``argmax_index``."""
-        return cls(tuple(probabilities), method)
 
     @classmethod
     def from_weights(
@@ -90,7 +75,7 @@ class PosteriorDistribution:
         total = sum(weights)
         if not 0.0 < total < math.inf:
             raise DegenerateRange(f"cannot normalize weights with total {total!r}")
-        return cls.from_probabilities([w / total for w in weights], method)
+        return cls(tuple([w / total for w in weights]), method)
 
 
 def bayes_posterior(table: ContingencyTable, feature: int) -> PosteriorDistribution:
@@ -197,7 +182,7 @@ def mean_range_posterior(
     low = _weighted_count_ratio(r1.lo, r2.hi, p1, p2, w1, w2)
     high = _weighted_count_ratio(r1.hi, r2.lo, p1, p2, w1, w2)
     prob1 = (low + high) / 2
-    return PosteriorDistribution.from_probabilities((prob1, 1.0 - prob1), "mean_range")
+    return PosteriorDistribution((prob1, 1.0 - prob1), "mean_range")
 
 
 def _weighted_count_ratio(k1: int, k2: int, pop1: int, pop2: int, w1: float, w2: float) -> float:

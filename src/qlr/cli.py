@@ -8,9 +8,10 @@ hypothesis.  If the final row's label is ``__population__`` every value in
 the file must be a nonnegative integer and the file is read as counts;
 otherwise values are conditional probabilities in (0, 1].
 
-JSON: an object with ``"kind": "probabilities"`` (fields ``values``,
-optional ``features``/``hypotheses``/``priors``) or ``"kind": "counts"``
-(fields ``counts``, ``populations``, optional labels).
+JSON: an object with ``"kind": "probabilities"`` (field ``values``) or
+``"kind": "counts"`` (fields ``counts``, ``populations``), either with
+optional ``features``/``hypotheses``/``priors``.  ``--priors`` overrides
+the file's ``priors``.
 
 Exit codes
 ----------
@@ -18,9 +19,10 @@ Exit codes
 of the :class:`~qlr.errors.QlrError` raised: 2 invalid input (unparseable
 file, out-of-range values, bad flags), 3 input that is valid but cannot
 support the request (wrong shape for an estimator, probability-only file
-given to ``ranges``, zero counts under a probability-based method).  An
-unreadable file exits 2.  Under ``--method all`` an exit-3 failure of one
-estimator becomes a ``skipped <method>: ...`` warning instead.
+given to ``ranges``, zero counts or a single hypothesis under a
+probability-based method).  An unreadable file exits 2.  Under ``--method
+all`` an exit-3 failure of one estimator becomes a ``skipped <method>:
+...`` warning instead.
 
 JSON output is canonical: keys sorted, floats carrying 10 significant
 digits, so identical inputs produce byte-identical reports.
@@ -34,6 +36,7 @@ import io
 import json
 import re
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
@@ -47,7 +50,15 @@ from .classical import (
     mean_range_posterior,
     naive_posterior,
 )
-from .errors import BadIndex, InvalidPriors, NotCounts, ParseError, QlrError, Unsupported
+from .errors import (
+    BadIndex,
+    InvalidPriors,
+    NotCounts,
+    OverlapUnderflow,
+    ParseError,
+    QlrError,
+    Unsupported,
+)
 from .quantum import (
     OverlapMatrix,
     hbar_moderated_coefficients,
@@ -69,8 +80,9 @@ _BASE_METHODS = ("naive", "mean-freq", "mean-range", "quantum", "wavefunction")
 class _LoadedInput:
     """A parsed input file: always labels, counts when the file carries them,
     and a probability matrix when the file carries that instead.  ``values``
-    and ``file_priors`` hold the file's numbers as parsed; :func:`new_table`
-    applies the cell and prior rules to them."""
+    and ``file_priors`` hold the file's numbers as parsed, ``file_priors``
+    for either kind; the table builders apply the cell and prior rules to
+    them."""
 
     path: str
     kind: str
@@ -220,6 +232,14 @@ def _parse_json(text: str, path: str) -> _LoadedInput:
         _require(len(raw) == count, f'"{key}" must have {count} entries')
         return tuple(raw)
 
+    priors = data.get("priors")
+    if priors is not None:
+        _require(
+            isinstance(priors, list)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in priors),
+            '"priors" must be a list of numbers',
+        )
+
     if kind == "counts":
         counts = matrix("counts", want_int=True)
         pops = data.get("populations")
@@ -235,16 +255,10 @@ def _parse_json(text: str, path: str) -> _LoadedInput:
             labels("features", "D", table.m),
             labels("hypotheses", "H", table.n),
             count_table=table,
+            file_priors=priors,
         )
 
     values = matrix("values", want_int=False)
-    priors = data.get("priors")
-    if priors is not None:
-        _require(
-            isinstance(priors, list)
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in priors),
-            '"priors" must be a list of numbers',
-        )
     return _LoadedInput(
         path,
         "probabilities",
@@ -403,12 +417,14 @@ def _expand_selectors(raw_methods: Sequence[str], m: int) -> tuple[list[str], se
 
 
 class _AnalysisRun:
-    """Shared state while executing one analyze command."""
+    """Shared state while executing one analyze command.  ``priors`` are
+    the ``--priors`` values if given, else the file's, else ``None`` (the
+    kind's default)."""
 
-    def __init__(self, loaded: _LoadedInput, priors_flag: list[float] | None,
+    def __init__(self, loaded: _LoadedInput, priors: list[float] | None,
                  hbar: float | None):
         self.loaded = loaded
-        self.priors_flag = priors_flag
+        self.priors = priors
         self.hbar = hbar
         self.warnings: list[str] = []
         # The report's diagnostics block; set by the first successful solve.
@@ -418,12 +434,14 @@ class _AnalysisRun:
     def prob_table(self) -> ContingencyTable:
         """The probability-matrix view of the input, built on first use.
 
-        For counts input a zero count makes this view unavailable; that is a
-        capability gap of the request, not a defect of the file, so it is
-        reported as Unsupported.
+        For counts input a single hypothesis or a zero count makes this view
+        unavailable; that is a capability gap of the request, not a defect of
+        the file, so it is reported as Unsupported.
         """
         loaded = self.loaded
         if loaded.kind == "counts":
+            if loaded.count_table.n < 2:
+                raise Unsupported("probability-based methods need at least 2 hypotheses")
             if any(0 in row for row in loaded.count_table.counts):
                 raise Unsupported("probability-based methods need nonzero counts")
             base = from_counts(
@@ -431,10 +449,9 @@ class _AnalysisRun:
                 features=loaded.features,
                 hypotheses=loaded.hypotheses,
             )
-            return base if self.priors_flag is None else replace(base, priors=self.priors_flag)
-        priors = loaded.file_priors if self.priors_flag is None else self.priors_flag
+            return base if self.priors is None else replace(base, priors=self.priors)
         return new_table(
-            loaded.values, priors, features=loaded.features, hypotheses=loaded.hypotheses
+            loaded.values, self.priors, features=loaded.features, hypotheses=loaded.hypotheses
         )
 
     @cached_property
@@ -488,9 +505,14 @@ class _AnalysisRun:
             if loaded.kind != "counts":
                 raise Unsupported(f"{selector} needs integer counts with populations")
             mean = mean_frequency_posterior if selector == "mean-freq" else mean_range_posterior
-            return mean(loaded.count_table, self.priors_flag)
+            return mean(loaded.count_table, self.priors)
         if selector == "quantum":
-            self.overlap  # the solve: diagnostics and the unit-interval warning
+            # The solve sets the diagnostics and the unit-interval warning.
+            # A solve that underflows leaves both out: posterior_2x2 then
+            # raises the same error itself, except at hbar=0, which needs
+            # no coefficients.
+            with suppress(OverlapUnderflow):
+                self.overlap
             return posterior_2x2(self.prob_table, self.hbar)
         return posterior_via_wavefunction(self.prob_table, self.overlap)
 
@@ -526,8 +548,8 @@ def cmd_analyze(args) -> dict[str, Any]:
     if args.hbar is not None:
         moderation_scale(args.hbar)
     loaded = _load_input(args.input)
-    priors_flag = _parse_priors_flag(args.priors, loaded.n)
-    run = _AnalysisRun(loaded, priors_flag, args.hbar)
+    flag = _parse_priors_flag(args.priors, loaded.n)
+    run = _AnalysisRun(loaded, loaded.file_priors if flag is None else flag, args.hbar)
     selectors, explicit = _expand_selectors(args.method or ["all"], loaded.m)
 
     if args.hbar == 0.0 and {"quantum", "wavefunction"} & set(selectors):
@@ -552,7 +574,7 @@ def cmd_analyze(args) -> dict[str, Any]:
     # The priors the estimators used: every emitted report has already
     # validated them (counts) or built the probability table (probabilities).
     if loaded.kind == "counts":
-        priors = loaded.count_table.resolve_priors(priors_flag)
+        priors = loaded.count_table.resolve_priors(run.priors)
     else:
         priors = run.prob_table.priors
     report: dict[str, Any] = {
@@ -632,8 +654,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--priors",
         default=None,
         metavar="P1,P2,...",
-        help="comma-separated hypothesis priors (default: population shares "
-        "for counts, uniform otherwise)",
+        help="comma-separated hypothesis priors (default: the file's priors, else "
+        "population shares for counts, uniform otherwise)",
     )
 
     ranges = sub.add_parser(

@@ -71,8 +71,8 @@ def oracle_mean_estimators(counts, priors=None) -> OracleEstimates:
     total = sum(weights)
     if not total > 0.0:
         raise DegenerateRange("every hypothesis has mean joint frequency zero")
-    mean_frequency = PosteriorDistribution.from_probabilities(
-        [v / total for v in weights], "mean_frequency"
+    mean_frequency = PosteriorDistribution(
+        tuple([v / total for v in weights]), "mean_frequency"
     )
 
     if counts.n != 2:
@@ -96,5 +96,5 @@ def oracle_mean_estimators(counts, priors=None) -> OracleEstimates:
     weighted2 = [w2 * (k2 / p2) for k2 in f2]
     ratios = [a / (a + b) for a in weighted1 for b in weighted2 if a + b > 0.0]
     prob1 = (min(ratios) + max(ratios)) / 2
-    mean_range = PosteriorDistribution.from_probabilities((prob1, 1.0 - prob1), "mean_range")
+    mean_range = PosteriorDistribution((prob1, 1.0 - prob1), "mean_range")
     return OracleEstimates(mean_frequency, mean_range)

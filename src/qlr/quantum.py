@@ -80,16 +80,6 @@ class OverlapMatrix:
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
 
-    @property
-    def n(self) -> int:
-        """Number of hypotheses."""
-        return self.c.shape[0]
-
-    @property
-    def m(self) -> int:
-        """Number of features."""
-        return self.c.shape[1]
-
     def check_fits(self, table: ContingencyTable) -> None:
         """Require one m x m matrix per hypothesis of ``table``.
 
@@ -107,11 +97,6 @@ class OverlapMatrix:
         """``overlap`` itself when it is an OverlapMatrix, else the
         OverlapMatrix built (and validated) from it."""
         return overlap if isinstance(overlap, cls) else cls(overlap)
-
-    @classmethod
-    def identity(cls, n_hypotheses: int, m_features: int) -> "OverlapMatrix":
-        """All features orthogonal (independent) under every hypothesis."""
-        return cls(np.broadcast_to(np.eye(m_features), (n_hypotheses, m_features, m_features)))
 
     @classmethod
     def from_pair(cls, c1: float, c2: float) -> "OverlapMatrix":
@@ -302,7 +287,5 @@ def posterior_2x2(table: ContingencyTable, hbar: float | None = None) -> Posteri
         raise OverlapUnderflow(
             f"prior-weighted block total {total!r} is not finite (blocks {block1!r}, {block2!r})"
         )
-    return PosteriorDistribution.from_probabilities(
-        (w1 * block1 / total, w2 * block2 / total), "quantum"
-    )
+    return PosteriorDistribution((w1 * block1 / total, w2 * block2 / total), "quantum")
 

@@ -292,13 +292,6 @@ class IntegerRange:
         if self.lo > self.hi:
             raise ValueError(f"empty range [{self.lo}, {self.hi}]")
 
-    def values(self) -> range:
-        """All feasible counts, lo..hi inclusive."""
-        return range(self.lo, self.hi + 1)
-
-    def __len__(self) -> int:
-        return self.hi - self.lo + 1
-
 
 def new_table(
     x: Sequence[Sequence[float]],

@@ -32,7 +32,7 @@ def random_table(rng, m=2, n=2):
 class TestPosteriorDistribution:
     def test_valid(self):
         pd = PosteriorDistribution((0.6, 0.4), "bayes", 0)
-        assert pd.n == 2
+        assert pd.probabilities == (0.6, 0.4)
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
@@ -58,8 +58,7 @@ class TestPosteriorDistribution:
     def test_omitted_argmax_is_derived(self):
         assert PosteriorDistribution((0.25, 0.75), "bayes").argmax_index == 1
         assert PosteriorDistribution((0.5, 0.5), "bayes").argmax_index == 0
-        pd = PosteriorDistribution.from_probabilities([0.3, 0.3, 0.4], "naive")
-        assert pd == PosteriorDistribution((0.3, 0.3, 0.4), "naive", 2)
+        assert PosteriorDistribution((0.3, 0.3, 0.4), "naive").argmax_index == 2
         with pytest.raises(ValueError):
             PosteriorDistribution((0.6, 0.4), "magic")
 

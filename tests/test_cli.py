@@ -9,7 +9,15 @@ from pathlib import Path
 import pytest
 
 import qlr.quantum
-from qlr import PosteriorDistribution, QlrError, new_table, bayes_posterior
+from qlr import (
+    CountTable,
+    PosteriorDistribution,
+    QlrError,
+    bayes_posterior,
+    mean_frequency_posterior,
+    new_table,
+    posterior_2x2,
+)
 from qlr.cli import main, render_json
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -213,6 +221,68 @@ class TestAnalyze:
         assert report["methods"]["bayes:1"]["probabilities"][0] == float(
             f"{expected:.10g}"
         )
+
+    def test_counts_json_with_priors_field(self, capsys, tmp_path):
+        path = tmp_path / "counts.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "kind": "counts",
+                    "counts": [[8, 7], [6, 5]],
+                    "populations": [10, 10],
+                    "priors": [0.9, 0.1],
+                }
+            ),
+            encoding="utf-8",
+        )
+        methods = ["--method", "bayes:1", "--method", "mean-freq", "--format", "json"]
+        code, out, _ = run_cli(capsys, "analyze", str(path), *methods)
+        assert code == 0
+        report = json.loads(out)
+        assert report["input"]["priors"] == [0.9, 0.1]
+        table = new_table([[0.8, 0.7], [0.6, 0.5]], [0.9, 0.1])
+        counts = CountTable([[8, 7], [6, 5]], [10, 10])
+        for selector, pd in (
+            ("bayes:1", bayes_posterior(table, 0)),
+            ("mean-freq", mean_frequency_posterior(counts, [0.9, 0.1])),
+        ):
+            expected = [float(f"{p:.10g}") for p in pd.probabilities]
+            assert report["methods"][selector]["probabilities"] == expected
+
+        # --priors overrides the file's priors.
+        code, out, _ = run_cli(capsys, "analyze", str(path), *methods, "--priors", "0.5,0.5")
+        assert code == 0
+        assert json.loads(out)["input"]["priors"] == [0.5, 0.5]
+
+    @pytest.mark.parametrize("kind", ["counts", "probabilities"])
+    def test_json_priors_field_must_be_numbers(self, capsys, tmp_path, kind):
+        spec = {"kind": kind, "priors": "junk"}
+        if kind == "counts":
+            spec.update(counts=[[8, 7], [6, 5]], populations=[10, 10])
+        else:
+            spec.update(values=[[0.8, 0.7], [0.6, 0.5]])
+        path = tmp_path / "junk.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert '"priors" must be a list of numbers' in err
+
+    def test_one_hypothesis_counts_support_no_probability_method(self, capsys, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("feature,A\nd1,3\nd2,4\n__population__,10\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", str(path), "--method", "naive")
+        assert (code, out) == (3, "")
+        assert "at least 2 hypotheses" in err
+
+        code, out, err = run_cli(capsys, "analyze", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["methods"] == {}
+        assert len(report["warnings"]) == 7
+        assert all(w.startswith("skipped ") for w in report["warnings"])
+        assert report["ranges"] == [
+            {"features": ["d1", "d2"], "hi": 3, "hypothesis": "A", "lo": 0}
+        ]
 
 
 # Exit status per error class: 2 invalid input, 3 valid input that cannot
@@ -539,6 +609,33 @@ def test_overflowing_weighted_block_is_skipped_under_all(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", str(path), "--method", "quantum")
     assert code == 3
     assert err.startswith("qlr: error:")
+
+
+@pytest.mark.parametrize("cell", ["1e-158", "1e-200"])
+def test_hbar_zero_gives_quantum_when_the_coefficients_do_not_fit(capsys, tmp_path, cell):
+    # 1e-158 leaves c2 = inf; 1e-200 underflows the cell product to zero.
+    # hbar = 0 drops the overlaps, so quantum needs neither.
+    path = tmp_path / "tiny.json"
+    path.write_text(
+        f'{{"kind": "probabilities", "values": [[{cell}, 0.5], [{cell}, 0.5]]}}',
+        encoding="utf-8",
+    )
+    argv = ["analyze", str(path), "--hbar", "0", "--format", "json"]
+    code, out, err = run_cli(capsys, *argv, "--method", "quantum")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    expected = posterior_2x2(new_table([[float(cell), 0.5], [float(cell), 0.5]]), 0.0)
+    assert report["methods"]["quantum"]["probabilities"] == [
+        float(f"{p:.10g}") for p in expected.probabilities
+    ]
+    assert "diagnostics" not in report
+
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert "quantum" in report["methods"]
+    assert "wavefunction" not in report["methods"]
+    assert any(w.startswith("skipped wavefunction:") for w in report["warnings"])
 
 
 class TestVerifyCommand:

@@ -2,8 +2,8 @@
 names it binds, no module of the package imports a private (``_``-prefixed)
 name from a sibling module, the state-vector checker does not call the
 overlap kernels it checks, the kernel module holds none of the checker's
-names, and the kernel modules import none of the randomized suites'
-code."""
+names, the kernel modules import none of the randomized suites' code, and
+every public name the package defines has a caller outside the tests."""
 
 import ast
 import types
@@ -13,7 +13,8 @@ import pytest
 
 import qlr
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qlr"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = REPO_ROOT / "src" / "qlr"
 
 
 def _is_private(name: str) -> bool:
@@ -244,3 +245,115 @@ def test_kernel_modules_import_no_suite_code(name):
             attributes.add(ast.unparse(node))
     assert not imported & {"checks", "new_table", "random", "numpy.random"}
     assert not attributes & {"np.random", "numpy.random"}
+
+
+# Every public name the package defines has a caller in the package itself
+# (``__init__.py``, which only re-exports, aside) or in the benchmark; a
+# member only tests use goes.  The names are module-level functions, classes
+# and UPPER_CASE constants, and the methods and properties of public
+# classes.  Matching goes by name alone, so a member shares the callers of
+# every other name spelled the same way.
+CALLER_SOURCES = [
+    *(path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"),
+    *sorted((REPO_ROOT / "bench").glob("*.py")),
+]
+
+
+def public_definitions(source: str) -> list[tuple[int, str, str]]:
+    """``(line, qualified name, name)`` for each public module-level
+    function, class and UPPER_CASE constant, and each public method or
+    property of a public class.  Dunder names are not public here."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_"):
+                continue
+            found.append((node.lineno, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                found.extend(
+                    (member.lineno, f"{node.name}.{member.name}", member.name)
+                    for member in node.body
+                    if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not member.name.startswith("_")
+                )
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend(
+                (node.lineno, t.id, t.id)
+                for t in targets
+                if isinstance(t, ast.Name) and t.id.isupper() and not t.id.startswith("_")
+            )
+    return found
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names a module reads, as a name or an attribute, or imports.  A
+    definition or an assignment does not read the name it binds."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def uncalled_definitions(source: str, callers: set[str]) -> list[str]:
+    """The public definitions of ``source`` whose names are not in
+    ``callers``, as ``line N: name`` strings."""
+    return [
+        f"line {line}: {qualified}"
+        for line, qualified, name in public_definitions(source)
+        if name not in callers
+    ]
+
+
+def caller_names() -> set[str]:
+    names: set[str] = set()
+    for path in CALLER_SOURCES:
+        names |= referenced_names(path.read_text(encoding="utf-8"))
+    return names
+
+
+@pytest.mark.parametrize(
+    "source, callers, expected",
+    [
+        ("def solve():\n    pass", "", ["line 1: solve"]),
+        ("class Report:\n    pass", "", ["line 1: Report"]),
+        ("LIMIT = 10\nlimit = LIMIT", "", ["line 1: LIMIT"]),
+        ("SHAPE: tuple = (2, 2)", "", ["line 1: SHAPE"]),
+        (
+            "class Report:\n    @property\n    def worst(self):\n        pass",
+            "Report",
+            ["line 3: Report.worst"],
+        ),
+        (
+            "class Report:\n    @classmethod\n    def build(cls):\n        pass",
+            "Report",
+            ["line 3: Report.build"],
+        ),
+        ("def solve():\n    pass", "from .quantum import solve", []),
+        ("def solve():\n    pass", "quantum.solve", []),
+        ("def solve():\n    pass", "call = solve", []),
+        ("def _helper():\n    pass\n_LIMIT = 1\nlimit = 2", "", []),
+        ("class _Run:\n    def step(self):\n        pass", "", []),
+        ("class Report:\n    def __repr__(self):\n        return ''", "Report", []),
+    ],
+)
+def test_rule_flags_public_definitions_without_a_caller(source, callers, expected):
+    assert uncalled_definitions(source, referenced_names(callers)) == expected
+
+
+def test_rule_flags_a_method_planted_in_a_package_class():
+    source = (PACKAGE / "quantum.py").read_text(encoding="utf-8").replace(
+        "    def check_fits(", "    def planted_unused(self):\n        pass\n\n    def check_fits(", 1
+    )
+    flagged = uncalled_definitions(source, caller_names())
+    assert [entry.split(": ")[1] for entry in flagged] == ["OverlapMatrix.planted_unused"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_public_definition_has_a_caller_outside_the_tests(path):
+    assert uncalled_definitions(path.read_text(encoding="utf-8"), caller_names()) == []

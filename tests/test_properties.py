@@ -95,7 +95,8 @@ def _swapped(table):
 
 
 def _identity(table):
-    return OverlapMatrix.identity(table.n, table.m)
+    m = table.m
+    return OverlapMatrix(np.broadcast_to(np.eye(m), (table.n, m, m)))
 
 
 def _solved(table):
@@ -244,7 +245,7 @@ def overlap_stacks(draw):
 def test_positive_definite_flags_follow_the_smallest_eigenvalue(overlap):
     flags = positive_definite(overlap)
     assert isinstance(flags, tuple) and all(type(flag) is bool for flag in flags)
-    assert len(flags) == overlap.n
+    assert len(flags) == len(overlap.c)
     for a, flag in enumerate(flags):
         smallest = float(np.linalg.eigvalsh(overlap.c[a]).min())
         if abs(smallest - PD_EIGENVALUE_TOL) > PD_MARGIN:

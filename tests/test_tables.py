@@ -177,15 +177,9 @@ class TestValueSemantics:
 
 
 class TestIntegerRange:
-    def test_values_and_len(self):
-        r = IntegerRange(4, 6)
-        assert list(r.values()) == [4, 5, 6]
-        assert len(r) == 3
-
     def test_singleton(self):
         r = IntegerRange(10, 10)
-        assert list(r.values()) == [10]
-        assert len(r) == 1
+        assert (r.lo, r.hi) == (10, 10)
 
     def test_rejects_negative_lower_bound(self):
         with pytest.raises(ValueError):
@@ -263,4 +257,4 @@ class TestIntersectionRange:
                 for k in range(pop + 1)
                 if k <= c[0, 0] and k <= c[1, 0] and pop - c[0, 0] - c[1, 0] + k >= 0
             ]
-            assert feasible == list(r.values())
+            assert feasible == list(range(r.lo, r.hi + 1))

@@ -369,7 +369,7 @@ def test_fields_are_read_only_copies():
         assert_tuple_of(values, kind)
     assert_frozen(overlap.c, np.float64)
     assert_frozen(OverlapMatrix.from_pair(0.2, 0.3).c, np.float64)
-    assert_frozen(OverlapMatrix.identity(2, 3).c, np.float64)
+    assert_frozen(OverlapMatrix([np.eye(3)] * 2).c, np.float64)
 
     for arr in (x, priors, counts, populations, c):
         arr[...] = 0

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qlr.classical as classical
 import qlr.quantum as quantum
 from qlr import (
     BadIndex,
@@ -42,6 +43,11 @@ STREET_NORMALIZATION = 4.7005952380952385
 STREET_P1 = 0.5895909839179435
 
 
+def identity_overlap(n: int, m: int) -> OverlapMatrix:
+    """All m features orthogonal (independent) under each of n hypotheses."""
+    return OverlapMatrix(np.broadcast_to(np.eye(m), (n, m, m)))
+
+
 def street_overlap() -> OverlapMatrix:
     s = overlap_coefficients(STREET)
     return OverlapMatrix.from_pair(s.c1, s.c2)
@@ -61,12 +67,13 @@ STACKED_TOL = 1e-12
 
 def reference_gram_schmidt(overlap: OverlapMatrix) -> np.ndarray:
     c = overlap.c
-    basis = np.zeros((overlap.n, overlap.m, overlap.m))
-    for a in range(overlap.n):
+    n, m, _ = c.shape
+    basis = np.zeros((n, m, m))
+    for a in range(n):
         gram = c[a]
         rows = basis[a]
-        for i in range(overlap.m):
-            v = np.zeros(overlap.m)
+        for i in range(m):
+            v = np.zeros(m)
             v[i] = 1.0
             for _ in range(2):
                 for k in range(i):
@@ -96,7 +103,7 @@ def reference_cases():
                 overlap = random_positive_definite_overlap(draws, n, m)
                 table = new_table(x, raw / raw.sum())
                 cases.append(pytest.param(table, overlap, id=f"random-n{n}-m{m}-{k}"))
-    identity = OverlapMatrix.identity(3, 4)
+    identity = identity_overlap(3, 4)
     cases.append(pytest.param(new_table(1.0 - rng.random((4, 3))), identity, id="identity"))
     cases.append(pytest.param(STREET, street_overlap(), id="street"))
     return cases
@@ -124,7 +131,7 @@ def test_stacked_path_matches_loop_reference(table, overlap):
 
 class TestGramSchmidtBasis:
     def test_identity_overlap_gives_identity_basis(self):
-        rows, _, _ = gram_schmidt_basis(OverlapMatrix.identity(3, 4))
+        rows, _, _ = gram_schmidt_basis(identity_overlap(3, 4))
         for a in range(3):
             np.testing.assert_array_equal(rows[a], np.eye(4))
 
@@ -233,7 +240,7 @@ def test_basis_is_the_gram_schmidt_basis_near_singularity(overlap):
         return
     assert all(flags)
     expected = reference_gram_schmidt(overlap)
-    for a in range(overlap.n):
+    for a in range(len(overlap.c)):
         kappa = np.linalg.cond(overlap.c[a])
         tol = BASIS_KAPPA_FACTOR * np.finfo(float).eps * kappa * np.abs(expected[a]).max()
         np.testing.assert_allclose(rows[a], expected[a], rtol=0, atol=tol)
@@ -301,7 +308,7 @@ def test_rows_that_miss_the_residual_ceiling_are_a_typed_refusal(monkeypatch, sc
 
     monkeypatch.setattr(np.linalg, "inv", wrong)
     with pytest.raises(NotPositiveDefinite, match="residual") as info:
-        gram_schmidt_basis(OverlapMatrix.identity(2, 2))
+        gram_schmidt_basis(identity_overlap(2, 2))
     assert info.value.hypothesis == worst
 
 
@@ -309,13 +316,13 @@ class TestStackedAmplitudes:
     def test_identity_overlap_returns_root_cells(self):
         x = np.array([[0.64, 0.25], [0.09, 0.81], [0.36, 0.49]])
         table = new_table(x)
-        _, metric_rows, _ = gram_schmidt_basis(OverlapMatrix.identity(2, 3))
+        _, metric_rows, _ = gram_schmidt_basis(identity_overlap(2, 3))
         b = table_amplitudes(table, metric_rows)
         np.testing.assert_array_equal(b, np.sqrt(x).T)
 
     def test_one_amplitude_row_per_hypothesis(self):
         table = new_table([[0.64, 0.25, 0.5], [0.09, 0.81, 0.5]])
-        _, metric_rows, _ = gram_schmidt_basis(OverlapMatrix.identity(3, 2))
+        _, metric_rows, _ = gram_schmidt_basis(identity_overlap(3, 2))
         assert table_amplitudes(table, metric_rows).shape == (table.n, table.m)
 
     def test_street_normalization(self):
@@ -354,7 +361,7 @@ class TestPosteriorViaWavefunction:
     def test_identity_overlap_reduces_to_column_sums(self):
         x = np.array([[0.7, 0.2], [0.4, 0.9]])
         table = new_table(x, [0.3, 0.7])
-        pd = posterior_via_wavefunction(table, OverlapMatrix.identity(2, 2))
+        pd = posterior_via_wavefunction(table, identity_overlap(2, 2))
         expected = table.priors * x.sum(axis=0)
         expected = expected / expected.sum()
         np.testing.assert_allclose(pd.probabilities, expected, atol=1e-14)
@@ -377,7 +384,7 @@ class TestPosteriorViaWavefunction:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            posterior_via_wavefunction(STREET, OverlapMatrix.identity(2, 3))
+            posterior_via_wavefunction(STREET, identity_overlap(2, 3))
 
     def test_accepts_what_posterior_general_accepts(self):
         nested = street_overlap().c.tolist()
@@ -481,7 +488,7 @@ class TestCrossPathSuite:
         def perturbed(table, overlap):
             p = list(real(table, overlap).probabilities)
             p[0], p[1] = p[0] + 1e-6, p[1] - 1e-6
-            return PosteriorDistribution.from_probabilities(p, "quantum")
+            return PosteriorDistribution(tuple(p), "quantum")
 
         monkeypatch.setattr(quantum, "posterior_general", perturbed)
         report = cross_path_suite(20, 42)
@@ -490,3 +497,19 @@ class TestCrossPathSuite:
         assert not by_name["paths_agree"].passed
         assert by_name["paths_agree"].passes == 0
         assert all(check.passed for name, check in by_name.items() if name != "paths_agree")
+
+    def test_detects_a_perturbed_single_feature_update(self, monkeypatch):
+        real = classical.bayes_posterior
+
+        def perturbed(table, feature):
+            p = list(real(table, feature).probabilities)
+            p[0], p[1] = p[0] + 1e-6, p[1] - 1e-6
+            return PosteriorDistribution(tuple(p), "bayes")
+
+        monkeypatch.setattr(classical, "bayes_posterior", perturbed)
+        report = cross_path_suite(20, 42)
+        by_name = {check.name: check for check in report.checks}
+        assert by_name["projection_single_feature"].passes == 0
+        assert all(
+            check.passed for name, check in by_name.items() if name != "projection_single_feature"
+        )

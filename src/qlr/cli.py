@@ -13,11 +13,17 @@ JSON: an object with ``"kind": "probabilities"`` (field ``values``) or
 optional ``features``/``hypotheses``/``priors``.  ``--priors`` overrides
 the file's ``priors``.
 
+The reader checks only the file's syntax and layout (and, for JSON, the
+label lists); the numbers go straight into the table types, whose rules
+refuse a bad cell, count, population or prior.  So a file is validated
+whole at load, its own ``priors`` included even when ``--priors``
+overrides them, before any command decides what it can support.
+
 Exit codes
 ----------
 0 success; 1 ``verify`` found a failing check; otherwise the ``exit_code``
 of the :class:`~qlr.errors.QlrError` raised: 2 invalid input (unparseable
-file, out-of-range values, bad flags), 3 input that is valid but cannot
+file, a file breaking a table rule, bad flags), 3 input that is valid but cannot
 support the request (wrong shape for an estimator, probability-only file
 given to ``ranges``, zero counts or a single hypothesis under a
 probability-based method).  An unreadable file exits 2.  Under ``--method
@@ -52,7 +58,6 @@ from .classical import (
 )
 from .errors import (
     BadIndex,
-    InvalidPriors,
     NotCounts,
     OverlapUnderflow,
     ParseError,
@@ -66,7 +71,14 @@ from .quantum import (
     overlap_coefficients,
     posterior_2x2,
 )
-from .tables import ContingencyTable, CountTable, from_counts, intersection_range, new_table
+from .tables import (
+    ContingencyTable,
+    CountTable,
+    from_counts,
+    intersection_range,
+    new_table,
+    validated_priors,
+)
 from .wavefunction import positive_definite, posterior_via_wavefunction
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -78,19 +90,20 @@ _BASE_METHODS = ("naive", "mean-freq", "mean-range", "quantum", "wavefunction")
 
 @dataclass(frozen=True)
 class _LoadedInput:
-    """A parsed input file: always labels, counts when the file carries them,
-    and a probability matrix when the file carries that instead.  ``values``
-    and ``file_priors`` hold the file's numbers as parsed, ``file_priors``
-    for either kind; the table builders apply the cell and prior rules to
-    them."""
+    """A loaded input file: its labels and the validated table it carries,
+    a CountTable for counts or a ContingencyTable for probabilities.
+    ``priors`` are the file's own priors, validated, or else the table's
+    default: population shares for counts, uniform for probabilities."""
 
     path: str
-    kind: str
     features: tuple[str, ...]
     hypotheses: tuple[str, ...]
-    values: list[list[float]] | None = None
-    count_table: CountTable | None = None
-    file_priors: list[float] | None = None
+    table: CountTable | ContingencyTable
+    priors: tuple[float, ...]
+
+    @property
+    def kind(self) -> str:
+        return "counts" if isinstance(self.table, CountTable) else "probabilities"
 
     @property
     def m(self) -> int:
@@ -99,6 +112,31 @@ class _LoadedInput:
     @property
     def n(self) -> int:
         return len(self.hypotheses)
+
+
+def _probability_input(path, values, features, hypotheses, priors=None) -> _LoadedInput:
+    table = new_table(values, priors, features=features, hypotheses=hypotheses)
+    return _LoadedInput(path, table.features, table.hypotheses, table, table.priors)
+
+
+def _count_input(path, counts, populations, features, hypotheses, priors=None) -> _LoadedInput:
+    table = CountTable(counts, populations)
+    return _LoadedInput(
+        path,
+        _count_labels(features, "features", "D", table.m),
+        _count_labels(hypotheses, "hypotheses", "H", table.n),
+        table,
+        table.resolve_priors(priors),
+    )
+
+
+def _count_labels(given, key: str, prefix: str, count: int) -> tuple[str, ...]:
+    """A count file's labels, or ``prefix1..prefix<count>``; a count table
+    carries no labels, so the file's are counted here."""
+    if given is None:
+        return tuple(f"{prefix}{k + 1}" for k in range(count))
+    _require(len(given) == count, f'"{key}" must have {count} entries')
+    return tuple(given)
 
 
 def _parse_number(cell: str, line: int, column: int) -> float:
@@ -165,15 +203,14 @@ def _parse_csv(text: str, path: str) -> _LoadedInput:
             _parse_integer(cell, pop_line, col + 2)
             for col, cell in enumerate(pop_cells[1:])
         ]
-        table = CountTable(counts, populations)
-        return _LoadedInput(path, "counts", features, hypotheses, count_table=table)
+        return _count_input(path, counts, populations, features, hypotheses)
 
     features = tuple(cells[0] for _, cells in body)
     values = [
         [_parse_number(cell, line, col + 2) for col, cell in enumerate(cells[1:])]
         for line, cells in body
     ]
-    return _LoadedInput(path, "probabilities", features, hypotheses, values=values)
+    return _probability_input(path, values, features, hypotheses)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -199,74 +236,23 @@ def _parse_json(text: str, path: str) -> _LoadedInput:
         'JSON input needs "kind": "probabilities" or "counts"',
     )
 
-    def matrix(key: str, want_int: bool) -> list[list]:
-        rows = data.get(key)
-        _require(
-            isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows),
-            f'"{key}" must be a non-empty list of rows',
-        )
-        width = len(rows[0])
-        for r in rows:
-            _require(len(r) == width, f'all "{key}" rows must have equal length')
-            for v in r:
-                if want_int:
-                    _require(
-                        isinstance(v, int) and not isinstance(v, bool),
-                        f'"{key}" entries must be integers',
-                    )
-                else:
-                    _require(
-                        isinstance(v, (int, float)) and not isinstance(v, bool),
-                        f'"{key}" entries must be numbers',
-                    )
-        return rows
+    fields = ("counts", "populations") if kind == "counts" else ("values",)
+    for key in fields:
+        _require(key in data, f'JSON {kind} input needs a "{key}" field')
 
-    def labels(key: str, fallback_prefix: str, count: int) -> tuple[str, ...]:
+    def labels(key: str) -> list[str] | None:
         raw = data.get(key)
-        if raw is None:
-            return tuple(f"{fallback_prefix}{k + 1}" for k in range(count))
         _require(
-            isinstance(raw, list) and all(isinstance(s, str) for s in raw),
+            raw is None or isinstance(raw, list) and all(isinstance(s, str) for s in raw),
             f'"{key}" must be a list of strings',
         )
-        _require(len(raw) == count, f'"{key}" must have {count} entries')
-        return tuple(raw)
+        return raw
 
-    priors = data.get("priors")
-    if priors is not None:
-        _require(
-            isinstance(priors, list)
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in priors),
-            '"priors" must be a list of numbers',
-        )
-
+    features, hypotheses, priors = labels("features"), labels("hypotheses"), data.get("priors")
     if kind == "counts":
-        counts = matrix("counts", want_int=True)
-        pops = data.get("populations")
-        _require(
-            isinstance(pops, list)
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in pops),
-            '"populations" must be a list of integers',
-        )
-        table = CountTable(counts, pops)
-        return _LoadedInput(
-            path,
-            "counts",
-            labels("features", "D", table.m),
-            labels("hypotheses", "H", table.n),
-            count_table=table,
-            file_priors=priors,
-        )
-
-    values = matrix("values", want_int=False)
-    return _LoadedInput(
-        path,
-        "probabilities",
-        labels("features", "D", len(values)),
-        labels("hypotheses", "H", len(values[0])),
-        values=values,
-        file_priors=priors,
-    )
+        counts, populations = data["counts"], data["populations"]
+        return _count_input(path, counts, populations, features, hypotheses, priors)
+    return _probability_input(path, data["values"], features, hypotheses, priors)
 
 
 def _load_input(path: str) -> _LoadedInput:
@@ -283,18 +269,13 @@ def _load_input(path: str) -> _LoadedInput:
     return _parse_csv(text, path)
 
 
-def _parse_priors_flag(raw: str | None, n: int) -> list[float] | None:
-    if raw is None:
-        return None
-    parts = raw.split(",")
+def _parse_priors_flag(raw: str) -> list[float]:
     values = []
-    for part in parts:
+    for part in raw.split(","):
         try:
             values.append(float(part))
         except ValueError:
             raise ParseError(f"--priors entry {part.strip()!r} is not a number") from None
-    if len(values) != n:
-        raise InvalidPriors(f"--priors needs {n} comma-separated values, got {len(values)}")
     return values
 
 
@@ -418,13 +399,14 @@ def _expand_selectors(raw_methods: Sequence[str], m: int) -> tuple[list[str], se
 
 class _AnalysisRun:
     """Shared state while executing one analyze command.  ``priors`` are
-    the ``--priors`` values if given, else the file's, else ``None`` (the
-    kind's default)."""
+    the ``--priors`` values if given, validated by the prior rule at once,
+    else the loaded input's."""
 
-    def __init__(self, loaded: _LoadedInput, priors: list[float] | None,
-                 hbar: float | None):
+    def __init__(self, loaded: _LoadedInput, flag: str | None, hbar: float | None):
         self.loaded = loaded
-        self.priors = priors
+        self.priors = (
+            loaded.priors if flag is None else validated_priors(_parse_priors_flag(flag), loaded.n)
+        )
         self.hbar = hbar
         self.warnings: list[str] = []
         # The report's diagnostics block; set by the first successful solve.
@@ -432,27 +414,14 @@ class _AnalysisRun:
 
     @cached_property
     def prob_table(self) -> ContingencyTable:
-        """The probability-matrix view of the input, built on first use.
-
-        For counts input a single hypothesis or a zero count makes this view
-        unavailable; that is a capability gap of the request, not a defect of
-        the file, so it is reported as Unsupported.
-        """
+        """The probability-matrix view of the input under :attr:`priors`,
+        built on first use.  For counts input a single hypothesis or a zero
+        count makes it unavailable, and ``from_counts`` raises Unsupported."""
         loaded = self.loaded
+        table = loaded.table
         if loaded.kind == "counts":
-            if loaded.count_table.n < 2:
-                raise Unsupported("probability-based methods need at least 2 hypotheses")
-            if any(0 in row for row in loaded.count_table.counts):
-                raise Unsupported("probability-based methods need nonzero counts")
-            base = from_counts(
-                loaded.count_table,
-                features=loaded.features,
-                hypotheses=loaded.hypotheses,
-            )
-            return base if self.priors is None else replace(base, priors=self.priors)
-        return new_table(
-            loaded.values, self.priors, features=loaded.features, hypotheses=loaded.hypotheses
-        )
+            table = from_counts(table, features=loaded.features, hypotheses=loaded.hypotheses)
+        return table if table.priors == self.priors else replace(table, priors=self.priors)
 
     @cached_property
     def overlap(self) -> OverlapMatrix:
@@ -505,7 +474,7 @@ class _AnalysisRun:
             if loaded.kind != "counts":
                 raise Unsupported(f"{selector} needs integer counts with populations")
             mean = mean_frequency_posterior if selector == "mean-freq" else mean_range_posterior
-            return mean(loaded.count_table, self.priors)
+            return mean(loaded.table, self.priors)
         if selector == "quantum":
             # The solve sets the diagnostics and the unit-interval warning.
             # A solve that underflows leaves both out: posterior_2x2 then
@@ -525,15 +494,15 @@ def _input_echo(loaded: _LoadedInput) -> dict[str, Any]:
         "hypotheses": list(loaded.hypotheses),
     }
     if loaded.kind == "counts":
-        echo["counts"] = [list(row) for row in loaded.count_table.counts]
-        echo["populations"] = list(loaded.count_table.populations)
+        echo["counts"] = [list(row) for row in loaded.table.counts]
+        echo["populations"] = list(loaded.table.populations)
     else:
-        echo["values"] = [[float(v) for v in row] for row in loaded.values]
+        echo["values"] = [list(row) for row in loaded.table.x]
     return echo
 
 
 def _ranges_payload(loaded: _LoadedInput) -> list[dict[str, Any]]:
-    table = loaded.count_table
+    table = loaded.table
     payload = []
     for a in range(table.n):
         for i, j in combinations(range(table.m), 2):
@@ -548,8 +517,7 @@ def cmd_analyze(args) -> dict[str, Any]:
     if args.hbar is not None:
         moderation_scale(args.hbar)
     loaded = _load_input(args.input)
-    flag = _parse_priors_flag(args.priors, loaded.n)
-    run = _AnalysisRun(loaded, loaded.file_priors if flag is None else flag, args.hbar)
+    run = _AnalysisRun(loaded, args.priors, args.hbar)
     selectors, explicit = _expand_selectors(args.method or ["all"], loaded.m)
 
     if args.hbar == 0.0 and {"quantum", "wavefunction"} & set(selectors):
@@ -571,16 +539,10 @@ def cmd_analyze(args) -> dict[str, Any]:
             "argmax": loaded.hypotheses[pd.argmax_index],
         }
 
-    # The priors the estimators used: every emitted report has already
-    # validated them (counts) or built the probability table (probabilities).
-    if loaded.kind == "counts":
-        priors = loaded.count_table.resolve_priors(run.priors)
-    else:
-        priors = run.prob_table.priors
     report: dict[str, Any] = {
         "command": "analyze",
         "version": __version__,
-        "input": {**_input_echo(loaded), "priors": list(priors)},
+        "input": {**_input_echo(loaded), "priors": list(run.priors)},
         "methods": methods,
         "warnings": run.warnings,
     }

@@ -40,7 +40,7 @@ class BadIndex(QlrError, IndexError):
 
 
 class Unsupported(QlrError, ValueError):
-    """The requested estimator does not support this table shape."""
+    """The requested estimator does not support this table's shape or counts."""
 
     exit_code = 3
 

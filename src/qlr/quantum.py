@@ -14,6 +14,18 @@ constraints; for any other shape the caller supplies them.
 :func:`qlr.checks.verify_constraint_suite` re-derives the constraints that
 pin the closed form (known-value tables, row/column exchange symmetry,
 complementarity) and checks them over randomized inputs.
+
+Naive Bayes is a special case of the 2x2 closed form.  With ``x1, y1``
+hypothesis 1's cells, ``x2, y2`` hypothesis 2's and ``r = x1*y1 / (x2*y2)``,
+the two posteriors agree for every prior exactly on the surface
+
+    x1*y1*(1 - x2 - y2) = x2*y2*(1 - x1 - y1)
+
+Proof: the closed form weighs the priors by ``r + x1 + y1`` and
+``1/r + x2 + y2``, naive Bayes by ``x1*y1`` and ``x2*y2``, so they agree
+iff ``r + x1 + y1 = r * (1/r + x2 + y2)``, that is ``r*(1 - x2 - y2) =
+1 - x1 - y1``; multiply by ``x2*y2``.  Every known-value table of the
+constraint suite lies on this surface.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ from .errors import (
     ShapeMismatch,
     Unsupported,
 )
-from .tables import ContingencyTable, holds_bool
+from .tables import ContingencyTable, non_number_in
 
 _SYMMETRY_TOL = 1e-12
 
@@ -56,6 +68,11 @@ class OverlapMatrix:
             c = np.array(self.c, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidOverlap(f"overlap must be an (n, m, m) array of numbers ({exc})") from exc
+        found = non_number_in(self.c)
+        if found is not None:
+            raise InvalidOverlap(
+                f"overlap must be an (n, m, m) array of numbers ({found} is not a number)"
+            )
         if c.ndim != 3 or c.shape[1] != c.shape[2]:
             raise InvalidOverlap(
                 f"overlap must be (n, m, m) per-hypothesis square matrices, got {c.shape}"
@@ -167,12 +184,13 @@ def _check_products(p1: float, p2: float) -> None:
 
 def moderation_scale(hbar: float) -> float:
     """``1 - exp(-hbar)``, the factor ``hbar`` applies to the overlaps; raises
-    InvalidHbar unless hbar is a finite number >= 0 (a bool is not one)."""
+    InvalidHbar unless hbar is a finite number >= 0 (a bool, a string or
+    None is not one: see :func:`qlr.tables.non_number_in`)."""
     try:
         h = float(hbar)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidHbar(f"moderation scale must be a finite number, got {hbar!r}") from exc
-    if holds_bool(hbar):
+    if non_number_in(hbar) is not None:
         raise InvalidHbar(f"moderation scale must be a finite number, got {hbar!r}")
     if not math.isfinite(h) or h < 0.0:
         raise InvalidHbar(f"moderation scale must be finite and nonnegative, got {hbar!r}")
@@ -188,13 +206,18 @@ def hbar_moderated_coefficients(c1: float, c2: float, hbar: float) -> tuple[floa
 
     Raises:
         InvalidHbar: negative or non-finite moderation scale.
-        InvalidOverlap: a coefficient is not a finite number.
+        InvalidOverlap: a coefficient is not a finite number (a bool or a
+            string is not a number).
     """
     scale = moderation_scale(hbar)
     try:
-        c1, c2 = float(c1), float(c2)
+        pair = float(c1), float(c2)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidOverlap(f"overlap coefficients must be numbers ({exc})") from exc
+    found = non_number_in((c1, c2))
+    if found is not None:
+        raise InvalidOverlap(f"overlap coefficients must be numbers ({found} is not a number)")
+    c1, c2 = pair
     if not (math.isfinite(c1) and math.isfinite(c2)):
         raise InvalidOverlap(f"overlap coefficients must be finite, got {c1!r}, {c2!r}")
     return (c1 * scale, c2 * scale)

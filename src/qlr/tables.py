@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadIndex, BadShape, InvalidCell, InvalidPriors, QlrError
+from .errors import BadIndex, BadShape, InvalidCell, InvalidPriors, QlrError, Unsupported
 
 PRIOR_SUM_TOL = 1e-12
 
@@ -58,7 +58,7 @@ def _labels(given: Sequence[str] | None, prefix: str, count: int) -> tuple[str, 
     return tuple(map(str, given))
 
 
-def _validated_priors(priors: Sequence[float], n: int) -> tuple[float, ...]:
+def validated_priors(priors: Sequence[float], n: int) -> tuple[float, ...]:
     """The prior rule: n finite nonnegative weights summing to 1, returned as
     floats.
 
@@ -70,8 +70,9 @@ def _validated_priors(priors: Sequence[float], n: int) -> tuple[float, ...]:
         arr = np.array(priors, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidPriors(f"priors must be {n} numbers ({exc})") from exc
-    if holds_bool(priors):
-        raise InvalidPriors(f"priors must be {n} numbers (a bool is not a number)")
+    found = non_number_in(priors)
+    if found is not None:
+        raise InvalidPriors(f"priors must be {n} numbers ({found} is not a number)")
     if arr.shape != (n,):
         raise InvalidPriors(f"priors must have length {n}, got shape {arr.shape}")
     weights = arr.tolist()
@@ -100,20 +101,28 @@ def check_index(value, size: int, what: str) -> None:
     raise BadIndex(f"{what} must be an integer in [0, {size}), got {value!r}")
 
 
-def holds_bool(values) -> bool:
-    """Whether ``values`` is or nests a bool; numpy casts a bool mixed with
-    numbers to a number, so the array's dtype does not show it.  The test
-    by which counts, cells, priors and ``hbar`` refuse a bool."""
+def non_number_in(values) -> str | None:
+    """The number rule: the kind of the first value in the nesting that is
+    not a number (``"a bool"``, ``"a str"``, ``"a bytes"`` or ``"None"``), or
+    None when every value is one.  numpy casts a bool or a numeric string
+    mixed with numbers to a number, and None to nan, so the converted array
+    does not show them.  Cells, counts, priors, ``hbar`` and overlap
+    coefficients refuse what this finds."""
     if isinstance(values, (list, tuple)):
         for v in values:
             # Plain floats and ints, the common entries, skip the call.
-            if type(v) is not float and type(v) is not int and holds_bool(v):
-                return True
-        return False
+            found = None if type(v) is float or type(v) is int else non_number_in(v)
+            if found is not None:
+                return found
+        return None
     if isinstance(values, np.ndarray):
-        kind = values.dtype.kind
-        return kind == "b" or (kind == "O" and holds_bool(values.tolist()))
-    return isinstance(values, (bool, np.bool_))
+        # A bool, string or object array is read entry by entry.
+        return non_number_in(values.tolist()) if values.dtype.kind in "bOSU" else None
+    # numpy's bool_ is no bool, but its str_ and bytes_ subclass str and bytes.
+    for kind, types in (("a bool", (bool, np.bool_)), ("a str", str), ("a bytes", bytes)):
+        if isinstance(values, types):
+            return kind
+    return "None" if values is None else None
 
 
 def _numeric_array(values, dtype, what: str, non_numeric: type[QlrError]) -> np.ndarray:
@@ -151,8 +160,11 @@ class ContingencyTable:
 
     def __post_init__(self):
         x = _numeric_array(self.x, float, "probability matrix", InvalidCell)
-        if holds_bool(self.x):
-            raise InvalidCell("probability matrix must hold only numbers (a bool is not a number)")
+        found = non_number_in(self.x)
+        if found is not None:
+            raise InvalidCell(
+                f"probability matrix must hold only numbers ({found} is not a number)"
+            )
         if x.ndim != 2:
             raise BadShape(f"probability matrix must be 2-D, got {x.ndim}-D")
         m, n = x.shape
@@ -176,7 +188,7 @@ class ContingencyTable:
         if self.priors is None:
             priors = _uniform_priors(n)
         else:
-            priors = _validated_priors(self.priors, n)
+            priors = validated_priors(self.priors, n)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "hypotheses", hypotheses)
         object.__setattr__(self, "x", rows)
@@ -225,7 +237,7 @@ class CountTable:
         if (
             counts.dtype.kind not in "iu"
             or populations.dtype.kind not in "iu"
-            or holds_bool((self.counts, self.populations))
+            or non_number_in((self.counts, self.populations)) is not None
         ):
             raise BadShape(
                 f"counts and populations must be integers no larger than {MAX_POPULATION}"
@@ -263,7 +275,7 @@ class CountTable:
         """
         if priors is None:
             return self.population_shares
-        return _validated_priors(priors, self.n)
+        return validated_priors(priors, self.n)
 
     def check_pair(self, hypothesis: int, i: int, j: int) -> None:
         """Validate a hypothesis index and two distinct feature indices.
@@ -330,16 +342,14 @@ def from_counts(
     since both are correctly rounded.
 
     Raises:
-        InvalidCell: any count is zero (the zero-cell rule propagates).
-        BadShape: fewer than 2 hypotheses.
+        Unsupported: fewer than 2 hypotheses, or a zero count, whose cell
+            the zero-cell rule would refuse.  The count table itself is
+            valid, so the estimators that read counts still apply.
     """
     if counts.n < 2:
-        raise BadShape(f"need at least 2 hypotheses to form a table, got {counts.n}")
-    for i, row in enumerate(counts.counts):
-        if 0 in row:
-            raise InvalidCell(
-                f"count [{i}, {row.index(0)}] is zero; zero cells are rejected at construction"
-            )
+        raise Unsupported("probability-based methods need at least 2 hypotheses")
+    if any(0 in row for row in counts.counts):
+        raise Unsupported("probability-based methods need nonzero counts")
     sizes = counts.populations
     table = ContingencyTable(
         features=features,

@@ -265,7 +265,7 @@ class TestAnalyze:
         path.write_text(json.dumps(spec), encoding="utf-8")
         code, out, err = run_cli(capsys, "analyze", str(path))
         assert (code, out) == (2, "")
-        assert '"priors" must be a list of numbers' in err
+        assert "priors must be 2 numbers" in err
 
     def test_one_hypothesis_counts_support_no_probability_method(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
@@ -372,7 +372,7 @@ class TestExitCodes:
             capsys, "analyze", STREETS_CSV, "--priors", "0.5,0.3,0.2"
         )
         assert code == 2
-        assert "--priors" in err
+        assert "priors must have length 2" in err
 
         code, _, err = run_cli(capsys, "analyze", STREETS_CSV, "--priors", "a,b")
         assert code == 2
@@ -454,6 +454,88 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "analyze", str(path), "--method", "quantum")
         assert code == 3
         assert "2x2" in err
+
+
+def assert_refused(code, out, err):
+    """Exit 2, nothing on stdout, and one ``qlr: error:`` line on stderr."""
+    assert (code, out) == (2, "")
+    assert err.startswith("qlr: error:") and err.count("\n") == 1, err
+
+
+PROBABILITIES = {"kind": "probabilities", "values": [[0.8, 0.7], [0.6, 0.5]]}
+COUNTS = {"kind": "counts", "counts": [[8, 7], [6, 5]], "populations": [10, 10]}
+
+# Files that break a table rule, each in every format that can carry the
+# fault.  A file is validated whole at load, so each one exits 2 under every
+# command, before any command decides that it cannot support the request.
+BROKEN_FILES = {
+    "cell_above_one.csv": "feature,A,B\nd1,1.5,0.7\nd2,0.6,0.5\n",
+    "cell_above_one.json": json.dumps({**PROBABILITIES, "values": [[1.5, 0.7], [0.6, 0.5]]}),
+    "string_cell.json": json.dumps({**PROBABILITIES, "values": [["0.8", 0.7], [0.6, 0.5]]}),
+    "ragged_row.csv": "feature,A,B\nd1,0.8,0.7\nd2,0.6\n",
+    "ragged_row.json": json.dumps({**PROBABILITIES, "values": [[0.8, 0.7], [0.6]]}),
+    "three_priors.json": json.dumps({**PROBABILITIES, "priors": [0.2, 0.3, 0.5]}),
+    "three_priors_counts.json": json.dumps({**COUNTS, "priors": [0.2, 0.3, 0.5]}),
+    "priors_sum_half.json": json.dumps({**PROBABILITIES, "priors": [0.25, 0.25]}),
+    "priors_sum_half_counts.json": json.dumps({**COUNTS, "priors": [0.25, 0.25]}),
+}
+GRID_COMMANDS = {
+    "ranges": ["ranges"],
+    "mean-freq": ["analyze", "--method", "mean-freq"],
+    "mean-range": ["analyze", "--method", "mean-range"],
+    "all": ["analyze", "--method", "all"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+@pytest.mark.parametrize("name", sorted(BROKEN_FILES))
+def test_file_breaking_a_table_rule_exits_2_under_every_command(capsys, tmp_path, name, command):
+    path = tmp_path / name
+    path.write_text(BROKEN_FILES[name], encoding="utf-8")
+    verb, *flags = GRID_COMMANDS[command]
+    assert_refused(*run_cli(capsys, verb, str(path), *flags))
+
+
+# One JSON file for each way the JSON reader, or the table rules behind it,
+# refuse a file.
+REFUSED_JSON = {
+    "not_an_object": [PROBABILITIES],
+    "unknown_kind": {**PROBABILITIES, "kind": "odds"},
+    "missing_kind": {"values": PROBABILITIES["values"]},
+    "missing_values": {"kind": "probabilities"},
+    "values_not_a_list": {**PROBABILITIES, "values": 0.5},
+    "values_rows_not_lists": {**PROBABILITIES, "values": [0.8, 0.7]},
+    "empty_values": {**PROBABILITIES, "values": []},
+    "missing_counts": {"kind": "counts", "populations": [10, 10]},
+    "counts_not_a_list": {**COUNTS, "counts": "8,7"},
+    "ragged_counts": {**COUNTS, "counts": [[8, 7], [6]]},
+    "string_value": {**PROBABILITIES, "values": [["a", 0.7], [0.6, 0.5]]},
+    "null_value": {**PROBABILITIES, "values": [[None, 0.7], [0.6, 0.5]]},
+    "bool_value": {**PROBABILITIES, "values": [[True, 0.7], [0.6, 0.5]]},
+    "float_count": {**COUNTS, "counts": [[8.5, 7], [6, 5]]},
+    "string_count": {**COUNTS, "counts": [["8", 7], [6, 5]]},
+    "bool_count": {**COUNTS, "counts": [[True, 7], [6, 5]]},
+    "missing_populations": {"kind": "counts", "counts": COUNTS["counts"]},
+    "populations_not_a_list": {**COUNTS, "populations": 10},
+    "float_population": {**COUNTS, "populations": [10.0, 10]},
+    "bool_population": {**COUNTS, "populations": [True, 10]},
+    "priors_not_a_list": {**PROBABILITIES, "priors": "junk"},
+    "counts_priors_not_a_list": {**COUNTS, "priors": {"A": 0.5}},
+    "string_prior": {**PROBABILITIES, "priors": ["0.5", 0.5]},
+    "null_prior": {**COUNTS, "priors": [None, 0.5]},
+    "bool_prior": {**COUNTS, "priors": [True, False]},
+    "labels_not_strings": {**PROBABILITIES, "features": [1, 2]},
+    "labels_not_a_list": {**COUNTS, "hypotheses": "AB"},
+    "too_few_labels": {**PROBABILITIES, "hypotheses": ["A"]},
+    "too_many_count_labels": {**COUNTS, "features": ["a", "b", "c"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_JSON))
+def test_refused_json_file_exits_2(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(REFUSED_JSON[name]), encoding="utf-8")
+    assert_refused(*run_cli(capsys, "analyze", str(path)))
 
 
 # Inputs inside the documented domain that once ended in a traceback: cell

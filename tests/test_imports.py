@@ -2,8 +2,9 @@
 names it binds, no module of the package imports a private (``_``-prefixed)
 name from a sibling module, the state-vector checker does not call the
 overlap kernels it checks, the kernel module holds none of the checker's
-names, the kernel modules import none of the randomized suites' code, and
-every public name the package defines has a caller outside the tests."""
+names, the kernel modules import none of the randomized suites' code, the
+command line neither imports nor raises a table rule's error, and every
+public name the package defines has a caller outside the tests."""
 
 import ast
 import types
@@ -245,6 +246,71 @@ def test_kernel_modules_import_no_suite_code(name):
             attributes.add(ast.unparse(node))
     assert not imported & {"checks", "new_table", "random", "numpy.random"}
     assert not attributes & {"np.random", "numpy.random"}
+
+
+# The table types own the shape, cell and prior rules, so the command line
+# hands a file's numbers to them and neither imports nor raises those rules'
+# errors: a copy of a rule in the reader would be a second home for it.
+TABLE_RULE_ERRORS = frozenset({"BadShape", "InvalidCell", "InvalidPriors"})
+
+
+def table_rule_errors(source: str) -> list[str]:
+    """Imports of a table rule's error class and raises that name one, as
+    ``line N: import name`` and ``line N: raise name`` strings."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ImportFrom, ast.Import)):
+            found.extend(
+                f"line {node.lineno}: import {alias.name}"
+                for alias in node.names
+                if alias.name.split(".")[-1] in TABLE_RULE_ERRORS
+            )
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            named = set()
+            for part in ast.walk(node.exc):
+                if isinstance(part, ast.Name):
+                    named.add(part.id)
+                elif isinstance(part, ast.Attribute):
+                    named.add(part.attr)
+            found.extend(
+                f"line {node.lineno}: raise {name}" for name in sorted(named & TABLE_RULE_ERRORS)
+            )
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("from .errors import InvalidPriors", ["line 1: import InvalidPriors"]),
+        ("from .errors import ParseError, BadShape as Shape", ["line 1: import BadShape"]),
+        ("import qlr.errors.InvalidCell", ["line 1: import qlr.errors.InvalidCell"]),
+        ("from . import errors\nraise errors.InvalidCell('x')", ["line 2: raise InvalidCell"]),
+        (
+            "def f(n):\n    raise InvalidPriors(f'needs {n}') from None",
+            ["line 2: raise InvalidPriors"],
+        ),
+        ("from .errors import ParseError\nraise ParseError('bad')", []),
+        ("BadShape = 'a name, not a raise'\nraise", []),
+    ],
+)
+def test_rule_flags_table_rule_errors(source, expected):
+    assert table_rule_errors(source) == expected
+
+
+def test_rule_flags_the_prior_count_check_planted_in_the_cli():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8").replace(
+        "from .errors import (\n",
+        "from .errors import (\n    InvalidPriors,\n",
+        1,
+    ) + "\n\ndef _count(values, n):\n    raise InvalidPriors(f'--priors needs {n}')\n"
+    assert [entry.split(": ")[1] for entry in table_rule_errors(source)] == [
+        "import InvalidPriors",
+        "raise InvalidPriors",
+    ]
+
+
+def test_cli_neither_imports_nor_raises_a_table_rule_error():
+    assert table_rule_errors((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
 
 
 # Every public name the package defines has a caller in the package itself

@@ -8,16 +8,21 @@ posterior unchanged; the products behind the naive and Bayes weights equal
 a frexp-per-factor loop bit for bit; an overlap is positive definite exactly
 when its smallest eigenvalue clears the tolerance; a count table's integer
 views and population shares equal what the numpy fields give; every public
-numeric argument, whatever its value, gives a result or a typed error; and
-the command line exits 0, 2 or 3 on any file, never with a traceback.  Draws are
-derandomized so the suite is repeatable.
+numeric argument, whatever its value, gives a result or a typed error, and
+a bool, a string, bytes or None a typed error; the closed form is naive
+Bayes on the surface the quantum module states, on which every known-value
+family of the constraint suite lies; and the command line exits 0, 2 or 3
+on any file, never with a traceback.  Draws are derandomized so the suite
+is repeatable.
 """
 
 import contextlib
 import dataclasses
 import io
 import math
+import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +56,7 @@ from qlr import (
     posterior_via_wavefunction,
     verify_constraint_suite,
 )
-from qlr.checks import draw_cross_path_samples
+from qlr.checks import CONSTRAINT_CHECKS, draw_cross_path_samples
 from qlr.classical import _products
 from qlr.cli import main
 from qlr.tables import MAX_POPULATION
@@ -434,10 +439,12 @@ def test_replace_rederives_the_count_fields(ct):
 
 # Values no numeric argument should turn into an untyped error: non-finite
 # floats, ints beyond the float range, non-numbers, sequences, edge
-# integers, a subnormal, a bool, a fraction and numpy scalars.
+# integers, a subnormal, bools, a fraction, numpy scalars and numeric
+# strings, which numpy and float() would convert.
 ARGUMENT_JUNK = [
     math.nan, math.inf, -math.inf, 10**400, -(10**400), "a", None, [], [1, 2],
     -1, 0, 1e-320, True, 1.5, np.int64(1), np.float64(1.0),
+    "0.5", np.str_("0.5"), b"0.5", np.True_,
 ]
 ARGUMENT_VALUES = st.one_of(
     st.sampled_from(ARGUMENT_JUNK),
@@ -505,10 +512,75 @@ def _with_junk_examples(test):
 def test_every_numeric_argument_gives_a_result_or_a_typed_error(slot, value):
     if slot.endswith(".samples") and isinstance(value, (int, np.integer)):
         assume(value <= SUITE_SAMPLE_CAP)
+    # No slot takes a bool, a string, bytes or None for a number, save the
+    # documented default hbar=None of the closed form.
+    refused = value is None or isinstance(value, (bool, np.bool_, str, bytes))
+    refused &= not (slot == "posterior_2x2.hbar" and value is None)
     try:
         ARGUMENT_SLOTS[slot](value)
     except QlrError:
-        pass
+        return
+    assert not refused, f"{slot} accepted {value!r}"
+
+
+# ------------------------------------------ naive Bayes as a special case
+
+# The closed form and naive Bayes agree for every prior on the surface
+# x1*y1*(1 - x2 - y2) = x2*y2*(1 - x1 - y1) (see the quantum module), up to
+# the roundings of the two formulas and of the cell solved onto the surface.
+NAIVE_SURFACE_TOL = 4 * math.ulp(1.0)
+SURFACE_CELLS = st.floats(min_value=2.0**-10, max_value=1.0)
+
+
+def on_naive_surface(rows) -> bool:
+    """Whether rows ``(x1, x2); (y1, y2)`` satisfy the surface equation."""
+    (x1, x2), (y1, y2) = rows
+    return x1 * y1 * (1 - x2 - y2) == x2 * y2 * (1 - x1 - y1)
+
+
+@PROPERTY_SETTINGS
+@given(SURFACE_CELLS, SURFACE_CELLS, SURFACE_CELLS, st.floats(0.0, 1.0, exclude_min=True))
+def test_closed_form_is_naive_bayes_on_the_surface(x1, y1, x2, w):
+    # y2 solves the surface equation for the other three cells.
+    scale = x2 * (1.0 - x1 - y1) + x1 * y1
+    assume(scale > 0.0)
+    y2 = x1 * y1 * (1.0 - x2) / scale
+    assume(0.0 < y2 <= 1.0)
+    table = new_table([[x1, x2], [y1, y2]], [w, 1.0 - w])
+    closed = posterior_2x2(table).probabilities
+    naive = naive_posterior(table).probabilities
+    np.testing.assert_allclose(closed, naive, rtol=0.0, atol=NAIVE_SURFACE_TOL)
+
+
+def known_value_rows():
+    """Each known-value family of the constraint suite as rows of ``1``,
+    ``m`` and ``n``, read from its description in CONSTRAINT_CHECKS."""
+    families = {}
+    for name, description, _ in CONSTRAINT_CHECKS:
+        if name.startswith("known_"):
+            found = re.match(r"rows \((\w),(\w)\);\((\w),(\w)\) give", description)
+            assert found, description
+            families[name] = found.groups()
+    return families
+
+
+def test_every_known_value_family_is_read():
+    assert sorted(known_value_rows()) == [
+        "known_antisymmetric", "known_bottom_ones", "known_constant",
+        "known_equal_columns", "known_top_ones",
+    ]
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.fractions(0, 1).filter(lambda f: f > 0),
+    st.fractions(0, 1).filter(lambda f: f > 0),
+)
+def test_known_value_families_lie_on_the_surface_exactly(m, n):
+    values = {"1": Fraction(1), "m": m, "n": n}
+    for name, (a, b, c, d) in known_value_rows().items():
+        rows = [[values[a], values[b]], [values[c], values[d]]]
+        assert on_naive_surface(rows), (name, rows)
 
 
 # --------------------------------------------------------------- CLI fuzz

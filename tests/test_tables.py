@@ -13,6 +13,7 @@ from qlr import (
     IntegerRange,
     InvalidCell,
     InvalidPriors,
+    Unsupported,
     from_counts,
     intersection_range,
     new_table,
@@ -201,14 +202,16 @@ class TestFromCounts:
         table = from_counts(counts)
         np.testing.assert_allclose(table.priors, [0.75, 0.25])
 
+    # A valid count table that has no probability view: the request, not
+    # the table, is refused.
     def test_rejects_zero_count(self):
         counts = CountTable(np.array([[0, 3]]), np.array([5, 5]))
-        with pytest.raises(InvalidCell):
+        with pytest.raises(Unsupported, match="^probability-based methods need nonzero counts$"):
             from_counts(counts)
 
     def test_rejects_single_hypothesis(self):
         counts = CountTable(np.array([[3]]), np.array([5]))
-        with pytest.raises(BadShape):
+        with pytest.raises(Unsupported, match="need at least 2 hypotheses$"):
             from_counts(counts)
 
 

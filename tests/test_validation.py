@@ -3,8 +3,6 @@ exact message, the prior-sum boundary, read-only copied fields, typed
 errors for ragged or non-numeric input, and the rules for indices and for
 the suites' arguments."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -18,6 +16,7 @@ from qlr import (
     InvalidPriors,
     OverlapMatrix,
     ParseError,
+    Unsupported,
     bayes_posterior,
     cross_path_suite,
     enumerate_joint_counts,
@@ -92,6 +91,53 @@ BAD_INPUTS = {
         lambda: CountTable([[1, 1]], [2, 2]).resolve_priors([np.True_, 0.0]),
         InvalidPriors,
         "priors must be 2 numbers (a bool is not a number)",
+    ),
+    # numpy converts a numeric string, and None to nan; the number rule
+    # refuses them first, naming what it found.
+    "numeric_string_cell": (
+        lambda: new_table([["0.5", 0.5], [0.5, 0.5]]),
+        InvalidCell,
+        "probability matrix must hold only numbers (a str is not a number)",
+    ),
+    "numpy_string_cell_row": (
+        lambda: new_table([np.array(["0.5", "0.5"]), [0.5, 0.5]]),
+        InvalidCell,
+        "probability matrix must hold only numbers (a str is not a number)",
+    ),
+    "none_cell": (
+        lambda: new_table([[0.5, None], [0.5, 0.5]]),
+        InvalidCell,
+        "probability matrix must hold only numbers (None is not a number)",
+    ),
+    "bytes_prior": (
+        lambda: new_table([[0.5, 0.5]], [b"0.5", 0.5]),
+        InvalidPriors,
+        "priors must be 2 numbers (a bytes is not a number)",
+    ),
+    "none_prior_for_counts": (
+        lambda: CountTable([[1, 1]], [2, 2]).resolve_priors([None, 1.0]),
+        InvalidPriors,
+        "priors must be 2 numbers (None is not a number)",
+    ),
+    "numpy_string_hbar": (
+        lambda: moderation_scale(np.str_("0.5")),
+        InvalidHbar,
+        f"moderation scale must be a finite number, got {np.str_('0.5')!r}",
+    ),
+    "bool_overlap_entry": (
+        lambda: OverlapMatrix([[[True, 0.3], [0.3, True]]] * 2),
+        InvalidOverlap,
+        "overlap must be an (n, m, m) array of numbers (a bool is not a number)",
+    ),
+    "string_overlap_pair": (
+        lambda: OverlapMatrix.from_pair("0.3", 0.5),
+        InvalidOverlap,
+        "overlap must be an (n, m, m) array of numbers (a str is not a number)",
+    ),
+    "bool_moderated_coefficient": (
+        lambda: hbar_moderated_coefficients(0.5, True, 1.0),
+        InvalidOverlap,
+        "overlap coefficients must be numbers (a bool is not a number)",
     ),
     "too_many_feature_labels": (
         lambda: new_table([[0.5, 0.5]], features=("a", "b")),
@@ -196,8 +242,8 @@ BAD_INPUTS = {
     ),
     "zero_count_in_from_counts": (
         lambda: from_counts(CountTable(np.array([[3, 2], [1, 0], [0, 1]]), np.array([5, 5]))),
-        InvalidCell,
-        "count [1, 1] is zero; zero cells are rejected at construction",
+        Unsupported,
+        "probability-based methods need nonzero counts",
     ),
     "non_finite_overlap": (
         lambda: OverlapMatrix(overlap_with((1, slice(None), slice(None)), INF)),
@@ -447,10 +493,12 @@ def test_unconvertible_input_raises_the_rules_typed_error(build, error):
     assert isinstance(caught.value.__cause__, (TypeError, ValueError, OverflowError))
 
 
-def test_string_numbers_still_convert():
-    table = new_table([["0.5", 0.5]], ["0.25", 0.75])
-    assert table.x == ((0.5, 0.5),)
-    assert math.isclose(table.priors[0], 0.25)
+def test_string_numbers_are_refused():
+    # numpy would convert both; the number rule refuses a string as a bool.
+    with pytest.raises(InvalidCell, match=r"\(a str is not a number\)$"):
+        new_table([["0.5", 0.5]])
+    with pytest.raises(InvalidPriors, match=r"\(a str is not a number\)$"):
+        new_table([[0.5, 0.5]], ["0.25", 0.75])
 
 
 TABLE = new_table([[0.6, 0.3], [0.5, 0.4]])

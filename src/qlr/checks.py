@@ -365,7 +365,7 @@ def check_cross_path_samples(samples: Sequence[CrossPathSample]) -> list[dict[st
         for k in group:
             table, feature = samples[k].table, samples[k].feature
             hi = lo + table.n
-            wf = squared_readout(table.priors, norms[lo:hi])
+            wf = squared_readout(table, norms[lo:hi])
             general = quantum.posterior_general(table, samples[k].overlap)
             projected = posterior_independent(table, feature)
             direct = classical.bayes_posterior(table, feature)

@@ -10,7 +10,8 @@ Four estimators with increasing awareness of feature co-dependence:
   implied by the joint-count ranges (binary hypotheses only).
 
 The two mean-based estimators consume integer :class:`~qlr.tables.CountTable`
-data because the feasible ranges only exist for counts.
+data because the feasible ranges only exist for counts; they weight by the
+count table's own priors.
 """
 
 from __future__ import annotations
@@ -69,10 +70,16 @@ class PosteriorDistribution:
     ) -> "PosteriorDistribution":
         """Normalize nonnegative weights into a posterior.
 
+        The total is ``math.fsum``'s correctly rounded sum, so the result
+        does not depend on the Python version's built-in ``sum``.
+
         Raises:
             DegenerateRange: the weights do not have a positive finite total.
         """
-        total = sum(weights)
+        try:
+            total = math.fsum(weights)
+        except OverflowError:  # a total beyond the float range
+            total = math.inf
         if not 0.0 < total < math.inf:
             raise DegenerateRange(f"cannot normalize weights with total {total!r}")
         return cls(tuple([w / total for w in weights]), method)
@@ -130,14 +137,12 @@ def _products(rows: Sequence[Sequence[float]]) -> list[float]:
     return [math.ldexp(product, e - top) for product, e in zip(products, exponents)]
 
 
-def mean_frequency_posterior(
-    counts: CountTable, priors: Sequence[float] | None = None
-) -> PosteriorDistribution:
+def mean_frequency_posterior(counts: CountTable) -> PosteriorDistribution:
     """Posterior from the mean of each hypothesis's feasible joint-count range.
 
     For each hypothesis the mean of all feasible joint counts of the two
     features, divided by the population, plays the role of a likelihood;
-    priors (population shares by default) multiply in as usual.
+    the count table's priors multiply in as usual.
 
     Raises:
         Unsupported: the table does not have exactly 2 features.
@@ -147,7 +152,7 @@ def mean_frequency_posterior(
         raise Unsupported(f"mean-frequency estimator needs exactly 2 features, got {counts.m}")
     if counts.n < 2:
         raise Unsupported(f"need at least 2 hypotheses, got {counts.n}")
-    w = counts.resolve_priors(priors)
+    w = counts.priors
     sizes = counts.populations
     weights = []
     for a in range(counts.n):
@@ -157,15 +162,14 @@ def mean_frequency_posterior(
     return PosteriorDistribution.from_weights(weights, "mean_frequency")
 
 
-def mean_range_posterior(
-    counts: CountTable, priors: Sequence[float] | None = None
-) -> PosteriorDistribution:
+def mean_range_posterior(counts: CountTable) -> PosteriorDistribution:
     """Posterior from the midpoint of the extreme joint-count probabilities
     (binary hypotheses only).
 
     The smallest defensible value of P(H_1) pairs hypothesis 1's lower joint
-    count with hypothesis 2's upper one, and vice versa for the largest;
-    the estimate is the midpoint of those two extremes.
+    count with hypothesis 2's upper one, and vice versa for the largest,
+    each weighted by the count table's priors; the estimate is the midpoint
+    of those two extremes.
 
     Raises:
         Unsupported: shape is not 2 features x 2 hypotheses.
@@ -175,7 +179,7 @@ def mean_range_posterior(
         raise Unsupported(
             f"mean-range estimator needs 2 features x 2 hypotheses, got {counts.m}x{counts.n}"
         )
-    w1, w2 = counts.resolve_priors(priors)
+    w1, w2 = counts.priors
     r1 = intersection_range(counts, 0, 0, 1)
     r2 = intersection_range(counts, 1, 0, 1)
     p1, p2 = counts.populations

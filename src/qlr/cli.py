@@ -13,11 +13,14 @@ JSON: an object with ``"kind": "probabilities"`` (field ``values``) or
 optional ``features``/``hypotheses``/``priors``.  ``--priors`` overrides
 the file's ``priors``.
 
-The reader checks only the file's syntax and layout (and, for JSON, the
-label lists); the numbers go straight into the table types, whose rules
-refuse a bad cell, count, population or prior.  So a file is validated
-whole at load, its own ``priors`` included even when ``--priors``
-overrides them, before any command decides what it can support.
+The reader checks only the file's syntax and layout (and, for JSON, that
+the label fields are lists of strings).  The numbers, labels and priors go
+straight into one table, a CountTable for counts or a ContingencyTable for
+probabilities, which holds them and whose rules refuse a bad cell, count,
+population, label count or prior.  So a file is validated whole at load,
+its own ``priors`` included even when ``--priors`` overrides them, before
+any command decides what it can support.  ``--priors`` then replaces the
+table's priors under the same rule, and its refusal names the flag.
 
 Exit codes
 ----------
@@ -43,7 +46,7 @@ import json
 import re
 import sys
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cached_property
 from itertools import combinations
 from typing import Any, Sequence
@@ -77,7 +80,6 @@ from .tables import (
     from_counts,
     intersection_range,
     new_table,
-    validated_priors,
 )
 from .wavefunction import positive_definite, posterior_via_wavefunction
 
@@ -86,57 +88,6 @@ _POPULATION_LABEL = "__population__"
 
 # Expansion order of --method all; also the deterministic report order.
 _BASE_METHODS = ("naive", "mean-freq", "mean-range", "quantum", "wavefunction")
-
-
-@dataclass(frozen=True)
-class _LoadedInput:
-    """A loaded input file: its labels and the validated table it carries,
-    a CountTable for counts or a ContingencyTable for probabilities.
-    ``priors`` are the file's own priors, validated, or else the table's
-    default: population shares for counts, uniform for probabilities."""
-
-    path: str
-    features: tuple[str, ...]
-    hypotheses: tuple[str, ...]
-    table: CountTable | ContingencyTable
-    priors: tuple[float, ...]
-
-    @property
-    def kind(self) -> str:
-        return "counts" if isinstance(self.table, CountTable) else "probabilities"
-
-    @property
-    def m(self) -> int:
-        return len(self.features)
-
-    @property
-    def n(self) -> int:
-        return len(self.hypotheses)
-
-
-def _probability_input(path, values, features, hypotheses, priors=None) -> _LoadedInput:
-    table = new_table(values, priors, features=features, hypotheses=hypotheses)
-    return _LoadedInput(path, table.features, table.hypotheses, table, table.priors)
-
-
-def _count_input(path, counts, populations, features, hypotheses, priors=None) -> _LoadedInput:
-    table = CountTable(counts, populations)
-    return _LoadedInput(
-        path,
-        _count_labels(features, "features", "D", table.m),
-        _count_labels(hypotheses, "hypotheses", "H", table.n),
-        table,
-        table.resolve_priors(priors),
-    )
-
-
-def _count_labels(given, key: str, prefix: str, count: int) -> tuple[str, ...]:
-    """A count file's labels, or ``prefix1..prefix<count>``; a count table
-    carries no labels, so the file's are counted here."""
-    if given is None:
-        return tuple(f"{prefix}{k + 1}" for k in range(count))
-    _require(len(given) == count, f'"{key}" must have {count} entries')
-    return tuple(given)
 
 
 def _parse_number(cell: str, line: int, column: int) -> float:
@@ -159,7 +110,7 @@ def _parse_integer(cell: str, line: int, column: int) -> int:
         raise ParseError(f"integer of {len(cell)} digits is too long", line, column) from None
 
 
-def _parse_csv(text: str, path: str) -> _LoadedInput:
+def _parse_csv(text: str) -> CountTable | ContingencyTable:
     reader = csv.reader(io.StringIO(text))
     rows: list[tuple[int, list[str]]] = []
     for row in reader:
@@ -203,14 +154,14 @@ def _parse_csv(text: str, path: str) -> _LoadedInput:
             _parse_integer(cell, pop_line, col + 2)
             for col, cell in enumerate(pop_cells[1:])
         ]
-        return _count_input(path, counts, populations, features, hypotheses)
+        return CountTable(counts, populations, features=features, hypotheses=hypotheses)
 
     features = tuple(cells[0] for _, cells in body)
     values = [
         [_parse_number(cell, line, col + 2) for col, cell in enumerate(cells[1:])]
         for line, cells in body
     ]
-    return _probability_input(path, values, features, hypotheses)
+    return new_table(values, features=features, hypotheses=hypotheses)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -218,7 +169,7 @@ def _require(condition: bool, message: str) -> None:
         raise ParseError(message)
 
 
-def _parse_json(text: str, path: str) -> _LoadedInput:
+def _parse_json(text: str) -> CountTable | ContingencyTable:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -250,12 +201,13 @@ def _parse_json(text: str, path: str) -> _LoadedInput:
 
     features, hypotheses, priors = labels("features"), labels("hypotheses"), data.get("priors")
     if kind == "counts":
-        counts, populations = data["counts"], data["populations"]
-        return _count_input(path, counts, populations, features, hypotheses, priors)
-    return _probability_input(path, data["values"], features, hypotheses, priors)
+        return CountTable(
+            data["counts"], data["populations"], priors, features=features, hypotheses=hypotheses
+        )
+    return new_table(data["values"], priors, features=features, hypotheses=hypotheses)
 
 
-def _load_input(path: str) -> _LoadedInput:
+def _load_input(path: str) -> CountTable | ContingencyTable:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -265,18 +217,25 @@ def _load_input(path: str) -> _LoadedInput:
             f"at offset {exc.start}"
         ) from None
     if path.lower().endswith(".json"):
-        return _parse_json(text, path)
-    return _parse_csv(text, path)
+        return _parse_json(text)
+    return _parse_csv(text)
 
 
-def _parse_priors_flag(raw: str) -> list[float]:
+def _with_priors_flag(
+    table: CountTable | ContingencyTable, raw: str
+) -> CountTable | ContingencyTable:
+    """The table under the ``--priors`` values, which the table's prior
+    rule checks at once; a refusal names the flag."""
     values = []
     for part in raw.split(","):
         try:
             values.append(float(part))
         except ValueError:
             raise ParseError(f"--priors entry {part.strip()!r} is not a number") from None
-    return values
+    try:
+        return replace(table, priors=values)
+    except QlrError as exc:
+        raise ParseError(f"--priors: {exc}") from exc
 
 
 def _quantize(value: Any) -> Any:
@@ -398,15 +357,11 @@ def _expand_selectors(raw_methods: Sequence[str], m: int) -> tuple[list[str], se
 
 
 class _AnalysisRun:
-    """Shared state while executing one analyze command.  ``priors`` are
-    the ``--priors`` values if given, validated by the prior rule at once,
-    else the loaded input's."""
+    """Shared state while executing one analyze command on the loaded
+    table, a CountTable or a ContingencyTable, under its priors."""
 
-    def __init__(self, loaded: _LoadedInput, flag: str | None, hbar: float | None):
-        self.loaded = loaded
-        self.priors = (
-            loaded.priors if flag is None else validated_priors(_parse_priors_flag(flag), loaded.n)
-        )
+    def __init__(self, table: CountTable | ContingencyTable, hbar: float | None):
+        self.table = table
         self.hbar = hbar
         self.warnings: list[str] = []
         # The report's diagnostics block; set by the first successful solve.
@@ -414,14 +369,11 @@ class _AnalysisRun:
 
     @cached_property
     def prob_table(self) -> ContingencyTable:
-        """The probability-matrix view of the input under :attr:`priors`,
-        built on first use.  For counts input a single hypothesis or a zero
-        count makes it unavailable, and ``from_counts`` raises Unsupported."""
-        loaded = self.loaded
-        table = loaded.table
-        if loaded.kind == "counts":
-            table = from_counts(table, features=loaded.features, hypotheses=loaded.hypotheses)
-        return table if table.priors == self.priors else replace(table, priors=self.priors)
+        """The probability-matrix view of the input, built on first use.  For
+        counts input a single hypothesis or a zero count makes it
+        unavailable, and ``from_counts`` raises Unsupported."""
+        table = self.table
+        return from_counts(table) if isinstance(table, CountTable) else table
 
     @cached_property
     def overlap(self) -> OverlapMatrix:
@@ -459,7 +411,6 @@ class _AnalysisRun:
         return overlap
 
     def run_method(self, selector: str):
-        loaded = self.loaded
         if selector.startswith("bayes:"):
             feature = int(selector.split(":", 1)[1])
             table = self.prob_table
@@ -471,10 +422,10 @@ class _AnalysisRun:
         if selector == "naive":
             return naive_posterior(self.prob_table)
         if selector in ("mean-freq", "mean-range"):
-            if loaded.kind != "counts":
+            if not isinstance(self.table, CountTable):
                 raise Unsupported(f"{selector} needs integer counts with populations")
             mean = mean_frequency_posterior if selector == "mean-freq" else mean_range_posterior
-            return mean(loaded.table, self.priors)
+            return mean(self.table)
         if selector == "quantum":
             # The solve sets the diagnostics and the unit-interval warning.
             # A solve that underflows leaves both out: posterior_2x2 then
@@ -486,29 +437,29 @@ class _AnalysisRun:
         return posterior_via_wavefunction(self.prob_table, self.overlap)
 
 
-def _input_echo(loaded: _LoadedInput) -> dict[str, Any]:
+def _input_echo(path: str, table: CountTable | ContingencyTable) -> dict[str, Any]:
+    is_counts = isinstance(table, CountTable)
     echo: dict[str, Any] = {
-        "path": loaded.path,
-        "kind": loaded.kind,
-        "features": list(loaded.features),
-        "hypotheses": list(loaded.hypotheses),
+        "path": path,
+        "kind": "counts" if is_counts else "probabilities",
+        "features": list(table.features),
+        "hypotheses": list(table.hypotheses),
     }
-    if loaded.kind == "counts":
-        echo["counts"] = [list(row) for row in loaded.table.counts]
-        echo["populations"] = list(loaded.table.populations)
+    if is_counts:
+        echo["counts"] = [list(row) for row in table.counts]
+        echo["populations"] = list(table.populations)
     else:
-        echo["values"] = [list(row) for row in loaded.table.x]
+        echo["values"] = [list(row) for row in table.x]
     return echo
 
 
-def _ranges_payload(loaded: _LoadedInput) -> list[dict[str, Any]]:
-    table = loaded.table
+def _ranges_payload(table: CountTable) -> list[dict[str, Any]]:
     payload = []
     for a in range(table.n):
         for i, j in combinations(range(table.m), 2):
             r = intersection_range(table, a, i, j)
-            payload.append({"hypothesis": loaded.hypotheses[a],
-                            "features": [loaded.features[i], loaded.features[j]],
+            payload.append({"hypothesis": table.hypotheses[a],
+                            "features": [table.features[i], table.features[j]],
                             "lo": r.lo, "hi": r.hi})
     return payload
 
@@ -516,9 +467,11 @@ def _ranges_payload(loaded: _LoadedInput) -> list[dict[str, Any]]:
 def cmd_analyze(args) -> dict[str, Any]:
     if args.hbar is not None:
         moderation_scale(args.hbar)
-    loaded = _load_input(args.input)
-    run = _AnalysisRun(loaded, args.priors, args.hbar)
-    selectors, explicit = _expand_selectors(args.method or ["all"], loaded.m)
+    table = _load_input(args.input)
+    if args.priors is not None:
+        table = _with_priors_flag(table, args.priors)
+    run = _AnalysisRun(table, args.hbar)
+    selectors, explicit = _expand_selectors(args.method or ["all"], table.m)
 
     if args.hbar == 0.0 and {"quantum", "wavefunction"} & set(selectors):
         run.warnings.append("overlap disabled at hbar=0")
@@ -536,37 +489,37 @@ def cmd_analyze(args) -> dict[str, Any]:
             "method": pd.method,
             "probabilities": list(pd.probabilities),
             "argmax_index": pd.argmax_index,
-            "argmax": loaded.hypotheses[pd.argmax_index],
+            "argmax": table.hypotheses[pd.argmax_index],
         }
 
     report: dict[str, Any] = {
         "command": "analyze",
         "version": __version__,
-        "input": {**_input_echo(loaded), "priors": list(run.priors)},
+        "input": {**_input_echo(args.input, table), "priors": list(table.priors)},
         "methods": methods,
         "warnings": run.warnings,
     }
     if run.diagnostics is not None:
         report["diagnostics"] = run.diagnostics
-    if loaded.kind == "counts" and loaded.m >= 2:
-        report["ranges"] = _ranges_payload(loaded)
+    if isinstance(table, CountTable) and table.m >= 2:
+        report["ranges"] = _ranges_payload(table)
     return report
 
 
 def cmd_ranges(args) -> dict[str, Any]:
-    loaded = _load_input(args.input)
-    if loaded.kind != "counts":
+    table = _load_input(args.input)
+    if not isinstance(table, CountTable):
         raise NotCounts(
             "ranges need integer counts with populations; "
             "this file carries probabilities"
         )
-    if loaded.m < 2:
-        raise Unsupported(f"ranges need at least 2 features, got {loaded.m}")
+    if table.m < 2:
+        raise Unsupported(f"ranges need at least 2 features, got {table.m}")
     return {
         "command": "ranges",
         "version": __version__,
-        "input": _input_echo(loaded),
-        "ranges": _ranges_payload(loaded),
+        "input": _input_echo(args.input, table),
+        "ranges": _ranges_payload(table),
     }
 
 

@@ -100,8 +100,9 @@ class NotPositiveDefinite(QlrError, ValueError):
 
 
 class ParseError(QlrError, ValueError):
-    """An input file could not be parsed, or a suite's ``samples`` or
-    ``seed`` is not an integer at or above its minimum (1 and 0).
+    """An input file could not be parsed, a command-line flag's value is
+    refused, or a suite's ``samples`` or ``seed`` is not an integer at or
+    above its minimum (1 and 0).
 
     Attributes:
         line, column: 1-based position of the offending token when known.

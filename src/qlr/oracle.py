@@ -10,6 +10,7 @@ share their bugs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .classical import PosteriorDistribution
@@ -47,12 +48,13 @@ class OracleEstimates:
     mean_range: PosteriorDistribution | None
 
 
-def oracle_mean_estimators(counts, priors=None) -> OracleEstimates:
+def oracle_mean_estimators(counts: CountTable) -> OracleEstimates:
     """Recompute the mean estimators by explicit enumeration.
 
     The mean-frequency estimator averages each hypothesis's feasible joint
     counts directly; the mean-range estimator scans every feasible
-    joint-count pair for the extreme prior-weighted ratios.
+    joint-count pair for the extreme ratios weighted by the count table's
+    priors.
 
     Raises:
         Unsupported: not 2 features, or fewer than 2 hypotheses.
@@ -63,12 +65,12 @@ def oracle_mean_estimators(counts, priors=None) -> OracleEstimates:
         raise Unsupported(f"enumeration needs exactly 2 features, got {counts.m}")
     if counts.n < 2:
         raise Unsupported(f"enumeration needs at least 2 hypotheses, got {counts.n}")
-    w = counts.resolve_priors(priors)
+    w = counts.priors
     pops = counts.populations
     feasible = [enumerate_joint_counts(counts, a, 0, 1) for a in range(counts.n)]
 
     weights = [w[a] * (sum(f) / len(f) / pops[a]) for a, f in enumerate(feasible)]
-    total = sum(weights)
+    total = math.fsum(weights)
     if not total > 0.0:
         raise DegenerateRange("every hypothesis has mean joint frequency zero")
     mean_frequency = PosteriorDistribution(

@@ -8,8 +8,9 @@ Conventions used throughout the package:
 - Cells must lie in (0, 1]; zero cells are rejected at construction because
   every downstream overlap formula divides by cell products.  Callers that
   really want a zero must perturb it explicitly.
-- Priors are nonnegative and sum to 1 within 1e-12.  Count-derived tables use
-  population shares as priors.
+- Priors are nonnegative and sum to 1 within 1e-12.  Both table types carry
+  their labels and priors: a count table's priors default to the population
+  shares, and a probability table's to uniform weights.
 
 Input is converted and checked with numpy, but every table field is a
 tuple of Python numbers, one row tuple per feature.  All types are immutable
@@ -20,7 +21,7 @@ value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -51,11 +52,21 @@ def _uniform_priors(n: int) -> tuple[float, ...]:
     return (1.0 / n,) * n
 
 
-def _labels(given: Sequence[str] | None, prefix: str, count: int) -> tuple[str, ...]:
-    """The caller's labels as strings, or ``prefix1..prefix<count>``."""
-    if given is None:
-        return _default_labels(prefix, count)
-    return tuple(map(str, given))
+def _labels(features, hypotheses, m: int, n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The label rule of both table types: the caller's labels as strings,
+    or ``D1..Dm`` / ``H1..Hn`` where omitted.
+
+    Raises:
+        BadShape: the labels do not count m features and n hypotheses.
+    """
+    features = _default_labels("D", m) if features is None else tuple(map(str, features))
+    hypotheses = _default_labels("H", n) if hypotheses is None else tuple(map(str, hypotheses))
+    if len(features) != m or len(hypotheses) != n:
+        raise BadShape(
+            f"labels ({len(features)} features, {len(hypotheses)} "
+            f"hypotheses) do not match a {m}x{n} matrix"
+        )
+    return features, hypotheses
 
 
 def validated_priors(priors: Sequence[float], n: int) -> tuple[float, ...]:
@@ -170,13 +181,7 @@ class ContingencyTable:
         m, n = x.shape
         if m < 1 or n < 2:
             raise BadShape(f"need at least 1 feature and 2 hypotheses, got {m}x{n}")
-        features = _labels(self.features, "D", m)
-        hypotheses = _labels(self.hypotheses, "H", n)
-        if len(features) != m or len(hypotheses) != n:
-            raise BadShape(
-                f"labels ({len(features)} features, {len(hypotheses)} "
-                f"hypotheses) do not match a {m}x{n} matrix"
-            )
+        features, hypotheses = _labels(self.features, self.hypotheses, m, n)
         rows = tuple(map(tuple, x.tolist()))
         for i, row in enumerate(rows):
             for a, v in enumerate(row):
@@ -207,22 +212,32 @@ class ContingencyTable:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Integer feature counts and population sizes per hypothesis.
+    """Integer feature counts and population sizes per hypothesis, plus
+    labels and prior weights.
 
-    ``counts[i][a]`` is the number of population members of hypothesis ``a``
-    exhibiting feature ``i``; ``populations[a]`` is the population size.
-    Both hold Python ints, one row tuple per feature.  A bool is not an
-    integer here, even where numpy would cast it to one.
+    Attributes:
+        counts: m rows of n counts; ``counts[i][a]`` is the number of
+            population members of hypothesis ``a`` exhibiting feature ``i``.
+        populations: n population sizes.
+        priors: n nonnegative floats summing to 1.
+        features: m feature labels.
+        hypotheses: n hypothesis labels.
 
-    ``population_shares``, the default priors, is computed at construction:
-    each hypothesis's share of the total population, as floats.  Integer
-    true division is correctly rounded, so ``p / total`` equals numpy's
-    ``populations / populations.sum()`` bit for bit.
+    Counts and populations hold Python ints; a bool is not an integer here,
+    even where numpy would cast it to one.  At construction ``None`` labels
+    default to ``D1..Dm`` / ``H1..Hn`` and ``None`` priors to the population
+    shares, each hypothesis's share of the total population as floats.
+    Integer true division is correctly rounded, so ``p / total`` equals
+    numpy's ``populations / populations.sum()`` bit for bit.  Stored priors
+    are kept by ``dataclasses.replace``, as on :class:`ContingencyTable`.
     """
 
     counts: tuple[tuple[int, ...], ...]
     populations: tuple[int, ...]
-    population_shares: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    priors: tuple[float, ...] | None = None
+    _: KW_ONLY
+    features: tuple[str, ...] | None = None
+    hypotheses: tuple[str, ...] | None = None
 
     def __post_init__(self):
         counts = _numeric_array(self.counts, None, "counts", BadShape)
@@ -254,10 +269,17 @@ class CountTable:
             for a, (count, size) in enumerate(zip(row, sizes)):
                 if count > size:
                     raise BadShape(f"count [{i}, {a}] = {count} exceeds population {size}")
-        total = sum(sizes)
+        features, hypotheses = _labels(self.features, self.hypotheses, m, n)
+        if self.priors is None:
+            total = sum(sizes)
+            priors = tuple([p / total for p in sizes])
+        else:
+            priors = validated_priors(self.priors, n)
         object.__setattr__(self, "counts", tuple(map(tuple, rows)))
         object.__setattr__(self, "populations", tuple(sizes))
-        object.__setattr__(self, "population_shares", tuple([p / total for p in sizes]))
+        object.__setattr__(self, "priors", priors)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "hypotheses", hypotheses)
 
     @property
     def m(self) -> int:
@@ -266,16 +288,6 @@ class CountTable:
     @property
     def n(self) -> int:
         return len(self.populations)
-
-    def resolve_priors(self, priors: Sequence[float] | None) -> tuple[float, ...]:
-        """Validated explicit priors, or population shares when omitted.
-
-        Raises:
-            InvalidPriors: explicit priors break the prior rule.
-        """
-        if priors is None:
-            return self.population_shares
-        return validated_priors(priors, self.n)
 
     def check_pair(self, hypothesis: int, i: int, j: int) -> None:
         """Validate a hypothesis index and two distinct feature indices.
@@ -327,19 +339,14 @@ def new_table(
     return ContingencyTable(features=features, hypotheses=hypotheses, x=x, priors=priors)
 
 
-def from_counts(
-    counts: CountTable,
-    *,
-    features: Sequence[str] | None = None,
-    hypotheses: Sequence[str] | None = None,
-) -> ContingencyTable:
-    """Convert counts to conditional probabilities with population-share priors.
+def from_counts(counts: CountTable) -> ContingencyTable:
+    """Convert counts to conditional probabilities under the count table's
+    labels and priors.
 
-    ``x[i][a] = counts[i][a] / populations[a]``, and the priors are the
-    count table's ``population_shares``, ``populations[a] / sum(populations)``,
-    shared rather than validated again.  The cells divide Python integers;
-    for integers below 2^53 that is numpy's int64 division bit for bit,
-    since both are correctly rounded.
+    ``x[i][a] = counts[i][a] / populations[a]``.  The labels and priors are
+    the count table's, shared rather than validated again.  The cells divide
+    Python integers; for integers below 2^53 that is numpy's int64 division
+    bit for bit, since both are correctly rounded.
 
     Raises:
         Unsupported: fewer than 2 hypotheses, or a zero count, whose cell
@@ -352,13 +359,15 @@ def from_counts(
         raise Unsupported("probability-based methods need nonzero counts")
     sizes = counts.populations
     table = ContingencyTable(
-        features=features,
-        hypotheses=hypotheses,
+        features=None,
+        hypotheses=None,
         x=[[c / p for c, p in zip(row, sizes)] for row in counts.counts],
         priors=None,
     )
-    # The shares were computed from validated populations; skip the prior rule.
-    object.__setattr__(table, "priors", counts.population_shares)
+    # The count table validated its labels and priors; share them.
+    object.__setattr__(table, "features", counts.features)
+    object.__setattr__(table, "hypotheses", counts.hypotheses)
+    object.__setattr__(table, "priors", counts.priors)
     return table
 
 

@@ -39,7 +39,7 @@ squares of ``b[a]`` then equals the direct double sum
 from __future__ import annotations
 
 import math
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -175,13 +175,13 @@ def stacked_amplitudes(metric_rows: np.ndarray, roots: np.ndarray) -> np.ndarray
     return (metric_rows @ roots[:, :, None])[:, :, 0]
 
 
-def squared_readout(priors: Sequence[float], norms: np.ndarray) -> PosteriorDistribution:
-    """``P(H_a) ∝ priors[a] * n * norms[a]`` from per-hypothesis sums of
-    squared amplitudes: the readout of :func:`posterior_via_wavefunction`
-    and of the cross-path suite."""
-    n = len(priors)
+def squared_readout(table: ContingencyTable, norms: np.ndarray) -> PosteriorDistribution:
+    """``P(H_a) ∝ priors[a] * n * norms[a]``, under the table's priors, from
+    per-hypothesis sums of squared amplitudes: the readout of
+    :func:`posterior_via_wavefunction` and of the cross-path suite."""
+    n = table.n
     return PosteriorDistribution.from_weights(
-        [p * n * norm for p, norm in zip(priors, norms.tolist())], "wavefunction"
+        [p * n * norm for p, norm in zip(table.priors, norms.tolist())], "wavefunction"
     )
 
 
@@ -205,7 +205,7 @@ def posterior_via_wavefunction(
     overlap.check_fits(table)
     _, metric_rows, _ = gram_schmidt_basis(overlap)
     b = stacked_amplitudes(metric_rows, np.sqrt(np.array(table.x).T))
-    return squared_readout(table.priors, (b * b).sum(axis=1))
+    return squared_readout(table, (b * b).sum(axis=1))
 
 
 def posterior_independent(table: ContingencyTable, feature: int) -> PosteriorDistribution:

@@ -197,7 +197,7 @@ class TestMeanFrequencyPosterior:
         np.testing.assert_allclose(pd.probabilities, expected, atol=1e-15)
 
     def test_explicit_priors(self):
-        pd = mean_frequency_posterior(STREET, [0.75, 0.25])
+        pd = mean_frequency_posterior(CountTable(STREET.counts, STREET.populations, [0.75, 0.25]))
         mu = (0.5, 0.35)
         expected = (0.75 * mu[0], 0.25 * mu[1])
         total = sum(expected)
@@ -213,7 +213,7 @@ class TestMeanFrequencyPosterior:
 
     def test_rejects_bad_priors(self):
         with pytest.raises(InvalidPriors):
-            mean_frequency_posterior(STREET, [0.9, 0.9])
+            CountTable(STREET.counts, STREET.populations, [0.9, 0.9])
 
     def test_degenerate_when_all_means_zero(self):
         counts = CountTable(np.array([[0, 0], [3, 3]]), np.array([10, 10]))

@@ -241,10 +241,10 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["input"]["priors"] == [0.9, 0.1]
         table = new_table([[0.8, 0.7], [0.6, 0.5]], [0.9, 0.1])
-        counts = CountTable([[8, 7], [6, 5]], [10, 10])
+        counts = CountTable([[8, 7], [6, 5]], [10, 10], [0.9, 0.1])
         for selector, pd in (
             ("bayes:1", bayes_posterior(table, 0)),
-            ("mean-freq", mean_frequency_posterior(counts, [0.9, 0.1])),
+            ("mean-freq", mean_frequency_posterior(counts)),
         ):
             expected = [float(f"{p:.10g}") for p in pd.probabilities]
             assert report["methods"][selector]["probabilities"] == expected
@@ -372,14 +372,21 @@ class TestExitCodes:
             capsys, "analyze", STREETS_CSV, "--priors", "0.5,0.3,0.2"
         )
         assert code == 2
-        assert "priors must have length 2" in err
+        assert err == "qlr: error: --priors: priors must have length 2, got shape (3,)\n"
 
         code, _, err = run_cli(capsys, "analyze", STREETS_CSV, "--priors", "a,b")
         assert code == 2
 
         code, _, err = run_cli(capsys, "analyze", STREETS_CSV, "--priors", "0.9,0.2")
         assert code == 2
-        assert "sum to 1" in err
+        assert err.startswith("qlr: error: --priors: priors must sum to 1")
+
+    def test_a_files_own_bad_priors_do_not_name_the_flag(self, capsys, tmp_path):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({**COUNTS, "priors": [0.25, 0.25]}), encoding="utf-8")
+        code, _, err = run_cli(capsys, "analyze", str(path), "--priors", "0.5,0.5")
+        assert code == 2
+        assert err.startswith("qlr: error: priors must sum to 1")
 
     def test_negative_hbar(self, capsys, repo_cwd):
         code, _, err = run_cli(capsys, "analyze", STREETS_CSV, "--hbar=-1")
@@ -536,6 +543,19 @@ def test_refused_json_file_exits_2(capsys, tmp_path, name):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(REFUSED_JSON[name]), encoding="utf-8")
     assert_refused(*run_cli(capsys, "analyze", str(path)))
+
+
+def test_wrong_label_count_is_refused_alike_for_both_kinds(capsys, tmp_path):
+    errors = []
+    for doc in (PROBABILITIES, COUNTS):
+        path = tmp_path / f"{doc['kind']}.json"
+        path.write_text(json.dumps({**doc, "features": ["a", "b", "c"]}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert_refused(code, out, err)
+        errors.append(err)
+    assert errors == [
+        "qlr: error: labels (3 features, 2 hypotheses) do not match a 2x2 matrix\n"
+    ] * 2
 
 
 # Inputs inside the documented domain that once ended in a traceback: cell

@@ -3,8 +3,9 @@ names it binds, no module of the package imports a private (``_``-prefixed)
 name from a sibling module, the state-vector checker does not call the
 overlap kernels it checks, the kernel module holds none of the checker's
 names, the kernel modules import none of the randomized suites' code, the
-command line neither imports nor raises a table rule's error, and every
-public name the package defines has a caller outside the tests."""
+command line neither imports nor raises a table rule's error, every public
+name the package defines has a caller outside the tests, and priors reach
+the estimators only on a table."""
 
 import ast
 import types
@@ -423,3 +424,75 @@ def test_rule_flags_a_method_planted_in_a_package_class():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_public_definition_has_a_caller_outside_the_tests(path):
     assert uncalled_definitions(path.read_text(encoding="utf-8"), caller_names()) == []
+
+
+# A table carries its priors, so the estimators read them there: outside the
+# table constructors (generated by dataclass, so not in the source),
+# new_table and validated_priors, no public function takes a ``priors``
+# parameter.  A second way in would be a second home for the prior rule.
+PRIORS_TAKERS = frozenset({"new_table", "validated_priors"})
+
+
+def priors_parameters(source: str) -> list[str]:
+    """The public module-level functions and the public methods of public
+    classes, ``PRIORS_TAKERS`` aside, that take a parameter named
+    ``priors``, as ``line N: name`` strings."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    candidates = []
+    for node in ast.parse(source).body:
+        if isinstance(node, functions):
+            candidates.append((node, node.name))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            candidates.extend(
+                (member, f"{node.name}.{member.name}")
+                for member in node.body
+                if isinstance(member, functions)
+            )
+    found = []
+    for node, qualified in candidates:
+        if node.name.startswith("_") or node.name in PRIORS_TAKERS:
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        if any(p is not None and p.arg == "priors" for p in params):
+            found.append(f"line {node.lineno}: {qualified}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("def mean(counts, priors=None):\n    pass", ["line 1: mean"]),
+        ("def mean(counts, *, priors):\n    pass", ["line 1: mean"]),
+        ("def mean(priors, /):\n    pass", ["line 1: mean"]),
+        ("def mean(*priors):\n    pass", ["line 1: mean"]),
+        (
+            "class Table:\n    def resolve(self, priors):\n        pass",
+            ["line 2: Table.resolve"],
+        ),
+        ("def new_table(x, priors=None):\n    pass", []),
+        ("def validated_priors(priors, n):\n    pass", []),
+        ("def _helper(priors):\n    pass", []),
+        ("class _Run:\n    def start(self, priors):\n        pass", []),
+        ("class Table:\n    priors: tuple = None", []),
+        ("def mean(counts):\n    return counts.priors", []),
+    ],
+)
+def test_rule_flags_a_public_priors_parameter(source, expected):
+    assert priors_parameters(source) == expected
+
+
+def test_rule_flags_a_priors_parameter_planted_in_an_estimator():
+    source = (PACKAGE / "classical.py").read_text(encoding="utf-8").replace(
+        "def mean_frequency_posterior(counts: CountTable)",
+        "def mean_frequency_posterior(counts: CountTable, priors=None)",
+        1,
+    )
+    assert [entry.split(": ")[1] for entry in priors_parameters(source)] == [
+        "mean_frequency_posterior"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_public_function_takes_priors(path):
+    assert priors_parameters(path.read_text(encoding="utf-8")) == []

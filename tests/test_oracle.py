@@ -126,16 +126,15 @@ class TestOracleMeanEstimators:
             oracle_mean_estimators(counts)
 
     def test_explicit_priors_match_closed_form(self):
-        counts = street_counts()
-        priors = (0.7, 0.3)
-        oracle = oracle_mean_estimators(counts, priors)
+        counts = CountTable(np.array([[8, 7], [6, 5]]), np.array([10, 10]), (0.7, 0.3))
+        oracle = oracle_mean_estimators(counts)
         assert (
             oracle.mean_frequency.probabilities
-            == mean_frequency_posterior(counts, priors).probabilities
+            == mean_frequency_posterior(counts).probabilities
         )
         np.testing.assert_allclose(
             oracle.mean_range.probabilities,
-            mean_range_posterior(counts, priors).probabilities,
+            mean_range_posterior(counts).probabilities,
             atol=1e-15,
         )
 

@@ -42,12 +42,9 @@ from qlr import (
     enumerate_joint_counts,
     hbar_moderated_coefficients,
     intersection_range,
-    mean_frequency_posterior,
-    mean_range_posterior,
     moderation_scale,
     naive_posterior,
     new_table,
-    oracle_mean_estimators,
     overlap_coefficients,
     posterior_2x2,
     posterior_general,
@@ -390,19 +387,20 @@ def count_tables(draw):
     return CountTable(np.array(counts, dtype=dtype), np.array(populations, dtype=dtype))
 
 
-def _assert_fields_hold_python_ints(ct):
+def _assert_fields_hold_python_ints(ct, shares=True):
     """Counts and populations are tuples of Python ints, one row per
-    feature, and the shares are numpy's division bit for bit."""
+    feature, and, when ``shares``, the default priors, the shares, are
+    numpy's division bit for bit."""
     assert type(ct.counts) is tuple
     assert all(type(row) is tuple and len(row) == ct.n for row in ct.counts)
     assert all(type(v) is int for row in ct.counts for v in row)
     assert type(ct.populations) is tuple
     assert all(type(v) is int for v in ct.populations)
     assert (ct.m, ct.n) == (len(ct.counts), len(ct.populations))
-    populations = np.array(ct.populations)
-    reference = (populations / populations.sum()).tolist()
-    assert list(map(float.hex, ct.population_shares)) == list(map(float.hex, reference))
-    assert ct.resolve_priors(None) is ct.population_shares
+    if shares:
+        populations = np.array(ct.populations)
+        reference = (populations / populations.sum()).tolist()
+        assert list(map(float.hex, ct.priors)) == list(map(float.hex, reference))
 
 
 @PROPERTY_SETTINGS
@@ -431,8 +429,13 @@ def test_replace_rederives_the_count_fields(ct):
     grown = dataclasses.replace(
         ct, populations=np.minimum(np.multiply(2, ct.populations), MAX_POPULATION)
     )
-    _assert_fields_hold_python_ints(grown)
+    # replace converts the new populations but keeps the stored priors.
+    _assert_fields_hold_python_ints(grown, shares=False)
+    assert grown.populations == tuple(min(2 * p, MAX_POPULATION) for p in ct.populations)
+    assert grown.priors == ct.priors
     assert grown.counts == ct.counts
+    # A new table from the same fields defaults to the new shares.
+    _assert_fields_hold_python_ints(CountTable(grown.counts, grown.populations))
 
 
 # ------------------------------------------------ numeric argument contract
@@ -470,6 +473,7 @@ ARGUMENT_SLOTS = {
     "new_table.prior": lambda v: new_table([[0.5, 0.5]], [v, 0.5]),
     "CountTable.count": lambda v: CountTable([[v, 1], [1, 1]], [2, 2]),
     "CountTable.population": lambda v: CountTable([[1, 1], [1, 1]], [v, 2]),
+    "CountTable.prior": lambda v: CountTable([[1, 1], [1, 1]], [2, 2], [v, 0.5]),
     "bayes_posterior.feature": lambda v: bayes_posterior(_TABLE, v),
     "posterior_independent.feature": lambda v: posterior_independent(_TABLE, v),
     "intersection_range.hypothesis": lambda v: intersection_range(_COUNTS, v, 0, 1),
@@ -478,9 +482,6 @@ ARGUMENT_SLOTS = {
     "enumerate_joint_counts.hypothesis": lambda v: enumerate_joint_counts(_COUNTS, v, 0, 1),
     "enumerate_joint_counts.i": lambda v: enumerate_joint_counts(_COUNTS, 0, v, 1),
     "enumerate_joint_counts.j": lambda v: enumerate_joint_counts(_COUNTS, 0, 0, v),
-    "mean_frequency_posterior.prior": lambda v: mean_frequency_posterior(_COUNTS, [v, 0.5]),
-    "mean_range_posterior.prior": lambda v: mean_range_posterior(_COUNTS, [v, 0.5]),
-    "oracle_mean_estimators.prior": lambda v: oracle_mean_estimators(_COUNTS, [v, 0.5]),
     "posterior_2x2.hbar": lambda v: posterior_2x2(_TABLE, v),
     "moderation_scale.hbar": moderation_scale,
     "hbar_moderated_coefficients.c1": lambda v: hbar_moderated_coefficients(v, 0.5, 1.0),

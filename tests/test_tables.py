@@ -116,12 +116,40 @@ class TestCountTable:
         assert counts.populations == (10, 10)
         assert all(type(v) is int for row in counts.counts for v in row)
 
-    def test_population_shares_are_a_field_replace_rederives(self):
+    @pytest.mark.parametrize(
+        "labels", [{"features": ("a", "b", "c")}, {"hypotheses": ("A",)}]
+    )
+    def test_wrong_label_count_is_the_probability_tables_error(self, labels):
+        errors = []
+        for build in (
+            lambda: new_table([[0.8, 0.7], [0.6, 0.5]], **labels),
+            lambda: CountTable(STREET_COUNTS, STREET_POPS, **labels),
+        ):
+            with pytest.raises(BadShape) as caught:
+                build()
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("labels (")
+
+    def test_labels_and_explicit_priors(self):
+        counts = CountTable(
+            STREET_COUNTS, STREET_POPS, [0.75, 0.25], features=("door", 2), hypotheses=("A", "B")
+        )
+        assert counts.features == ("door", "2")
+        assert counts.hypotheses == ("A", "B")
+        assert counts.priors == (0.75, 0.25)
+        assert street_count_table().features == ("D1", "D2")
+        assert street_count_table().hypotheses == ("H1", "H2")
+        with pytest.raises(InvalidPriors):
+            CountTable(STREET_COUNTS, STREET_POPS, [0.5, 0.25])
+
+    def test_priors_default_to_the_shares_and_replace_keeps_them(self):
         counts = street_count_table()
-        assert "population_shares" in {f.name for f in dataclasses.fields(CountTable)}
+        assert "priors" in {f.name for f in dataclasses.fields(CountTable)}
+        assert counts.priors == (0.5, 0.5)
         grown = dataclasses.replace(counts, populations=np.array([10, 30]))
-        assert grown.population_shares == (0.25, 0.75)
-        assert counts.population_shares == (0.5, 0.5)
+        assert grown.priors == (0.5, 0.5)
+        assert CountTable(grown.counts, grown.populations).priors == (0.25, 0.75)
 
     def test_zero_counts_allowed(self):
         CountTable(np.array([[0, 3]]), np.array([5, 5]))

@@ -88,7 +88,7 @@ BAD_INPUTS = {
         "priors must be 2 numbers (a bool is not a number)",
     ),
     "numpy_bool_prior_for_counts": (
-        lambda: CountTable([[1, 1]], [2, 2]).resolve_priors([np.True_, 0.0]),
+        lambda: CountTable([[1, 1]], [2, 2], [np.True_, 0.0]),
         InvalidPriors,
         "priors must be 2 numbers (a bool is not a number)",
     ),
@@ -115,7 +115,7 @@ BAD_INPUTS = {
         "priors must be 2 numbers (a bytes is not a number)",
     ),
     "none_prior_for_counts": (
-        lambda: CountTable([[1, 1]], [2, 2]).resolve_priors([None, 1.0]),
+        lambda: CountTable([[1, 1]], [2, 2], [None, 1.0]),
         InvalidPriors,
         "priors must be 2 numbers (None is not a number)",
     ),
@@ -410,7 +410,7 @@ def test_fields_are_read_only_copies():
         (converted.priors, float),
         (new_table([[0.5, 0.5]]).priors, float),
         (count_table.populations, int),
-        (count_table.population_shares, float),
+        (count_table.priors, float),
     ):
         assert_tuple_of(values, kind)
     assert_frozen(overlap.c, np.float64)
@@ -429,8 +429,23 @@ def test_fields_are_read_only_copies():
 def test_count_derived_priors_are_the_count_tables_shares():
     count_table = CountTable([[3, 2], [4, 5]], [6, 7])
     priors = from_counts(count_table).priors
-    assert priors is count_table.population_shares
+    assert priors is count_table.priors
     assert priors == (6 / 13, 7 / 13)
+
+
+def test_from_counts_carries_the_count_tables_labels_and_priors():
+    count_table = CountTable(
+        [[3, 2], [4, 5]], [6, 7], [0.25, 0.75], features=("a", 7), hypotheses=("A", "B")
+    )
+    table = from_counts(count_table)
+    assert table.features is count_table.features
+    assert table.hypotheses is count_table.hypotheses
+    assert table.priors is count_table.priors
+    assert (table.features, table.hypotheses, table.priors) == (
+        ("a", "7"),
+        ("A", "B"),
+        (0.25, 0.75),
+    )
 
 
 def test_labels_are_strings():
@@ -460,8 +475,8 @@ TYPED_CONVERSIONS = {
         InvalidCell,
     ),
     "int_beyond_float_prior": (lambda: new_table([[0.5, 0.5]], [BEYOND_FLOAT, 0.5]), InvalidPriors),
-    "int_beyond_float_resolved_prior": (
-        lambda: CountTable([[1, 1]], [2, 2]).resolve_priors([BEYOND_FLOAT, 0.5]),
+    "int_beyond_float_count_prior": (
+        lambda: CountTable([[1, 1]], [2, 2], [BEYOND_FLOAT, 0.5]),
         InvalidPriors,
     ),
     "int_beyond_float_overlap": (

@@ -14,13 +14,10 @@ from .errors import (
     InvalidHbar,
     InvalidOverlap,
     InvalidPriors,
-    NonPositiveTotal,
-    NotCounts,
     NotPositiveDefinite,
     OverlapUnderflow,
     ParseError,
     QlrError,
-    ShapeMismatch,
     Unsupported,
 )
 from .tables import (
@@ -76,14 +73,11 @@ __all__ = [
     "BadIndex",
     "Unsupported",
     "DegenerateRange",
-    "ShapeMismatch",
     "InvalidOverlap",
     "OverlapUnderflow",
-    "NonPositiveTotal",
     "InvalidHbar",
     "NotPositiveDefinite",
     "ParseError",
-    "NotCounts",
     "ContingencyTable",
     "CountTable",
     "IntegerRange",

@@ -25,13 +25,14 @@ table's priors under the same rule, and its refusal names the flag.
 Exit codes
 ----------
 0 success; 1 ``verify`` found a failing check; otherwise the ``exit_code``
-of the :class:`~qlr.errors.QlrError` raised: 2 invalid input (unparseable
-file, a file breaking a table rule, bad flags), 3 input that is valid but cannot
-support the request (wrong shape for an estimator, probability-only file
-given to ``ranges``, zero counts or a single hypothesis under a
-probability-based method).  An unreadable file exits 2.  Under ``--method
-all`` an exit-3 failure of one estimator becomes a ``skipped <method>:
-...`` warning instead.
+of the :class:`~qlr.errors.QlrError` raised: 3 for an
+:class:`~qlr.errors.Unsupported`, input that is valid but cannot support
+the request (wrong shape for an estimator, probability-only file given to
+``ranges``, zero counts or a single hypothesis under a probability-based
+method), and 2 for any other, invalid input (unparseable file, a file
+breaking a table rule, bad flags).  An unreadable file exits 2.  Under
+``--method all`` an ``Unsupported`` from one estimator becomes a
+``skipped <method>: ...`` warning instead.
 
 JSON output is canonical: keys sorted, floats carrying 10 significant
 digits, so identical inputs produce byte-identical reports.
@@ -61,7 +62,6 @@ from .classical import (
 )
 from .errors import (
     BadIndex,
-    NotCounts,
     OverlapUnderflow,
     ParseError,
     QlrError,
@@ -480,8 +480,8 @@ def cmd_analyze(args) -> dict[str, Any]:
     for selector in selectors:
         try:
             pd = run.run_method(selector)
-        except QlrError as exc:
-            if selector in explicit or exc.exit_code != 3:
+        except Unsupported as exc:
+            if selector in explicit:
                 raise
             run.warnings.append(f"skipped {selector}: {exc}")
             continue
@@ -509,7 +509,7 @@ def cmd_analyze(args) -> dict[str, Any]:
 def cmd_ranges(args) -> dict[str, Any]:
     table = _load_input(args.input)
     if not isinstance(table, CountTable):
-        raise NotCounts(
+        raise Unsupported(
             "ranges need integer counts with populations; "
             "this file carries probabilities"
         )

@@ -5,22 +5,32 @@ can catch the package's failures with a single handler.  Validation failures
 additionally derive from the matching builtin (``ValueError`` / ``IndexError``)
 so that generic handlers keep working.
 
-Each class also carries the command line's exit status as ``exit_code``: 2
-for invalid input, 3 for valid input that cannot support the request.  A
-subclass inherits its parent's code unless it sets its own.
+The command line's exit status is the ``exit_code`` of two base classes and
+no other: :class:`QlrError` gives 2, invalid input, and :class:`Unsupported`
+gives 3, valid input that cannot support the request.  So every exit-3
+refusal is an ``Unsupported`` and every other refusal exits 2.
 """
 
 from __future__ import annotations
 
 
 class QlrError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package: invalid input."""
 
     exit_code = 2
 
 
+class Unsupported(QlrError, ValueError):
+    """Base class for valid input that cannot support the request: the
+    estimator does not support this table's shape or counts, or the file
+    carries probabilities where counts are needed."""
+
+    exit_code = 3
+
+
 class BadShape(QlrError, ValueError):
-    """Input arrays have inconsistent or unsupported dimensions."""
+    """Input arrays or labels have inconsistent or unsupported dimensions,
+    among them a ragged nesting and a table and overlap that disagree."""
 
 
 class InvalidCell(QlrError, ValueError):
@@ -31,72 +41,13 @@ class InvalidPriors(QlrError, ValueError):
     """Prior weights are negative or do not sum to 1 within tolerance."""
 
 
-class BadIndex(QlrError, IndexError):
-    """A feature or hypothesis index is not an integer (a bool is not one),
-    is out of range, or equals the other where distinct features are
-    required."""
-
-    exit_code = 3
-
-
-class Unsupported(QlrError, ValueError):
-    """The requested estimator does not support this table's shape or counts."""
-
-    exit_code = 3
-
-
-class DegenerateRange(QlrError, ValueError):
-    """Posterior weights have no positive finite total, for instance when an
-    intersection-range estimator hits an all-zero denominator."""
-
-    exit_code = 3
-
-
-class ShapeMismatch(QlrError, ValueError):
-    """Two inputs (e.g. a table and an overlap matrix) disagree in shape."""
-
-
 class InvalidOverlap(QlrError, ValueError):
     """Overlap coefficients violate their invariants (unit diagonal, symmetry,
     finiteness)."""
 
 
-class OverlapUnderflow(InvalidOverlap):
-    """The 2x2 overlap ratio of a valid table does not fit in a float: a
-    column's cell product underflows to zero, or a coefficient or
-    prior-weighted block overflows.  The table itself is fine, so other
-    estimators still apply."""
-
-    exit_code = 3
-
-
-class NonPositiveTotal(QlrError, ValueError):
-    """A per-hypothesis amplitude-block sum is not positive, so no posterior
-    can be normalized."""
-
-    exit_code = 3
-
-
 class InvalidHbar(QlrError, ValueError):
     """The moderation scale must be a finite nonnegative number."""
-
-
-class NotPositiveDefinite(QlrError, ValueError):
-    """A per-hypothesis Gram matrix is not positive definite, so no
-    orthonormal basis exists.
-
-    Attributes:
-        hypothesis: index of the offending hypothesis.
-    """
-
-    exit_code = 3
-
-    def __init__(self, hypothesis: int, message: str | None = None):
-        self.hypothesis = hypothesis
-        super().__init__(
-            message
-            or f"Gram matrix for hypothesis {hypothesis} is not positive definite"
-        )
 
 
 class ParseError(QlrError, ValueError):
@@ -117,8 +68,36 @@ class ParseError(QlrError, ValueError):
         super().__init__(message + where)
 
 
-class NotCounts(QlrError, ValueError):
-    """The operation needs integer count data but the input carries only
-    probabilities."""
+class BadIndex(Unsupported, IndexError):
+    """A feature or hypothesis index is not an integer (a bool is not one),
+    is out of range, or equals the other where distinct features are
+    required."""
 
-    exit_code = 3
+
+class DegenerateRange(Unsupported):
+    """Posterior weights have no positive finite total, for instance when an
+    intersection-range estimator hits an all-zero denominator or an overlap
+    leaves a hypothesis's block sum not positive."""
+
+
+class OverlapUnderflow(Unsupported):
+    """The 2x2 overlap ratio of a valid table does not fit in a float: a
+    column's cell product underflows to zero, or a coefficient or
+    prior-weighted block overflows.  The table itself is fine, so other
+    estimators still apply."""
+
+
+class NotPositiveDefinite(Unsupported):
+    """A per-hypothesis Gram matrix is not positive definite, so no
+    orthonormal basis exists.
+
+    Attributes:
+        hypothesis: index of the offending hypothesis.
+    """
+
+    def __init__(self, hypothesis: int, message: str | None = None):
+        self.hypothesis = hypothesis
+        super().__init__(
+            message
+            or f"Gram matrix for hypothesis {hypothesis} is not positive definite"
+        )

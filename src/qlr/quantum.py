@@ -38,14 +38,14 @@ import numpy as np
 
 from .classical import PosteriorDistribution
 from .errors import (
+    BadShape,
+    DegenerateRange,
     InvalidHbar,
     InvalidOverlap,
-    NonPositiveTotal,
     OverlapUnderflow,
-    ShapeMismatch,
     Unsupported,
 )
-from .tables import ContingencyTable, non_number_in
+from .tables import ContingencyTable, non_number_in, numeric_array
 
 _SYMMETRY_TOL = 1e-12
 
@@ -64,15 +64,7 @@ class OverlapMatrix:
     c: np.ndarray
 
     def __post_init__(self):
-        try:
-            c = np.array(self.c, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidOverlap(f"overlap must be an (n, m, m) array of numbers ({exc})") from exc
-        found = non_number_in(self.c)
-        if found is not None:
-            raise InvalidOverlap(
-                f"overlap must be an (n, m, m) array of numbers ({found} is not a number)"
-            )
+        c = numeric_array(self.c, float, "overlap", InvalidOverlap)
         if c.ndim != 3 or c.shape[1] != c.shape[2]:
             raise InvalidOverlap(
                 f"overlap must be (n, m, m) per-hypothesis square matrices, got {c.shape}"
@@ -101,10 +93,10 @@ class OverlapMatrix:
         """Require one m x m matrix per hypothesis of ``table``.
 
         Raises:
-            ShapeMismatch: the overlap dimensions disagree with the table.
+            BadShape: the overlap dimensions disagree with the table.
         """
         if self.c.shape != (table.n, table.m, table.m):
-            raise ShapeMismatch(
+            raise BadShape(
                 f"overlap shape {self.c.shape} does not match "
                 f"{(table.n, table.m, table.m)} for a {table.m}x{table.n} table"
             )
@@ -254,16 +246,17 @@ def posterior_general(
     column sums.
 
     Raises:
+        BadShape: a ragged overlap, or overlap dimensions that disagree
+            with the table.
         InvalidOverlap: coefficients violate unit-diagonal/symmetry rules.
-        ShapeMismatch: overlap dimensions disagree with the table.
-        NonPositiveTotal: some hypothesis block sum is not positive.
+        DegenerateRange: some hypothesis block sum is not positive.
     """
     overlap = OverlapMatrix.coerce(overlap)
     overlap.check_fits(table)
     blocks = _block_sums(table, overlap)
     for a, block in enumerate(blocks):
         if block <= 0.0:
-            raise NonPositiveTotal(
+            raise DegenerateRange(
                 f"hypothesis {a} block sum {block!r} is not positive; "
                 "overlaps are too negative for this table"
             )

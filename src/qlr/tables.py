@@ -57,10 +57,11 @@ def _labels(features, hypotheses, m: int, n: int) -> tuple[tuple[str, ...], tupl
     or ``D1..Dm`` / ``H1..Hn`` where omitted.
 
     Raises:
-        BadShape: the labels do not count m features and n hypotheses.
+        BadShape: a label list is a string, bytes or not iterable, or the
+            labels do not count m features and n hypotheses.
     """
-    features = _default_labels("D", m) if features is None else tuple(map(str, features))
-    hypotheses = _default_labels("H", n) if hypotheses is None else tuple(map(str, hypotheses))
+    features = _label_list(features, "features", "D", m)
+    hypotheses = _label_list(hypotheses, "hypotheses", "H", n)
     if len(features) != m or len(hypotheses) != n:
         raise BadShape(
             f"labels ({len(features)} features, {len(hypotheses)} "
@@ -69,21 +70,30 @@ def _labels(features, hypotheses, m: int, n: int) -> tuple[tuple[str, ...], tupl
     return features, hypotheses
 
 
+def _label_list(labels, what: str, prefix: str, count: int) -> tuple[str, ...]:
+    """``labels`` as strings, or the ``count`` defaults when None; raises
+    BadShape, naming what it found, when ``labels`` is a string or bytes,
+    which would split into characters or byte values, or is not iterable."""
+    if labels is None:
+        return _default_labels(prefix, count)
+    if not isinstance(labels, (str, bytes)):
+        try:
+            return tuple(map(str, labels))
+        except TypeError:
+            pass
+    raise BadShape(f"{what} must be a list of labels, got {type(labels).__name__} {labels!r}")
+
+
 def validated_priors(priors: Sequence[float], n: int) -> tuple[float, ...]:
     """The prior rule: n finite nonnegative weights summing to 1, returned as
     floats.
 
     Raises:
+        BadShape: a ragged nesting.
         InvalidPriors: not n numbers, a negative or non-finite weight, or a
             sum differing from 1 beyond ``PRIOR_SUM_TOL``.
     """
-    try:
-        arr = np.array(priors, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidPriors(f"priors must be {n} numbers ({exc})") from exc
-    found = non_number_in(priors)
-    if found is not None:
-        raise InvalidPriors(f"priors must be {n} numbers ({found} is not a number)")
+    arr = numeric_array(priors, float, "priors", InvalidPriors)
     if arr.shape != (n,):
         raise InvalidPriors(f"priors must have length {n}, got shape {arr.shape}")
     weights = arr.tolist()
@@ -136,18 +146,24 @@ def non_number_in(values) -> str | None:
     return "None" if values is None else None
 
 
-def _numeric_array(values, dtype, what: str, non_numeric: type[QlrError]) -> np.ndarray:
-    """``np.array(values, dtype=dtype)``, a copy; a ragged nesting raises
-    BadShape, and a value that is not a number or is an int beyond the float
-    range raises ``non_numeric``."""
+def numeric_array(values, dtype, what: str, error: type[QlrError]) -> np.ndarray:
+    """The one conversion of a nested input, applying the shape rule and the
+    number rule: ``np.array(values, dtype=dtype)``, a copy.  A ragged
+    nesting raises BadShape; a value that is not a number (see
+    :func:`non_number_in`) or an int beyond the float range raises
+    ``error`` with ``"<what> must hold only numbers (<detail>)"``."""
     try:
-        return np.array(values, dtype=dtype)
+        arr = np.array(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         try:
             np.shape(values)
         except ValueError:
             raise BadShape(f"{what} must be a rectangular array ({exc})") from exc
-        raise non_numeric(f"{what} must hold only numbers ({exc})") from exc
+        raise error(f"{what} must hold only numbers ({exc})") from exc
+    found = non_number_in(values)
+    if found is not None:
+        raise error(f"{what} must hold only numbers ({found} is not a number)")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -170,12 +186,7 @@ class ContingencyTable:
     priors: tuple[float, ...]
 
     def __post_init__(self):
-        x = _numeric_array(self.x, float, "probability matrix", InvalidCell)
-        found = non_number_in(self.x)
-        if found is not None:
-            raise InvalidCell(
-                f"probability matrix must hold only numbers ({found} is not a number)"
-            )
+        x = numeric_array(self.x, float, "probability matrix", InvalidCell)
         if x.ndim != 2:
             raise BadShape(f"probability matrix must be 2-D, got {x.ndim}-D")
         m, n = x.shape
@@ -240,8 +251,8 @@ class CountTable:
     hypotheses: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        counts = _numeric_array(self.counts, None, "counts", BadShape)
-        populations = _numeric_array(self.populations, None, "populations", BadShape)
+        counts = numeric_array(self.counts, None, "counts", BadShape)
+        populations = numeric_array(self.populations, None, "populations", BadShape)
         if counts.ndim != 2:
             raise BadShape(f"counts must be 2-D, got {counts.ndim}-D")
         m, n = counts.shape
@@ -249,11 +260,7 @@ class CountTable:
             raise BadShape(f"need at least one feature and one hypothesis, got {m}x{n}")
         if populations.shape != (n,):
             raise BadShape(f"populations must have length {n}, got shape {populations.shape}")
-        if (
-            counts.dtype.kind not in "iu"
-            or populations.dtype.kind not in "iu"
-            or non_number_in((self.counts, self.populations)) is not None
-        ):
+        if counts.dtype.kind not in "iu" or populations.dtype.kind not in "iu":
             raise BadShape(
                 f"counts and populations must be integers no larger than {MAX_POPULATION}"
             )

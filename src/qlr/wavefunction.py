@@ -197,8 +197,9 @@ def posterior_via_wavefunction(
     overlap may be anything :class:`OverlapMatrix` accepts.
 
     Raises:
+        BadShape: a ragged overlap, or overlap dimensions that disagree
+            with the table.
         InvalidOverlap: coefficients violate unit-diagonal/symmetry rules.
-        ShapeMismatch: overlap dimensions disagree with the table.
         NotPositiveDefinite: no orthonormal basis exists for some hypothesis.
     """
     overlap = OverlapMatrix.coerce(overlap)

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from qlr import (
     CountTable,
-    NonPositiveTotal,
+    DegenerateRange,
     NotPositiveDefinite,
     OverlapMatrix,
     PosteriorDistribution,
@@ -175,7 +175,7 @@ def reference_block_sum_posterior(table, overlap):
             blocks.append(float(col.sum()) + float(s @ off @ s))
     for a, block in enumerate(blocks):
         if block <= 0.0:
-            raise NonPositiveTotal(f"hypothesis {a} block sum {block!r} is not positive")
+            raise DegenerateRange(f"hypothesis {a} block sum {block!r} is not positive")
     return PosteriorDistribution.from_weights(
         [table.priors[a] * table.n * blocks[a] for a in range(table.n)], "quantum"
     )

@@ -85,12 +85,12 @@ BAD_INPUTS = {
     "bool_prior": (
         lambda: new_table([[0.5, 0.5]], [True, False]),
         InvalidPriors,
-        "priors must be 2 numbers (a bool is not a number)",
+        "priors must hold only numbers (a bool is not a number)",
     ),
     "numpy_bool_prior_for_counts": (
         lambda: CountTable([[1, 1]], [2, 2], [np.True_, 0.0]),
         InvalidPriors,
-        "priors must be 2 numbers (a bool is not a number)",
+        "priors must hold only numbers (a bool is not a number)",
     ),
     # numpy converts a numeric string, and None to nan; the number rule
     # refuses them first, naming what it found.
@@ -112,12 +112,12 @@ BAD_INPUTS = {
     "bytes_prior": (
         lambda: new_table([[0.5, 0.5]], [b"0.5", 0.5]),
         InvalidPriors,
-        "priors must be 2 numbers (a bytes is not a number)",
+        "priors must hold only numbers (a bytes is not a number)",
     ),
     "none_prior_for_counts": (
         lambda: CountTable([[1, 1]], [2, 2], [None, 1.0]),
         InvalidPriors,
-        "priors must be 2 numbers (None is not a number)",
+        "priors must hold only numbers (None is not a number)",
     ),
     "numpy_string_hbar": (
         lambda: moderation_scale(np.str_("0.5")),
@@ -127,12 +127,12 @@ BAD_INPUTS = {
     "bool_overlap_entry": (
         lambda: OverlapMatrix([[[True, 0.3], [0.3, True]]] * 2),
         InvalidOverlap,
-        "overlap must be an (n, m, m) array of numbers (a bool is not a number)",
+        "overlap must hold only numbers (a bool is not a number)",
     ),
     "string_overlap_pair": (
         lambda: OverlapMatrix.from_pair("0.3", 0.5),
         InvalidOverlap,
-        "overlap must be an (n, m, m) array of numbers (a str is not a number)",
+        "overlap must hold only numbers (a str is not a number)",
     ),
     "bool_moderated_coefficient": (
         lambda: hbar_moderated_coefficients(0.5, True, 1.0),
@@ -148,6 +148,38 @@ BAD_INPUTS = {
         lambda: new_table([[0.5, 0.5]], hypotheses=("a",)),
         BadShape,
         "labels (1 features, 1 hypotheses) do not match a 1x2 matrix",
+    ),
+    # A string would split into one label per character, and bytes into
+    # their byte values; neither is a label list, nor is a scalar.
+    "string_hypothesis_labels": (
+        lambda: new_table([[0.5, 0.5]], hypotheses="AB"),
+        BadShape,
+        "hypotheses must be a list of labels, got str 'AB'",
+    ),
+    "bytes_hypothesis_labels": (
+        lambda: new_table([[0.5, 0.5]], hypotheses=b"AB"),
+        BadShape,
+        "hypotheses must be a list of labels, got bytes b'AB'",
+    ),
+    "int_hypothesis_labels": (
+        lambda: new_table([[0.5, 0.5]], hypotheses=5),
+        BadShape,
+        "hypotheses must be a list of labels, got int 5",
+    ),
+    "string_feature_labels_for_counts": (
+        lambda: CountTable([[1, 1]], [2, 2], features="d"),
+        BadShape,
+        "features must be a list of labels, got str 'd'",
+    ),
+    "bytes_hypothesis_labels_for_counts": (
+        lambda: CountTable([[1, 1]], [2, 2], hypotheses=b"AB"),
+        BadShape,
+        "hypotheses must be a list of labels, got bytes b'AB'",
+    ),
+    "int_feature_labels_for_counts": (
+        lambda: CountTable([[1, 1]], [2, 2], features=7),
+        BadShape,
+        "features must be a list of labels, got int 7",
     ),
     "inf_prior": (
         lambda: new_table([[0.5, 0.5]], [INF, 0.5]),
@@ -199,31 +231,31 @@ BAD_INPUTS = {
         BadShape,
         "counts and populations must be integers no larger than 1000000",
     ),
-    # numpy casts a bool mixed with ints to an int; the rule still refuses it.
+    # numpy casts a bool mixed with ints to an int; the number rule refuses it.
     "bool_count_among_ints": (
         lambda: CountTable([[True, 1]], [2, 2]),
         BadShape,
-        "counts and populations must be integers no larger than 1000000",
+        "counts must hold only numbers (a bool is not a number)",
     ),
     "bool_population_among_ints": (
         lambda: CountTable([[1, 1]], [True, 2]),
         BadShape,
-        "counts and populations must be integers no larger than 1000000",
+        "populations must hold only numbers (a bool is not a number)",
     ),
     "numpy_bool_count_among_ints": (
         lambda: CountTable([[np.True_, 1]], [2, 2]),
         BadShape,
-        "counts and populations must be integers no larger than 1000000",
+        "counts must hold only numbers (a bool is not a number)",
     ),
     "bool_array_row_among_int_rows": (
         lambda: CountTable([np.array([True, False]), [1, 2]], [2, 2]),
         BadShape,
-        "counts and populations must be integers no larger than 1000000",
+        "counts must hold only numbers (a bool is not a number)",
     ),
     "bool_population_scalar_array": (
         lambda: CountTable([[1, 1]], [np.array(True), 2]),
         BadShape,
-        "counts and populations must be integers no larger than 1000000",
+        "populations must hold only numbers (a bool is not a number)",
     ),
     "population_above_limit": (
         lambda: CountTable(np.array([[1, 2]]), np.array([5, 10**6 + 1])),
@@ -460,15 +492,15 @@ TYPED_CONVERSIONS = {
     "sequence_cell": (lambda: new_table([[0.5, [0.5]], [0.5, 0.5]]), BadShape),
     "string_cell": (lambda: new_table([[0.5, "a"], [0.5, 0.5]]), InvalidCell),
     "object_cell": (lambda: new_table([[0.5, {}], [0.5, 0.5]]), InvalidCell),
-    "ragged_priors": (lambda: new_table([[0.5, 0.5]], [0.5, [0.5]]), InvalidPriors),
+    "ragged_priors": (lambda: new_table([[0.5, 0.5]], [0.5, [0.5]]), BadShape),
     "string_prior": (lambda: new_table([[0.5, 0.5]], [0.5, "a"]), InvalidPriors),
     "ragged_counts": (lambda: CountTable([[1, 2], [3]], [5, 5]), BadShape),
     "ragged_populations": (lambda: CountTable([[1, 2]], [5, [5]]), BadShape),
-    "ragged_overlap": (lambda: OverlapMatrix([[[1, 0.2], [0.2]]]), InvalidOverlap),
+    "ragged_overlap": (lambda: OverlapMatrix([[[1, 0.2], [0.2]]]), BadShape),
     "string_overlap": (lambda: OverlapMatrix([[[1, "a"], [0.2, 1]]]), InvalidOverlap),
     "ragged_overlap_to_posterior_general": (
         lambda: posterior_general(new_table([[0.5, 0.5]]), [[[1.0]], [[1.0, 0.0]]]),
-        InvalidOverlap,
+        BadShape,
     ),
     "int_beyond_float_cell": (
         lambda: new_table([[BEYOND_FLOAT, 0.5], [0.5, 0.5]]),

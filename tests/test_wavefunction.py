@@ -14,12 +14,11 @@ import qlr.classical as classical
 import qlr.quantum as quantum
 from qlr import (
     BadIndex,
+    BadShape,
     CountTable,
-    InvalidOverlap,
     NotPositiveDefinite,
     OverlapMatrix,
     PosteriorDistribution,
-    ShapeMismatch,
     bayes_posterior,
     cross_path_suite,
     from_counts,
@@ -383,7 +382,7 @@ class TestPosteriorViaWavefunction:
             )
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(BadShape):
             posterior_via_wavefunction(STREET, identity_overlap(2, 3))
 
     def test_accepts_what_posterior_general_accepts(self):
@@ -395,7 +394,7 @@ class TestPosteriorViaWavefunction:
         )
         ragged = [[[1.0, 0.5], [0.5, 1.0]], [[1.0, 0.2], [0.2]]]
         for call in (posterior_via_wavefunction, posterior_general):
-            with pytest.raises(InvalidOverlap):
+            with pytest.raises(BadShape):
                 call(STREET, ragged)
 
     def test_degenerate_overlap_propagates(self):

@@ -351,7 +351,7 @@ def check_cross_path_samples(samples: Sequence[CrossPathSample]) -> list[dict[st
     deviations: list[dict[str, float]] = [{} for _ in samples]
     for m in sorted({sample.table.m for sample in samples}):
         group = [k for k, sample in enumerate(samples) if sample.table.m == m]
-        stacked = quantum.OverlapMatrix(np.concatenate([samples[k].overlap.c for k in group]))
+        stacked = quantum.OverlapMatrix([b for k in group for b in samples[k].overlap.c])
         roots = np.concatenate([np.sqrt(np.array(samples[k].table.x).T) for k in group])
         rows, metric_rows, residuals = gram_schmidt_basis(stacked)
         b = stacked_amplitudes(metric_rows, roots)
@@ -359,7 +359,7 @@ def check_cross_path_samples(samples: Sequence[CrossPathSample]) -> list[dict[st
         norms = np.sum(squares, axis=1)
         back = (rows.transpose(0, 2, 1) @ b[:, :, None])[:, :, 0] - roots
         back = np.abs(back).max(axis=1)
-        double_sums = _quadratic_forms(roots, stacked.c, roots)
+        double_sums = _quadratic_forms(roots, np.array(stacked.c), roots)
 
         lo = 0
         for k in group:

@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
 from .classical import PosteriorDistribution
 from .errors import (
     BadShape,
@@ -50,29 +48,29 @@ from .tables import ContingencyTable, non_number_in, numeric_array
 _SYMMETRY_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class OverlapMatrix:
     """Per-hypothesis symmetric unit-diagonal overlap coefficients.
 
-    ``c`` is a read-only float64 array of shape (n_hypotheses, m_features,
-    m_features); ``c[a][i][j]`` is the inner product between the feature-``i``
-    and feature-``j`` states of hypothesis ``a``.  0 means independent
-    features, 1 coincident.  ``c`` stays an array because both its readers
-    are numpy kernels; ``==`` and ``hash`` go by identity.
+    ``c`` holds n >= 1 blocks of m >= 1 rows of m floats, as tuples;
+    ``c[a][i][j]`` is the inner product between the feature-``i`` and
+    feature-``j`` states of hypothesis ``a``: 0 means independent features,
+    1 coincident.  Overlaps compare and hash by value, as tables do.
     """
 
-    c: np.ndarray
+    c: tuple[tuple[tuple[float, ...], ...], ...]
 
     def __post_init__(self):
         c = numeric_array(self.c, float, "overlap", InvalidOverlap)
-        if c.ndim != 3 or c.shape[1] != c.shape[2]:
+        if c.ndim != 3 or c.shape[1] != c.shape[2] or c.size == 0:
             raise InvalidOverlap(
                 f"overlap must be (n, m, m) per-hypothesis square matrices, got {c.shape}"
             )
         # One pass over the entries; a non-finite entry outranks the other
         # two rules wherever it lies, so those are raised after the pass.
         bad_diagonal = bad_symmetry = False
-        for block in c.tolist():
+        blocks = tuple([tuple(map(tuple, block)) for block in c.tolist()])
+        for block in blocks:
             for i, row in enumerate(block):
                 for v in row:
                     if not -math.inf < v < math.inf:
@@ -86,8 +84,7 @@ class OverlapMatrix:
             raise InvalidOverlap("overlap diagonal entries must equal 1")
         if bad_symmetry:
             raise InvalidOverlap("overlap matrices must be symmetric")
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", blocks)
 
     def check_fits(self, table: ContingencyTable) -> None:
         """Require one m x m matrix per hypothesis of ``table``.
@@ -95,9 +92,10 @@ class OverlapMatrix:
         Raises:
             BadShape: the overlap dimensions disagree with the table.
         """
-        if self.c.shape != (table.n, table.m, table.m):
+        shape = (len(self.c), len(self.c[0]), len(self.c[0]))
+        if shape != (table.n, table.m, table.m):
             raise BadShape(
-                f"overlap shape {self.c.shape} does not match "
+                f"overlap shape {shape} does not match "
                 f"{(table.n, table.m, table.m)} for a {table.m}x{table.n} table"
             )
 
@@ -217,23 +215,23 @@ def hbar_moderated_coefficients(c1: float, c2: float, hbar: float) -> tuple[floa
 
 def _block_sums(table: ContingencyTable, overlap: OverlapMatrix) -> list[float]:
     """Per-hypothesis amplitude block sums
-    ``sum_{i,j} sqrt(x[i,a] * x[j,a]) * c[a][i][j]``.
-
-    The diagonal contributes exactly ``sum_i x[i,a]`` (unit diagonal), so it
-    is added separately rather than through sqrt products.
+    ``sum_{i,j} sqrt(x[i,a] * x[j,a]) * c[a][i][j]``: the column's cells,
+    the unit diagonal's terms, then the terms off it, each added in order.
+    A block that overflows to inf or nan is left to normalization to refuse.
     """
-    # One row per hypothesis, contiguous, so that each row sum and each
-    # quadratic form is the same reduction a single column would get.
-    cols = np.array(table.x).T.copy()
-    s = np.sqrt(cols)
-    off = overlap.c.copy()
-    diagonal = np.arange(table.m)
-    off[:, diagonal, diagonal] = 0.0
-    # Overlaps near the float limit overflow a block to inf or nan, which
-    # normalization then rejects with a typed error, not a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        forms = (s[:, None, :] @ off @ s[:, :, None])[:, 0, 0]
-        return (cols.sum(axis=1) + forms).tolist()
+    blocks = []
+    for a, c in enumerate(overlap.c):
+        column = [row[a] for row in table.x]
+        s = [math.sqrt(v) for v in column]
+        total = form = 0.0
+        for v in column:
+            total += v
+        for i, row in enumerate(c):
+            for j, cij in enumerate(row):
+                if i != j:
+                    form += s[i] * cij * s[j]
+        blocks.append(total + form)
+    return blocks
 
 
 def posterior_general(

@@ -13,9 +13,9 @@ Conventions used throughout the package:
   shares, and a probability table's to uniform weights.
 
 Input is converted and checked with numpy, but every table field is a
-tuple of Python numbers, one row tuple per feature.  All types are immutable
-after construction, safe to share across threads, and compare and hash by
-value.
+tuple of Python numbers, one row tuple per feature, as an overlap's
+coefficients are.  All types are immutable after construction, safe to
+share across threads, and compare and hash by value.
 """
 
 from __future__ import annotations

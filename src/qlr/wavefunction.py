@@ -12,17 +12,17 @@ feasibility rule, :func:`positive_definite`, that decides whether the path
 applies at all.
 
 The linear algebra runs on stacks of K per-hypothesis ``m x m`` matrices,
-shape ``(K, m, m)``, held in read-only numpy arrays.  The positive-definite
-gate is decided per block in plain Python.  After it comes a fixed number of
-stacked numpy calls whatever K and m are: one Cholesky factorisation
-``c[a] = L[a] @ L[a].T`` and its inverse, one stacked product ``A @ c``
-that the residual and the amplitudes share, and one more product each to
-finish them.  The basis is the Gram-Schmidt basis of the
+shape ``(K, m, m)``.  The positive-definite gate is decided per block in
+plain Python, on the overlap's tuples; then the stack becomes one array, and
+a fixed number of stacked numpy calls follow whatever K and m are: one
+Cholesky factorisation ``c[a] = L[a] @ L[a].T`` and its inverse, one stacked
+product ``A @ c`` that the residual and the amplitudes share, and one more
+product each to finish them.  The basis is the Gram-Schmidt basis of the
 feature states in the ``c[a]`` inner product, taken in index order; its rows
 are exactly the rows of ``L[a]^-1``, the unique lower-triangular matrix with
 a positive diagonal that orthonormalizes ``c[a]``.  A single table is the
-case K = n; :func:`qlr.checks.cross_path_suite` stacks the hypotheses of
-all its samples that share a feature count and runs the path once per count,
+case K = n; :func:`qlr.checks.cross_path_suite` stacks the hypotheses of all
+its samples that share a feature count and runs the path once per count,
 through :func:`gram_schmidt_basis`, :func:`stacked_amplitudes` and
 :func:`squared_readout`.
 
@@ -55,7 +55,7 @@ PD_EIGENVALUE_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 
 
-def _clears_tolerance(block: list[list[float]]) -> bool:
+def _clears_tolerance(block: tuple[tuple[float, ...], ...]) -> bool:
     """Whether every eigenvalue of the symmetric ``block`` exceeds
     ``PD_EIGENVALUE_TOL``: whether ``block - PD_EIGENVALUE_TOL * I`` has a
     Cholesky factor.
@@ -91,7 +91,7 @@ def positive_definite(overlap: OverlapMatrix) -> tuple[bool, ...]:
     ``c[a] - PD_EIGENVALUE_TOL * I`` has a Cholesky factor, which a
     plain-Python factorisation of each block finds out.
     """
-    return tuple([_clears_tolerance(block) for block in overlap.c.tolist()])
+    return tuple([_clears_tolerance(block) for block in overlap.c])
 
 
 def gram_schmidt_basis(overlap: OverlapMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,7 +131,7 @@ def gram_schmidt_basis(overlap: OverlapMatrix) -> tuple[np.ndarray, np.ndarray, 
     flags = positive_definite(overlap)
     if not all(flags):
         raise NotPositiveDefinite(flags.index(False))
-    c = overlap.c
+    c = np.array(overlap.c)
     try:
         lower = np.linalg.cholesky(c)
     except np.linalg.LinAlgError as exc:

@@ -3,9 +3,10 @@ names it binds, no module of the package imports a private (``_``-prefixed)
 name from a sibling module, the state-vector checker does not call the
 overlap kernels it checks, the kernel module holds none of the checker's
 names, the kernel modules import none of the randomized suites' code, the
-command line neither imports nor raises a table rule's error, every public
-name the package defines has a caller outside the tests, and priors reach
-the estimators only on a table."""
+estimator and error modules import no numpy, the command line neither
+imports nor raises a table rule's error, every public name the package
+defines has a caller outside the tests, and priors reach the estimators
+only on a table."""
 
 import ast
 import types
@@ -247,6 +248,71 @@ def test_kernel_modules_import_no_suite_code(name):
             attributes.add(ast.unparse(node))
     assert not imported & {"checks", "new_table", "random", "numpy.random"}
     assert not attributes & {"np.random", "numpy.random"}
+
+
+# The estimators and the errors they raise run on plain Python numbers, so
+# their modules import no numpy: not the package or a submodule, by
+# ``import`` or ``from``, by name at run time, nor a sibling's binding of it.
+NUMPY_FREE_MODULES = ("classical.py", "quantum.py", "oracle.py", "errors.py")
+
+
+def numpy_imports(source: str) -> list[str]:
+    """Every import of numpy, as ``line N: import name`` strings."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] == "numpy":
+                names = [node.module]
+            else:
+                names = [alias.name for alias in node.names if alias.name in ("numpy", "np")]
+        elif (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] in ("__import__", "import_module")
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            names = [str(node.args[0].value)]
+        else:
+            continue
+        found.extend(
+            f"line {node.lineno}: import {name}"
+            for name in names
+            if name.split(".")[0] in ("numpy", "np")
+        )
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("import numpy as np", ["line 1: import numpy"]),
+        ("import math, numpy.linalg", ["line 1: import numpy.linalg"]),
+        ("from numpy import sqrt", ["line 1: import numpy"]),
+        ("from numpy.linalg import cholesky as chol", ["line 1: import numpy.linalg"]),
+        ("from .tables import np, numeric_array", ["line 1: import np"]),
+        ("def f():\n    import numpy\n    return numpy", ["line 2: import numpy"]),
+        ("np = __import__('numpy')", ["line 1: import numpy"]),
+        ("import importlib\nimportlib.import_module('numpy')", ["line 2: import numpy"]),
+        ("import math\nfrom .tables import numeric_array", []),
+        ("numpy_free = True\nfrom .numpyish import name", []),
+    ],
+)
+def test_rule_flags_numpy_imports(source, expected):
+    assert numpy_imports(source) == expected
+
+
+def test_rule_flags_numpy_planted_in_the_kernel_module():
+    source = (PACKAGE / "quantum.py").read_text(encoding="utf-8").replace(
+        "import math\n", "import math\n\nimport numpy as np\n", 1
+    )
+    assert [entry.split(": ")[1] for entry in numpy_imports(source)] == ["import numpy"]
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE_MODULES)
+def test_estimator_modules_import_no_numpy(name):
+    assert numpy_imports((PACKAGE / name).read_text(encoding="utf-8")) == []
 
 
 # The table types own the shape, cell and prior rules, so the command line

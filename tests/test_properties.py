@@ -18,8 +18,10 @@ is repeatable.
 
 import contextlib
 import dataclasses
+import functools
 import io
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -163,16 +165,21 @@ def test_row_swap_leaves_every_posterior_unchanged(table):
 
 
 def reference_block_sum_posterior(table, overlap):
-    """The block-sum posterior one hypothesis at a time: each column's sum
-    plus its quadratic form over ``c[a]`` with the unit diagonal zeroed."""
+    """The block-sum posterior one hypothesis at a time, in the kernel's
+    summation order: each column's cells added in order, plus the
+    off-diagonal terms ``s[i] * c[a][i][j] * s[j]`` added in row order."""
     blocks = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(table.n):
-            col = np.array(table.x)[:, a]
-            s = np.sqrt(col)
-            off = np.array(overlap.c[a])
-            np.fill_diagonal(off, 0.0)
-            blocks.append(float(col.sum()) + float(s @ off @ s))
+    for a in range(table.n):
+        column = [table.x[i][a] for i in range(table.m)]
+        roots = [math.sqrt(v) for v in column]
+        terms = [
+            roots[i] * overlap.c[a][i][j] * roots[j]
+            for i in range(table.m)
+            for j in range(table.m)
+            if i != j
+        ]
+        total = functools.reduce(operator.add, column, 0.0)
+        blocks.append(total + functools.reduce(operator.add, terms, 0.0))
     for a, block in enumerate(blocks):
         if block <= 0.0:
             raise DegenerateRange(f"hypothesis {a} block sum {block!r} is not positive")
@@ -183,9 +190,9 @@ def reference_block_sum_posterior(table, overlap):
 
 @st.composite
 def tables_with_overlaps(draw):
-    """1-4 or 8-16 features (eight or more reach numpy's pairwise
-    summation), 2-4 hypotheses, cells anywhere in (0, 1] and symmetric
-    unit-diagonal overlaps, some large enough to overflow a block."""
+    """1-4 or 8-16 features (up to 240 off-diagonal terms in one block),
+    2-4 hypotheses, cells anywhere in (0, 1] and symmetric unit-diagonal
+    overlaps, some large enough to overflow a block."""
     features = (1, 2, 3, 4, 8, 9, 12, 16)
     table = draw(tables(shapes=tuple((m, n) for m in features for n in range(2, 5))))
     scale = draw(st.sampled_from((0.5, 1.0, 1e300)))
@@ -324,7 +331,7 @@ def test_cross_path_draw_gives_valid_tables_and_well_conditioned_overlaps(seed, 
         assert all(0.0 < v <= 1.0 for row in table.x for v in row)
         assert all(p > 0.0 for p in table.priors)
         assert abs(math.fsum(table.priors) - 1.0) <= SUM_TOL
-        assert overlap.c.shape == (table.n, table.m, table.m)
+        assert np.array(overlap.c).shape == (table.n, table.m, table.m)
         # (G G^T + I) / 2 of unit rows: eigenvalues in [1/2, (m + 1)/2].
         eigenvalues = np.linalg.eigvalsh(overlap.c)
         assert eigenvalues.min() >= 0.5 - 1e-12

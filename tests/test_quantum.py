@@ -1,6 +1,7 @@
 """Overlap coefficients, the closed-form 2x2 posterior, the general
 block-sum posterior, moderation, and the randomized constraint suite."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -45,18 +46,20 @@ def identity_overlap(n: int, m: int) -> OverlapMatrix:
 class TestOverlapMatrix:
     def test_identity(self):
         overlap = identity_overlap(3, 4)
-        assert overlap.c.shape == (3, 4, 4)
+        assert np.array(overlap.c).shape == (3, 4, 4)
         np.testing.assert_array_equal(overlap.c[1], np.eye(4))
 
     def test_from_pair(self):
         overlap = OverlapMatrix.from_pair(0.3, -0.2)
-        assert overlap.c[0][0, 1] == 0.3
-        assert overlap.c[1][1, 0] == -0.2
+        assert overlap.c[0][0][1] == 0.3
+        assert overlap.c[1][1][0] == -0.2
 
     def test_read_only(self):
         overlap = identity_overlap(2, 2)
-        with pytest.raises(ValueError):
-            overlap.c[0, 0, 1] = 0.5
+        assert overlap.c == (((1.0, 0.0), (0.0, 1.0)),) * 2
+        assert all(type(v) is float for block in overlap.c for row in block for v in row)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            overlap.c = ()
 
     def test_rejects_bad_shape(self):
         with pytest.raises(InvalidOverlap):
@@ -85,11 +88,16 @@ class TestOverlapMatrix:
     def test_magnitude_above_one_is_allowed(self):
         OverlapMatrix.from_pair(1.2, 0.4)
 
-    def test_overlaps_compare_by_identity(self):
+    def test_overlaps_compare_by_value(self):
         overlap = OverlapMatrix.from_pair(0.2, 0.3)
-        twin = OverlapMatrix.from_pair(0.2, 0.3)
-        assert overlap == overlap and overlap != twin
-        assert len({overlap, twin}) == 2
+        twin = OverlapMatrix(np.array([[[1.0, 0.2], [0.2, 1.0]], [[1.0, 0.3], [0.3, 1.0]]]))
+        assert overlap == twin and hash(overlap) == hash(twin)
+        assert overlap != OverlapMatrix.from_pair(0.2, 0.4)
+        assert len({overlap, twin}) == 1
+        # replace builds a new overlap, validated again.
+        assert dataclasses.replace(overlap, c=twin.c) == overlap
+        with pytest.raises(InvalidOverlap, match="symmetric"):
+            dataclasses.replace(overlap, c=[[[1.0, 0.2], [0.5, 1.0]]])
 
 
 class TestOverlapCoefficients:
@@ -155,8 +163,8 @@ class TestOverlapCoefficients:
     def test_overlap_matrix_round_trip(self):
         solution = overlap_coefficients(STREET)
         overlap = OverlapMatrix.from_pair(solution.c1, solution.c2)
-        assert overlap.c[0][0, 1] == solution.c1
-        assert overlap.c[1][0, 1] == solution.c2
+        assert overlap.c[0][0][1] == solution.c1
+        assert overlap.c[1][0][1] == solution.c2
 
 
 class TestPosterior2x2:

@@ -302,6 +302,16 @@ BAD_INPUTS = {
         InvalidOverlap,
         "overlap must be (n, m, m) per-hypothesis square matrices, got (2, 2)",
     ),
+    "overlap_without_hypotheses": (
+        lambda: OverlapMatrix(np.empty((0, 2, 2))),
+        InvalidOverlap,
+        "overlap must be (n, m, m) per-hypothesis square matrices, got (0, 2, 2)",
+    ),
+    "overlap_without_features": (
+        lambda: OverlapMatrix(np.empty((2, 0, 0))),
+        InvalidOverlap,
+        "overlap must be (n, m, m) per-hypothesis square matrices, got (2, 0, 0)",
+    ),
     "non_finite_overlap_outranks_an_earlier_bad_diagonal": (
         lambda: OverlapMatrix([[[0.9, 0.0], [0.0, 1.0]], [[1.0, NAN], [NAN, 1.0]]]),
         InvalidOverlap,
@@ -410,19 +420,13 @@ def test_boundary_lists_tell_the_two_summation_orders_apart():
         assert (abs(sum(priors) - 1.0) <= 1e-12) != accepted
 
 
-def assert_frozen(arr, dtype):
-    assert isinstance(arr, np.ndarray)
-    assert arr.dtype == dtype
-    assert arr.flags.writeable is False
-
-
 def assert_tuple_of(values, kind):
     assert type(values) is tuple
     assert all(type(v) is kind for v in values)
 
 
 def test_fields_are_read_only_copies():
-    # Table fields are tuples of Python numbers; the overlap stays a frozen array.
+    # Table and overlap fields are tuples of Python numbers.
     x = np.array([[0.8, 0.7], [0.6, 0.5]])
     priors = np.array([0.25, 0.75])
     counts = np.array([[8, 7], [6, 5]], dtype=np.int32)
@@ -445,9 +449,12 @@ def test_fields_are_read_only_copies():
         (count_table.priors, float),
     ):
         assert_tuple_of(values, kind)
-    assert_frozen(overlap.c, np.float64)
-    assert_frozen(OverlapMatrix.from_pair(0.2, 0.3).c, np.float64)
-    assert_frozen(OverlapMatrix([np.eye(3)] * 2).c, np.float64)
+    for each in (overlap, OverlapMatrix.from_pair(0.2, 0.3), OverlapMatrix([np.eye(3)] * 2)):
+        assert_tuple_of(each.c, tuple)
+        for block in each.c:
+            assert_tuple_of(block, tuple)
+            for row in block:
+                assert_tuple_of(row, float)
 
     for arr in (x, priors, counts, populations, c):
         arr[...] = 0
@@ -455,7 +462,7 @@ def test_fields_are_read_only_copies():
     assert table.priors == (0.25, 0.75)
     assert count_table.counts == ((8, 7), (6, 5))
     assert count_table.populations == (10, 10)
-    assert overlap.c.tolist() == np.stack([np.eye(2), np.eye(2)]).tolist()
+    assert overlap.c == (((1.0, 0.0), (0.0, 1.0)),) * 2
 
 
 def test_count_derived_priors_are_the_count_tables_shares():

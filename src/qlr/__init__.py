@@ -46,7 +46,7 @@ from .quantum import (
     posterior_general,
 )
 from .wavefunction import (
-    gram_schmidt_basis,
+    cholesky_factors,
     positive_definite,
     posterior_independent,
     posterior_via_wavefunction,
@@ -101,7 +101,7 @@ __all__ = [
     "posterior_general",
     "verify_constraint_suite",
     "positive_definite",
-    "gram_schmidt_basis",
+    "cholesky_factors",
     "posterior_via_wavefunction",
     "posterior_independent",
     "cross_path_suite",

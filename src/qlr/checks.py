@@ -30,17 +30,16 @@ import random
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-import numpy as np
-
 from . import classical, quantum
 from .errors import ParseError
 from .tables import ContingencyTable, is_integer, new_table
 from .wavefunction import (
     RESIDUAL_TOL,
-    gram_schmidt_basis,
+    Factor,
+    amplitudes,
+    cholesky_factors,
     posterior_independent,
     squared_readout,
-    stacked_amplitudes,
 )
 
 
@@ -235,7 +234,11 @@ def verify_constraint_suite(sample_count: int, seed: int) -> ConstraintReport:
 
 CROSS_PATH_CHECKS = (
     ("paths_agree", "state-vector posterior equals block-sum posterior", RESIDUAL_TOL),
-    ("orthonormality", "A c A^T = I for every hypothesis", RESIDUAL_TOL),
+    (
+        "orthonormality",
+        "L L^T = c for every hypothesis, so A = L^-1 gives A c A^T = I",
+        RESIDUAL_TOL,
+    ),
     ("back_substitution", "A^T b recovers sqrt(x)", RESIDUAL_TOL),
     (
         "normalization",
@@ -320,10 +323,18 @@ def draw_cross_path_samples(sample_count: int, seed: int) -> list[CrossPathSampl
     return samples
 
 
-def _quadratic_forms(u: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``u[k] @ c[k] @ w[k]`` for every k of a ``(K, m)``, ``(K, m, m)``,
-    ``(K, m)`` stack."""
-    return (u[:, None, :] @ c @ w[:, :, None])[:, 0, 0]
+def _back_substitute(factor: Factor, b: Sequence[float]) -> list[float]:
+    """The solution ``y`` of ``L.T @ y = b`` for the lower-triangular rows
+    ``factor`` of ``L``: ``A.T @ b`` with ``A = L^-1``, formed without the
+    inverse."""
+    m = len(b)
+    y = [0.0] * m
+    for k in reversed(range(m)):
+        s = b[k]
+        for i in range(k + 1, m):
+            s -= factor[i][k] * y[i]
+        y[k] = s / factor[k][k]
+    return y
 
 
 def check_cross_path_samples(samples: Sequence[CrossPathSample]) -> list[dict[str, float]]:
@@ -331,60 +342,53 @@ def check_cross_path_samples(samples: Sequence[CrossPathSample]) -> list[dict[st
     sample order.
 
     - the state-vector posterior matches the block-sum posterior;
-    - orthonormality residual of the constructed basis;
-    - back-substitution residual ``A^T b - sqrt(x)``;
+    - orthonormality: the largest entry of ``L L^T - c`` over the factors
+      ``L`` of the basis ``A = L^-1``, which is ``A c A^T = I`` without the
+      inverse;
+    - back-substitution residual ``A^T b - sqrt(x)``, solving
+      ``L^T y = b``;
     - the sum of squared amplitudes matches the explicit double sum
       ``sum sqrt(x_i x_j) c_ij``;
     - the single-feature projection path matches the direct single-feature
       update of :func:`qlr.classical.bayes_posterior`;
     - complementarity of the state-vector posterior.
 
-    The basis, amplitudes, residuals and squared readout run once per
-    feature count, on the ``(K, m, m)`` stack of every hypothesis of the
-    samples with that count, through the same code as
-    :func:`qlr.wavefunction.posterior_via_wavefunction`; each sample's
-    basis is built once.  The block-sum side stays one
-    :func:`qlr.quantum.posterior_general` call per sample, and the
-    single-feature side one :func:`qlr.classical.bayes_posterior` call, the
-    way users call them.
+    Each sample's overlap ``c`` is read as it is, and its factors,
+    amplitudes and squared readout come from the same code as
+    :func:`qlr.wavefunction.posterior_via_wavefunction`.  The block-sum
+    side is one :func:`qlr.quantum.posterior_general` call per sample, and
+    the single-feature side one :func:`qlr.classical.bayes_posterior`
+    call, the way users call them.
     """
-    deviations: list[dict[str, float]] = [{} for _ in samples]
-    for m in sorted({sample.table.m for sample in samples}):
-        group = [k for k, sample in enumerate(samples) if sample.table.m == m]
-        stacked = quantum.OverlapMatrix([b for k in group for b in samples[k].overlap.c])
-        roots = np.concatenate([np.sqrt(np.array(samples[k].table.x).T) for k in group])
-        rows, metric_rows, residuals = gram_schmidt_basis(stacked)
-        b = stacked_amplitudes(metric_rows, roots)
-        squares = b * b
-        norms = np.sum(squares, axis=1)
-        back = (rows.transpose(0, 2, 1) @ b[:, :, None])[:, :, 0] - roots
-        back = np.abs(back).max(axis=1)
-        double_sums = _quadratic_forms(roots, np.array(stacked.c), roots)
-
-        lo = 0
-        for k in group:
-            table, feature = samples[k].table, samples[k].feature
-            hi = lo + table.n
-            wf = squared_readout(table, norms[lo:hi])
-            general = quantum.posterior_general(table, samples[k].overlap)
-            projected = posterior_independent(table, feature)
-            direct = classical.bayes_posterior(table, feature)
-            deviations[k] = {
-                "paths_agree": max(
-                    abs(p - q) for p, q in zip(wf.probabilities, general.probabilities)
-                ),
-                "orthonormality": float(residuals[lo:hi].max()),
-                "back_substitution": float(back[lo:hi].max()),
-                "normalization": abs(
-                    math.fsum(squares[lo:hi].ravel().tolist())
-                    - math.fsum(double_sums[lo:hi].tolist())
-                ),
-                "projection_single_feature": max(
-                    abs(p - q) for p, q in zip(projected.probabilities, direct.probabilities)
-                ),
-                "complementarity": abs(math.fsum(wf.probabilities) - 1.0),
-            }
-            lo = hi
+    deviations = []
+    for sample in samples:
+        table, overlap = sample.table, sample.overlap
+        norms, squares, forms, gaps, misses = [], [], [], [], []
+        for a, (c, factor) in enumerate(zip(overlap.c, cholesky_factors(overlap))):
+            roots = [math.sqrt(row[a]) for row in table.x]
+            b = amplitudes(factor, roots)
+            for row, left, root in zip(c, factor, roots):
+                for cij, right, other in zip(row, factor, roots):
+                    gaps.append(abs(math.fsum([p * q for p, q in zip(left, right)]) - cij))
+                    forms.append(root * cij * other)
+            misses.extend(abs(y - root) for y, root in zip(_back_substitute(factor, b), roots))
+            squared = [v * v for v in b]
+            squares.extend(squared)
+            norms.append(math.fsum(squared))
+        wf = squared_readout(table, norms)
+        general = quantum.posterior_general(table, overlap)
+        projected = posterior_independent(table, sample.feature)
+        direct = classical.bayes_posterior(table, sample.feature)
+        deviations.append({
+            "paths_agree": max(abs(p - q) for p, q in zip(wf.probabilities, general.probabilities)),
+            "orthonormality": max(gaps),
+            "back_substitution": max(misses),
+            "normalization": abs(math.fsum(squares) - math.fsum(forms)),
+            "projection_single_feature": max(
+                abs(p - q) for p, q in zip(projected.probabilities, direct.probabilities)
+            ),
+            "complementarity": abs(math.fsum(wf.probabilities) - 1.0),
+        })
     return deviations
 
 

@@ -88,8 +88,10 @@ class OverlapUnderflow(Unsupported):
 
 
 class NotPositiveDefinite(Unsupported):
-    """A per-hypothesis Gram matrix is not positive definite, so no
-    orthonormal basis exists.
+    """A per-hypothesis Gram matrix fails the state-vector path's gate: it
+    has an eigenvalue at or below ``PD_EIGENVALUE_TOL`` (1e-12), so no
+    orthonormal basis exists.  The gate is the one feasibility rule of that
+    path; an overlap that clears it always gets a basis.
 
     Attributes:
         hypothesis: index of the offending hypothesis.

@@ -20,6 +20,7 @@ from qlr import (
     posterior_2x2,
 )
 from qlr.cli import main, render_json
+from qlr.wavefunction import RESIDUAL_TOL
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 STREETS_CSV = "docs/streets.csv"
@@ -655,9 +656,10 @@ def test_underflowing_overlap_is_skipped_under_all(capsys, tmp_path, name):
     assert "diagnostics" not in report
 
 
-def test_ill_conditioned_overlap_skips_only_the_state_vector_method(capsys, tmp_path):
+def test_ill_conditioned_overlap_gets_the_state_vector_method(capsys, tmp_path):
     # A valid table whose solved overlap is positive definite (c1 = 1 - 1e-8)
-    # but too ill-conditioned for an orthonormal basis within 1e-10.
+    # but ill-conditioned: it clears the gate, so the state-vector method
+    # runs and matches the block sums.
     path = tmp_path / "ill_conditioned.csv"
     path.write_text(
         "feature,A,B\nd1,0.7199999927999999,0.6\nd2,0.7199999927999999,0.6\n",
@@ -667,12 +669,19 @@ def test_ill_conditioned_overlap_skips_only_the_state_vector_method(capsys, tmp_
     assert code == 0
     assert err == ""
     report = json.loads(out)
-    assert sorted(report["methods"]) == ["bayes:1", "bayes:2", "naive", "quantum"]
-    skipped = [w for w in report["warnings"] if w.startswith("skipped wavefunction:")]
-    assert len(skipped) == 1 and "residual" in skipped[0]
+    assert sorted(report["methods"]) == ["bayes:1", "bayes:2", "naive", "quantum", "wavefunction"]
+    assert report["diagnostics"]["gram_positive_definite"] == [True, True]
+    assert not [w for w in report["warnings"] if w.startswith("skipped wavefunction")]
+    methods = report["methods"]
+    gap = max(
+        abs(p - q)
+        for p, q in zip(
+            methods["wavefunction"]["probabilities"], methods["quantum"]["probabilities"]
+        )
+    )
+    assert gap <= RESIDUAL_TOL
     code, _, err = run_cli(capsys, "analyze", str(path), "--method", "wavefunction")
-    assert code == 3
-    assert err.startswith("qlr: error:")
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize(

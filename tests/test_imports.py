@@ -2,8 +2,8 @@
 names it binds, no module of the package imports a private (``_``-prefixed)
 name from a sibling module, the state-vector checker does not call the
 overlap kernels it checks, the kernel module holds none of the checker's
-names, the kernel modules import none of the randomized suites' code, the
-estimator and error modules import no numpy, the command line neither
+names, the kernel modules import none of the randomized suites' code,
+every module but ``tables.py`` imports no numpy, the command line neither
 imports nor raises a table rule's error, every public name the package
 defines has a caller outside the tests, and priors reach the estimators
 only on a table."""
@@ -180,7 +180,7 @@ def test_state_vector_path_does_not_call_the_kernels_it_checks():
 
 # The state-vector path owns its feasibility rule and its basis, so the
 # kernel module it checks may not define, import or read them.
-STATE_VECTOR_NAMES = frozenset({"positive_definite", "PD_EIGENVALUE_TOL", "gram_schmidt_basis"})
+STATE_VECTOR_NAMES = frozenset({"positive_definite", "PD_EIGENVALUE_TOL", "cholesky_factors"})
 
 
 def state_vector_references(source: str) -> list[str]:
@@ -214,10 +214,10 @@ def state_vector_references(source: str) -> list[str]:
         "PD_EIGENVALUE_TOL = 1e-12",
         "class OverlapMatrix:\n    @property\n    def positive_definite(self):\n        pass",
         "from .wavefunction import positive_definite as flags",
-        "from . import wavefunction\nwavefunction.gram_schmidt_basis",
+        "from . import wavefunction\nwavefunction.cholesky_factors",
         "def f(overlap):\n    return overlap.positive_definite",
         "def f(PD_EIGENVALUE_TOL=0.0):\n    pass",
-        "getattr(wavefunction, 'gram_schmidt_basis')",
+        "getattr(wavefunction, 'cholesky_factors')",
     ],
 )
 def test_checker_flags_state_vector_names(source):
@@ -250,10 +250,13 @@ def test_kernel_modules_import_no_suite_code(name):
     assert not attributes & {"np.random", "numpy.random"}
 
 
-# The estimators and the errors they raise run on plain Python numbers, so
-# their modules import no numpy: not the package or a submodule, by
-# ``import`` or ``from``, by name at run time, nor a sibling's binding of it.
-NUMPY_FREE_MODULES = ("classical.py", "quantum.py", "oracle.py", "errors.py")
+# Every module runs on plain Python numbers except ``tables.py``, whose
+# input conversion still goes through numpy, so the others import no numpy:
+# not the package or a submodule, by ``import`` or ``from``, by name at run
+# time, nor a sibling's binding of it.  A new module joins the rule.
+NUMPY_FREE_MODULES = tuple(
+    path.name for path in sorted(PACKAGE.glob("*.py")) if path.name != "tables.py"
+)
 
 
 def numpy_imports(source: str) -> list[str]:

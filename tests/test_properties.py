@@ -11,15 +11,17 @@ views and population shares equal what the numpy fields give; every public
 numeric argument, whatever its value, gives a result or a typed error, and
 a bool, a string, bytes or None a typed error; the closed form is naive
 Bayes on the surface the quantum module states, on which every known-value
-family of the constraint suite lies; and the command line exits 0, 2 or 3
-on any file, never with a traceback.  Draws are derandomized so the suite
-is repeatable.
+family of the constraint suite lies; the command line exits 0, 2 or 3 on
+any file, never with a traceback; and on a 2x2 file it reports
+``wavefunction`` exactly when the overlap's gate flags are all true.  Draws
+are derandomized so the suite is repeatable.
 """
 
 import contextlib
 import dataclasses
 import functools
 import io
+import json
 import math
 import operator
 import re
@@ -301,18 +303,16 @@ def wide_overlap_cases(draw):
 @PROPERTY_SETTINGS
 @given(wide_overlap_cases())
 def test_state_vector_path_refuses_at_the_gate_or_matches_the_block_sums(case):
-    # The gate's flags name the refused hypothesis; past the gate a refusal
-    # (ill-conditioning) still names one, and a posterior matches the
+    # The gate is the path's one feasibility rule: a refusal names the first
+    # False flag, and past an all-True gate the posterior matches the
     # block-sum posterior within the residual ceiling.
     table, overlap = case
     flags = positive_definite(overlap)
     try:
         wf = posterior_via_wavefunction(table, overlap)
     except NotPositiveDefinite as exc:
-        if all(flags):
-            assert 0 <= exc.hypothesis < table.n
-        else:
-            assert exc.hypothesis == flags.index(False)
+        assert not all(flags)
+        assert exc.hypothesis == flags.index(False)
         return
     assert all(flags)
     general = posterior_general(table, overlap).probabilities
@@ -644,3 +644,32 @@ def test_cli_exits_0_2_or_3_on_mutated_files(fuzz_dir, case):
         code = main([argv[0], str(path), *argv[1:]])
     assert code in (0, 2, 3), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def two_by_two_files(draw):
+    """The rows of a 2x2 probability file and an optional ``--hbar`` value."""
+    rows = [[draw(CELLS), draw(CELLS)] for _ in range(2)]
+    return rows, draw(st.none() | st.sampled_from(("0.1", "1", "5")))
+
+
+@PROPERTY_SETTINGS
+@given(case=two_by_two_files())
+@example(case=([[0.7199999927999999, 0.6], [0.7199999927999999, 0.6]], None))
+def test_cli_reports_wavefunction_exactly_when_the_gram_flags_are_all_true(fuzz_dir, case):
+    # The example's solved pair is c1 = 1 - 1e-8: positive definite, but
+    # ill-conditioned.  No diagnostics means no overlap was solved.
+    rows, hbar = case
+    path = fuzz_dir / "pair.csv"
+    lines = [f"d{i},{a!r},{b!r}\n" for i, (a, b) in enumerate(rows, 1)]
+    path.write_text("feature,A,B\n" + "".join(lines), encoding="utf-8")
+    argv = ["analyze", str(path), "--format", "json"]
+    if hbar is not None:
+        argv += ["--hbar", hbar]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 0, err.getvalue()
+    report = json.loads(out.getvalue())
+    flags = report.get("diagnostics", {}).get("gram_positive_definite", [False])
+    assert all(flags) == ("wavefunction" in report["methods"])

@@ -19,8 +19,9 @@ is a ``math.fsum``, since the built-in ``sum`` of floats rounds
 differently from Python 3.12 on.
 
 The suites read the kernels they check as attributes of
-:mod:`qlr.quantum` and :mod:`qlr.classical` at call time, so a kernel
-patched in its home module is the one the suites check.
+:mod:`qlr.quantum`, :mod:`qlr.classical` and :mod:`qlr.wavefunction` at
+call time, so a kernel patched in its home module is the one the suites
+check.
 """
 
 from __future__ import annotations
@@ -30,17 +31,10 @@ import random
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from . import classical, quantum
+from . import classical, quantum, wavefunction
 from .errors import ParseError
 from .tables import ContingencyTable, is_integer, new_table
-from .wavefunction import (
-    RESIDUAL_TOL,
-    Factor,
-    amplitudes,
-    cholesky_factors,
-    posterior_independent,
-    squared_readout,
-)
+from .wavefunction import RESIDUAL_TOL, Factor
 
 
 def suite_arguments(sample_count: int, seed: int) -> tuple[int, int]:
@@ -341,7 +335,9 @@ def check_cross_path_samples(samples: Sequence[CrossPathSample]) -> list[dict[st
     """Each sample's deviation per cross-path check, by check name, in
     sample order.
 
-    - the state-vector posterior matches the block-sum posterior;
+    - the state-vector posterior of
+      :func:`qlr.wavefunction.posterior_via_wavefunction` matches the
+      block-sum posterior of :func:`qlr.quantum.posterior_general`;
     - orthonormality: the largest entry of ``L L^T - c`` over the factors
       ``L`` of the basis ``A = L^-1``, which is ``A c A^T = I`` without the
       inverse;
@@ -349,35 +345,34 @@ def check_cross_path_samples(samples: Sequence[CrossPathSample]) -> list[dict[st
       ``L^T y = b``;
     - the sum of squared amplitudes matches the explicit double sum
       ``sum sqrt(x_i x_j) c_ij``;
-    - the single-feature projection path matches the direct single-feature
-      update of :func:`qlr.classical.bayes_posterior`;
+    - the single-feature projection path of
+      :func:`qlr.wavefunction.posterior_independent` matches the direct
+      single-feature update of :func:`qlr.classical.bayes_posterior`;
     - complementarity of the state-vector posterior.
 
-    Each sample's overlap ``c`` is read as it is, and its factors,
-    amplitudes and squared readout come from the same code as
-    :func:`qlr.wavefunction.posterior_via_wavefunction`.  The block-sum
-    side is one :func:`qlr.quantum.posterior_general` call per sample, and
-    the single-feature side one :func:`qlr.classical.bayes_posterior`
-    call, the way users call them.
+    Every posterior is one call of its public function per sample, the way
+    users call it; the suite forms none of its own.  The three identity
+    checks read each sample's overlap ``c`` as it is and test the factors
+    of :func:`qlr.wavefunction.cholesky_factors` and the amplitudes of
+    :func:`qlr.wavefunction.amplitudes` against it, without either
+    posterior.
     """
     deviations = []
     for sample in samples:
         table, overlap = sample.table, sample.overlap
-        norms, squares, forms, gaps, misses = [], [], [], [], []
-        for a, (c, factor) in enumerate(zip(overlap.c, cholesky_factors(overlap))):
+        squares, forms, gaps, misses = [], [], [], []
+        for a, (c, factor) in enumerate(zip(overlap.c, wavefunction.cholesky_factors(overlap))):
             roots = [math.sqrt(row[a]) for row in table.x]
-            b = amplitudes(factor, roots)
+            b = wavefunction.amplitudes(factor, roots)
             for row, left, root in zip(c, factor, roots):
                 for cij, right, other in zip(row, factor, roots):
                     gaps.append(abs(math.fsum([p * q for p, q in zip(left, right)]) - cij))
                     forms.append(root * cij * other)
             misses.extend(abs(y - root) for y, root in zip(_back_substitute(factor, b), roots))
-            squared = [v * v for v in b]
-            squares.extend(squared)
-            norms.append(math.fsum(squared))
-        wf = squared_readout(table, norms)
+            squares.extend(v * v for v in b)
+        wf = wavefunction.posterior_via_wavefunction(table, overlap)
         general = quantum.posterior_general(table, overlap)
-        projected = posterior_independent(table, sample.feature)
+        projected = wavefunction.posterior_independent(table, sample.feature)
         direct = classical.bayes_posterior(table, sample.feature)
         deviations.append({
             "paths_agree": max(abs(p - q) for p, q in zip(wf.probabilities, general.probabilities)),

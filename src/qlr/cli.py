@@ -429,8 +429,8 @@ class _AnalysisRun:
         if selector == "quantum":
             # The solve sets the diagnostics and the unit-interval warning.
             # A solve that underflows leaves both out: posterior_2x2 then
-            # raises the same error itself, except at hbar=0, which needs
-            # no coefficients.
+            # refuses the table itself (exit 3), except at hbar=0, which
+            # needs no coefficients.
             with suppress(OverlapUnderflow):
                 self.overlap
             return posterior_2x2(self.prob_table, self.hbar)

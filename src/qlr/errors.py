@@ -82,9 +82,10 @@ class DegenerateRange(Unsupported):
 
 class OverlapUnderflow(Unsupported):
     """The 2x2 overlap ratio of a valid table does not fit in a float: a
-    column's cell product underflows to zero, or a coefficient or
-    prior-weighted block overflows.  The table itself is fine, so other
-    estimators still apply."""
+    column's cell product underflows to zero, or a coefficient overflows.
+    The table itself is fine, so other estimators still apply.  Blocks
+    whose prior-weighted total overflows raise :class:`DegenerateRange`,
+    as in every posterior normalisation."""
 
 
 class NotPositiveDefinite(Unsupported):

@@ -282,8 +282,9 @@ def posterior_2x2(table: ContingencyTable, hbar: float | None = None) -> Posteri
     Raises:
         Unsupported: table shape is not 2x2.
         InvalidHbar: negative or non-finite moderation scale.
-        OverlapUnderflow: a cell product underflows to zero or a weighted
-            block is not finite (cell products too small).
+        OverlapUnderflow: a cell product underflows to zero.
+        DegenerateRange: the prior-weighted blocks have no finite total
+            (cell products too small), as in :func:`posterior_general`.
     """
     x1, y1, x2, y2 = _cells_2x2(table, "posterior exists")
     scale = 1.0 if hbar is None else moderation_scale(hbar)
@@ -294,12 +295,6 @@ def posterior_2x2(table: ContingencyTable, hbar: float | None = None) -> Posteri
         _check_products(p1, p2)
         block1 = scale * (p1 / p2) + x1 + y1
         block2 = scale * (p2 / p1) + x2 + y2
-    w1 = table.priors[0] * 2.0
-    w2 = table.priors[1] * 2.0
-    total = w1 * block1 + w2 * block2
-    if not math.isfinite(total):
-        raise OverlapUnderflow(
-            f"prior-weighted block total {total!r} is not finite (blocks {block1!r}, {block2!r})"
-        )
-    return PosteriorDistribution((w1 * block1 / total, w2 * block2 / total), "quantum")
+    w1, w2 = table.priors
+    return PosteriorDistribution.from_weights([w1 * 2.0 * block1, w2 * 2.0 * block2], "quantum")
 

@@ -5,9 +5,11 @@ through explicit mechanics instead of the closed-form ratio: orthonormalize
 each hypothesis's feature states against its overlap metric, form the
 amplitudes the contingency table demands in that basis
 (:func:`amplitudes`), and read posteriors off squared amplitudes
-(:func:`squared_readout`).  Agreement between the two paths is the
-package's core correctness check, exercised by
-:func:`qlr.checks.cross_path_suite`.  The module imports only
+(:func:`posterior_via_wavefunction`).  Agreement between the two paths is
+the package's core correctness check: :func:`qlr.checks.cross_path_suite`
+compares :func:`posterior_via_wavefunction` with
+:func:`qlr.quantum.posterior_general`, both called the way users call
+them.  The module imports only
 :class:`~qlr.quantum.OverlapMatrix` from the code it checks, and owns the
 feasibility rule, :func:`positive_definite`, that decides whether the path
 applies at all.
@@ -124,23 +126,14 @@ def amplitudes(factor: Factor, roots: Sequence[float]) -> list[float]:
 
     They back-substitute to the original feature amplitudes,
     ``A.T @ b = roots``.  The amplitudes of
-    :func:`posterior_via_wavefunction` and of the cross-path suite.
+    :func:`posterior_via_wavefunction` and of the cross-path suite's
+    identity checks.
     """
     b = [0.0] * len(roots)
     for row, root in zip(factor, roots):
         for k, v in enumerate(row):
             b[k] += v * root
     return b
-
-
-def squared_readout(table: ContingencyTable, norms: Sequence[float]) -> PosteriorDistribution:
-    """``P(H_a) ∝ priors[a] * n * norms[a]``, under the table's priors, from
-    per-hypothesis sums of squared amplitudes: the readout of
-    :func:`posterior_via_wavefunction` and of the cross-path suite."""
-    n = table.n
-    return PosteriorDistribution.from_weights(
-        [p * n * norm for p, norm in zip(table.priors, norms)], "wavefunction"
-    )
 
 
 def posterior_via_wavefunction(
@@ -161,11 +154,12 @@ def posterior_via_wavefunction(
     """
     overlap = OverlapMatrix.coerce(overlap)
     overlap.check_fits(table)
-    norms = []
-    for a, factor in enumerate(cholesky_factors(overlap)):
+    n = table.n
+    weights = []
+    for a, (p, factor) in enumerate(zip(table.priors, cholesky_factors(overlap))):
         b = amplitudes(factor, [math.sqrt(row[a]) for row in table.x])
-        norms.append(math.fsum([v * v for v in b]))
-    return squared_readout(table, norms)
+        weights.append(p * n * math.fsum([v * v for v in b]))
+    return PosteriorDistribution.from_weights(weights, "wavefunction")
 
 
 def posterior_independent(table: ContingencyTable, feature: int) -> PosteriorDistribution:

@@ -722,7 +722,7 @@ def test_overflowing_weighted_block_is_skipped_under_all(capsys, tmp_path):
     assert err == ""
     report = json.loads(out)
     assert "quantum" not in report["methods"]
-    skipped = "skipped quantum: prior-weighted block total inf"
+    skipped = "skipped quantum: cannot normalize weights with total inf"
     assert any(w.startswith(skipped) for w in report["warnings"])
     code, _, err = run_cli(capsys, "analyze", str(path), "--method", "quantum")
     assert code == 3

@@ -135,30 +135,35 @@ class TestOverlapCoefficients:
             overlap_coefficients(new_table([[0.5, 0.5]]))
 
     @pytest.mark.parametrize(
-        "call",
+        "call, overflow",
         [
-            overlap_coefficients,
-            posterior_2x2,
-            lambda table: posterior_2x2(table, hbar=0.5),
+            (overlap_coefficients, OverlapUnderflow),
+            (posterior_2x2, DegenerateRange),
+            (lambda table: posterior_2x2(table, hbar=0.5), DegenerateRange),
         ],
         ids=["coefficients", "posterior", "posterior_hbar"],
     )
-    def test_tiny_cells_raise_unsupported(self, call):
+    def test_tiny_cells_raise_unsupported(self, call, overflow):
         # x1*y1 = 1e-316 is subnormal but nonzero, so the second coefficient
-        # and block overflow to inf; x2*y2 = 1e-400 underflows to zero.
-        for cells in ([[1e-158, 0.5], [1e-158, 0.5]], [[0.5, 1e-200], [0.5, 1e-200]]):
+        # and block overflow to inf; x2*y2 = 1e-400 underflows to zero.  An
+        # infinite block leaves the posterior's weights no finite total.
+        for cells, expected in (
+            ([[1e-158, 0.5], [1e-158, 0.5]], overflow),
+            ([[0.5, 1e-200], [0.5, 1e-200]], OverlapUnderflow),
+        ):
             with pytest.raises(Unsupported) as info:
                 call(new_table(cells))
             # The table is valid, so the command line skips these methods.
-            assert isinstance(info.value, OverlapUnderflow)
+            assert type(info.value) is expected
             assert info.value.exit_code == 3
 
-    def test_weighted_block_overflow_raises_overlap_underflow(self):
+    def test_weighted_block_overflow_raises_degenerate_range(self):
         # The first block, about 1.35e308, is finite; times 2 * 0.7 it is
         # not, so normalizing would give a NaN posterior.
         table = new_table([[0.75, 0.25], [0.5, 1.11253693e-308]], [0.7, 0.3])
-        with pytest.raises(OverlapUnderflow):
+        with pytest.raises(DegenerateRange) as info:
             posterior_2x2(table)
+        assert info.value.exit_code == 3
 
     def test_overlap_matrix_round_trip(self):
         solution = overlap_coefficients(STREET)

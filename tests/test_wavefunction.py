@@ -10,7 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qlr.classical as classical
+import qlr.cli
 import qlr.quantum as quantum
+import qlr.wavefunction as wavefunction
 from qlr import (
     BadIndex,
     BadShape,
@@ -507,6 +509,35 @@ class TestCrossPathSuite:
         report = cross_path_suite(20, 42)
         by_name = {check.name: check for check in report.checks}
         assert by_name["projection_single_feature"].passes == 0
+        assert all(
+            check.passed for name, check in by_name.items() if name != "projection_single_feature"
+        )
+
+    def test_verify_runs_the_state_vector_posterior(self, capsys, monkeypatch):
+        # A readout that squares every hypothesis's amplitudes of column 0
+        # instead of its own column: verify must score the function that
+        # analyze reports as wavefunction, not a copy of its readout.
+        def column_zero(table, overlap):
+            n = table.n
+            weights = []
+            for p, factor in zip(table.priors, cholesky_factors(overlap)):
+                b = amplitudes(factor, [math.sqrt(row[0]) for row in table.x])
+                weights.append(p * n * math.fsum([v * v for v in b]))
+            return PosteriorDistribution.from_weights(weights, "wavefunction")
+
+        monkeypatch.setattr(wavefunction, "posterior_via_wavefunction", column_zero)
+        code = qlr.cli.main(["verify", "--samples", "50", "--seed", "42"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL cross-path/paths_agree" in out
+
+    def test_detects_a_uniform_projection_posterior(self, monkeypatch):
+        def uniform(table, feature):
+            return PosteriorDistribution.from_weights([1.0] * table.n, "wavefunction")
+
+        monkeypatch.setattr(wavefunction, "posterior_independent", uniform)
+        by_name = {check.name: check for check in cross_path_suite(20, 42).checks}
+        assert not by_name["projection_single_feature"].passed
         assert all(
             check.passed for name, check in by_name.items() if name != "projection_single_feature"
         )

@@ -1,6 +1,6 @@
 """Randomized self-check suites and the report types they produce.
 
-Two suites stand behind ``qlr verify``:
+The suites of :data:`SUITES` stand behind ``qlr verify``:
 
 - :func:`verify_constraint_suite` re-derives the constraints that pin the
   2x2 closed form of :func:`qlr.quantum.posterior_2x2` (known-value
@@ -9,14 +9,14 @@ Two suites stand behind ``qlr verify``:
   :func:`qlr.quantum.posterior_general` through the state-vector path of
   :mod:`qlr.wavefunction` and checks that the two agree.
 
-Each suite is a public seeded draw (:func:`draw_constraint_samples`,
-:func:`draw_cross_path_samples`) plus a check of the drawn samples, whose
-per-sample deviations :meth:`ConstraintReport.from_deviations` turns into
-a report.  The draws come from ``random.Random(seed)`` through
-``random()``, ``randrange()`` and ``gauss()`` only, whose streams are the
-same on every supported Python.  Every float sum whose result is reported
-is a ``math.fsum``, since the built-in ``sum`` of floats rounds
-differently from Python 3.12 on.
+Each suite is a check table, a public seeded draw and a check of one
+sample (:func:`draw_constraint_samples` with :func:`check_constraint_sample`,
+:func:`draw_cross_path_samples` with :func:`check_cross_path_sample`), which
+one runner maps over the draw into a :class:`ConstraintReport`.  The draws
+come from ``random.Random(seed)`` through ``random()``, ``randrange()`` and
+``gauss()`` only, whose streams are the same on every supported Python.
+Every float sum whose result is reported is a ``math.fsum``, since the
+built-in ``sum`` of floats rounds differently from Python 3.12 on.
 
 The suites read the kernels they check as attributes of
 :mod:`qlr.quantum`, :mod:`qlr.classical` and :mod:`qlr.wavefunction` at
@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Mapping, Sequence
 
 from . import classical, quantum, wavefunction
 from .errors import ParseError
@@ -77,15 +77,7 @@ class CheckResult:
         return self.passes == self.samples
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "samples": self.samples,
-            "passes": self.passes,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass(frozen=True)
@@ -126,6 +118,20 @@ class ConstraintReport:
             "seed": self.seed,
             "passed": self.passed,
         }
+
+
+def _run_suite(
+    checks: Sequence[tuple[str, str, float]],
+    draw: Callable[[int, int], Sequence[Any]],
+    check_sample: Callable[[Any], Mapping[str, float]],
+    sample_count: int,
+    seed: int,
+) -> ConstraintReport:
+    """The report of ``check_sample`` on each of ``draw(sample_count, seed)``
+    against ``checks``; raises ParseError as :func:`suite_arguments` does."""
+    sample_count, seed = suite_arguments(sample_count, seed)
+    per_sample = [check_sample(sample) for sample in draw(sample_count, seed)]
+    return ConstraintReport.from_deviations(checks, per_sample, sample_count, seed)
 
 
 def _unit(rng: random.Random) -> float:
@@ -218,10 +224,9 @@ def verify_constraint_suite(sample_count: int, seed: int) -> ConstraintReport:
     Returns per-check pass counts and max deviations; raises ParseError
     when ``sample_count`` or ``seed`` breaks :func:`suite_arguments`.
     """
-    sample_count, seed = suite_arguments(sample_count, seed)
-    samples = draw_constraint_samples(sample_count, seed)
-    per_sample = [check_constraint_sample(sample) for sample in samples]
-    return ConstraintReport.from_deviations(CONSTRAINT_CHECKS, per_sample, sample_count, seed)
+    return _run_suite(
+        CONSTRAINT_CHECKS, draw_constraint_samples, check_constraint_sample, sample_count, seed
+    )
 
 
 # ----------------------------------------------------------------- cross path
@@ -331,9 +336,8 @@ def _back_substitute(factor: Factor, b: Sequence[float]) -> list[float]:
     return y
 
 
-def check_cross_path_samples(samples: Sequence[CrossPathSample]) -> list[dict[str, float]]:
-    """Each sample's deviation per cross-path check, by check name, in
-    sample order.
+def check_cross_path_sample(sample: CrossPathSample) -> dict[str, float]:
+    """Each cross-path check's deviation on one sample, by check name.
 
     - the state-vector posterior of
       :func:`qlr.wavefunction.posterior_via_wavefunction` matches the
@@ -350,53 +354,54 @@ def check_cross_path_samples(samples: Sequence[CrossPathSample]) -> list[dict[st
       single-feature update of :func:`qlr.classical.bayes_posterior`;
     - complementarity of the state-vector posterior.
 
-    Every posterior is one call of its public function per sample, the way
-    users call it; the suite forms none of its own.  The three identity
-    checks read each sample's overlap ``c`` as it is and test the factors
-    of :func:`qlr.wavefunction.cholesky_factors` and the amplitudes of
+    Every posterior is one call of its public function, the way users call
+    it; the suite forms none of its own.  The three identity checks read
+    the sample's overlap ``c`` as it is and test the factors of
+    :func:`qlr.wavefunction.cholesky_factors` and the amplitudes of
     :func:`qlr.wavefunction.amplitudes` against it, without either
     posterior.
     """
-    deviations = []
-    for sample in samples:
-        table, overlap = sample.table, sample.overlap
-        squares, forms, gaps, misses = [], [], [], []
-        for a, (c, factor) in enumerate(zip(overlap.c, wavefunction.cholesky_factors(overlap))):
-            roots = [math.sqrt(row[a]) for row in table.x]
-            b = wavefunction.amplitudes(factor, roots)
-            for row, left, root in zip(c, factor, roots):
-                for cij, right, other in zip(row, factor, roots):
-                    gaps.append(abs(math.fsum([p * q for p, q in zip(left, right)]) - cij))
-                    forms.append(root * cij * other)
-            misses.extend(abs(y - root) for y, root in zip(_back_substitute(factor, b), roots))
-            squares.extend(v * v for v in b)
-        wf = wavefunction.posterior_via_wavefunction(table, overlap)
-        general = quantum.posterior_general(table, overlap)
-        projected = wavefunction.posterior_independent(table, sample.feature)
-        direct = classical.bayes_posterior(table, sample.feature)
-        deviations.append({
-            "paths_agree": max(abs(p - q) for p, q in zip(wf.probabilities, general.probabilities)),
-            "orthonormality": max(gaps),
-            "back_substitution": max(misses),
-            "normalization": abs(math.fsum(squares) - math.fsum(forms)),
-            "projection_single_feature": max(
-                abs(p - q) for p, q in zip(projected.probabilities, direct.probabilities)
-            ),
-            "complementarity": abs(math.fsum(wf.probabilities) - 1.0),
-        })
-    return deviations
+    table, overlap = sample.table, sample.overlap
+    squares, forms, gaps, misses = [], [], [], []
+    for a, (c, factor) in enumerate(zip(overlap.c, wavefunction.cholesky_factors(overlap))):
+        roots = [math.sqrt(row[a]) for row in table.x]
+        b = wavefunction.amplitudes(factor, roots)
+        for row, left, root in zip(c, factor, roots):
+            for cij, right, other in zip(row, factor, roots):
+                gaps.append(abs(math.fsum([p * q for p, q in zip(left, right)]) - cij))
+                forms.append(root * cij * other)
+        misses.extend(abs(y - root) for y, root in zip(_back_substitute(factor, b), roots))
+        squares.extend(v * v for v in b)
+    wf = wavefunction.posterior_via_wavefunction(table, overlap)
+    general = quantum.posterior_general(table, overlap)
+    projected = wavefunction.posterior_independent(table, sample.feature)
+    direct = classical.bayes_posterior(table, sample.feature)
+    return {
+        "paths_agree": max(abs(p - q) for p, q in zip(wf.probabilities, general.probabilities)),
+        "orthonormality": max(gaps),
+        "back_substitution": max(misses),
+        "normalization": abs(math.fsum(squares) - math.fsum(forms)),
+        "projection_single_feature": max(
+            abs(p - q) for p, q in zip(projected.probabilities, direct.probabilities)
+        ),
+        "complementarity": abs(math.fsum(wf.probabilities) - 1.0),
+    }
 
 
 def cross_path_suite(sample_count: int, seed: int) -> ConstraintReport:
     """Randomized agreement checks between the two posterior paths.
 
     Draws ``sample_count`` samples with :func:`draw_cross_path_samples` and
-    checks them with :func:`check_cross_path_samples`, against tolerances
+    checks each with :func:`check_cross_path_sample`, against tolerances
     of ``RESIDUAL_TOL`` (1e-10) for the two paths, the two residuals and
     the normalization, 1e-14 for the single-feature projection and 1e-12
     for complementarity.  Raises ParseError when ``sample_count`` or
     ``seed`` breaks :func:`suite_arguments`.
     """
-    sample_count, seed = suite_arguments(sample_count, seed)
-    per_sample = check_cross_path_samples(draw_cross_path_samples(sample_count, seed))
-    return ConstraintReport.from_deviations(CROSS_PATH_CHECKS, per_sample, sample_count, seed)
+    return _run_suite(
+        CROSS_PATH_CHECKS, draw_cross_path_samples, check_cross_path_sample, sample_count, seed
+    )
+
+
+# The suites behind ``qlr verify``, by report key, in report order.
+SUITES = {"constraints": verify_constraint_suite, "cross_path": cross_path_suite}

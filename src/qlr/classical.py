@@ -81,7 +81,10 @@ class PosteriorDistribution:
         except OverflowError:  # a total beyond the float range
             total = math.inf
         if not 0.0 < total < math.inf:
-            raise DegenerateRange(f"cannot normalize weights with total {total!r}")
+            raise DegenerateRange(
+                f"cannot normalize weights with total {total!r} "
+                f"(weights {list(map(float, weights))})"
+            )
         return cls(tuple([w / total for w in weights]), method)
 
 

@@ -53,7 +53,7 @@ from itertools import combinations
 from typing import Any, Sequence
 
 from . import __version__
-from .checks import cross_path_suite, verify_constraint_suite
+from .checks import SUITES
 from .classical import (
     bayes_posterior,
     mean_frequency_posterior,
@@ -271,7 +271,7 @@ def render_text(report: dict) -> str:
     lines = [f"qlr {command} (version {report['version']})"]
     if command == "verify":
         lines[0] += f": samples={report['samples']} seed={report['seed']}"
-        for key in ("constraints", "cross_path"):
+        for key in SUITES:
             for check in report[key]["checks"]:
                 lines.append(
                     f"{'PASS' if check['passed'] else 'FAIL'} "
@@ -524,16 +524,14 @@ def cmd_ranges(args) -> dict[str, Any]:
 
 
 def cmd_verify(args) -> dict[str, Any]:
-    constraints = verify_constraint_suite(args.samples, args.seed)
-    cross = cross_path_suite(args.samples, args.seed)
+    blocks = {key: suite(args.samples, args.seed).to_dict() for key, suite in SUITES.items()}
     return {
         "command": "verify",
         "version": __version__,
         "samples": args.samples,
         "seed": args.seed,
-        "constraints": constraints.to_dict(),
-        "cross_path": cross.to_dict(),
-        "passed": constraints.passed and cross.passed,
+        **blocks,
+        "passed": all(block["passed"] for block in blocks.values()),
     }
 
 

@@ -98,9 +98,6 @@ class NotPositiveDefinite(Unsupported):
         hypothesis: index of the offending hypothesis.
     """
 
-    def __init__(self, hypothesis: int, message: str | None = None):
+    def __init__(self, hypothesis: int):
         self.hypothesis = hypothesis
-        super().__init__(
-            message
-            or f"Gram matrix for hypothesis {hypothesis} is not positive definite"
-        )
+        super().__init__(f"Gram matrix for hypothesis {hypothesis} is not positive definite")

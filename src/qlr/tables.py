@@ -158,7 +158,7 @@ def numeric_array(values, dtype, what: str, error: type[QlrError]) -> np.ndarray
         try:
             np.shape(values)
         except ValueError:
-            raise BadShape(f"{what} must be a rectangular array ({exc})") from exc
+            raise BadShape(f"{what} must be a rectangular array") from exc
         raise error(f"{what} must hold only numbers ({exc})") from exc
     found = non_number_in(values)
     if found is not None:

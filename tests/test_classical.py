@@ -75,6 +75,18 @@ class TestPosteriorDistribution:
         with pytest.raises(DegenerateRange):
             PosteriorDistribution.from_weights(weights, "bayes")
 
+    @pytest.mark.parametrize(
+        "weights, total",
+        [([0.0, 0.0], "0.0"), ([2e-158, math.inf], "inf"), ([1e308, 1e308], "inf")],
+    )
+    def test_degenerate_message_names_the_total_and_the_weights(self, weights, total):
+        listed = ", ".join(repr(w) for w in weights)
+        with pytest.raises(DegenerateRange) as caught:
+            PosteriorDistribution.from_weights(weights, "quantum")
+        assert str(caught.value) == (
+            f"cannot normalize weights with total {total} (weights [{listed}])"
+        )
+
 
 class TestBayesPosterior:
     def test_blue_door_row(self):

@@ -19,6 +19,16 @@ from qlr import (
     new_table,
     posterior_2x2,
 )
+from qlr.checks import (
+    CONSTRAINT_CHECKS,
+    CROSS_PATH_CHECKS,
+    SUITES,
+    ConstraintReport,
+    check_constraint_sample,
+    check_cross_path_sample,
+    draw_constraint_samples,
+    draw_cross_path_samples,
+)
 from qlr.cli import main, render_json
 from qlr.wavefunction import RESIDUAL_TOL
 
@@ -566,6 +576,14 @@ def test_wrong_label_count_is_refused_alike_for_both_kinds(capsys, tmp_path):
     ] * 2
 
 
+def test_ragged_matrix_is_refused_in_qlrs_words(capsys, tmp_path):
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({**PROBABILITIES, "values": [[0.8, 0.7], [0.6]]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == "qlr: error: probability matrix must be a rectangular array\n"
+
+
 # Inputs inside the documented domain that once ended in a traceback: cell
 # products that underflow to zero, bytes that are not UTF-8, and JSON counts
 # beyond int64.
@@ -765,6 +783,29 @@ class TestVerifyCommand:
         assert "PASS cross-path/paths_agree" in out
         assert out.strip().endswith("all checks passed")
 
+    def test_json_holds_one_block_per_suite(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--samples", "5", "--seed", "3", "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert set(report) == {"command", "version", "samples", "seed", "passed", *SUITES}
+        for key, suite in SUITES.items():
+            expected = suite(5, 3)
+            assert [check["name"] for check in report[key]["checks"]] == [
+                check.name for check in expected.checks
+            ]
+            assert report[key]["passed"] is expected.passed
+        assert report["passed"] is all(report[key]["passed"] for key in SUITES)
+
+    def test_text_has_one_line_per_check_in_suite_order(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--samples", "5", "--seed", "3")
+        assert code == 0
+        verdicts = [line for line in out.splitlines() if line.startswith(("PASS ", "FAIL "))]
+        assert [line.split(":")[0] for line in verdicts] == [
+            f"{'PASS' if check.passed else 'FAIL'} {key.replace('_', '-')}/{check.name}"
+            for key, suite in SUITES.items()
+            for check in suite(5, 3).checks
+        ]
+
     def test_single_sample_runs(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--samples", "1")
         assert code == 0
@@ -810,6 +851,24 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
         assert "FAILURES detected" in out
+
+
+# Each suite's public parts: its check table, seeded draw and per-sample
+# check.  A report is the check mapped over the draw, so one sample of any
+# run can be rechecked alone by its index.
+SUITE_PARTS = {
+    "constraints": (CONSTRAINT_CHECKS, draw_constraint_samples, check_constraint_sample),
+    "cross_path": (CROSS_PATH_CHECKS, draw_cross_path_samples, check_cross_path_sample),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_each_suite_is_its_check_mapped_over_its_draw(seed):
+    assert SUITE_PARTS.keys() == SUITES.keys()
+    for key, (checks, draw, check) in SUITE_PARTS.items():
+        per_sample = [check(sample) for sample in draw(12, seed)]
+        expected = ConstraintReport.from_deviations(checks, per_sample, 12, seed)
+        assert SUITES[key](12, seed) == expected
 
 
 def test_module_entry_point_smoke():

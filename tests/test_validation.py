@@ -134,6 +134,28 @@ BAD_INPUTS = {
         InvalidOverlap,
         "overlap must hold only numbers (a str is not a number)",
     ),
+    # A ragged nesting is refused in qlr's words alone; numpy's exception
+    # stays the cause, but its wording is not part of the message.
+    "ragged_matrix": (
+        lambda: new_table([[0.8, 0.7], [0.6]]),
+        BadShape,
+        "probability matrix must be a rectangular array",
+    ),
+    "ragged_prior_list": (
+        lambda: new_table([[0.5, 0.5]], [0.5, [0.5]]),
+        BadShape,
+        "priors must be a rectangular array",
+    ),
+    "ragged_count_list": (
+        lambda: CountTable([[8, 7], [6]], [10, 10]),
+        BadShape,
+        "counts must be a rectangular array",
+    ),
+    "ragged_overlap": (
+        lambda: OverlapMatrix([[[1.0, 0.2], [0.2]]]),
+        BadShape,
+        "overlap must be a rectangular array",
+    ),
     "bool_moderated_coefficient": (
         lambda: hbar_moderated_coefficients(0.5, True, 1.0),
         InvalidOverlap,

@@ -57,6 +57,7 @@ from .checks import (
     cross_path_suite,
     verify_constraint_suite,
 )
+from .analysis import Analysis, analyze
 from .oracle import (
     OracleEstimates,
     enumerate_joint_counts,
@@ -108,5 +109,7 @@ __all__ = [
     "OracleEstimates",
     "enumerate_joint_counts",
     "oracle_mean_estimators",
+    "Analysis",
+    "analyze",
     "__version__",
 ]

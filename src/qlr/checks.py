@@ -2,9 +2,11 @@
 
 The suites of :data:`SUITES` stand behind ``qlr verify``:
 
-- :func:`verify_constraint_suite` re-derives the constraints that pin the
-  2x2 closed form of :func:`qlr.quantum.posterior_2x2` (known-value
-  tables, row/column exchange symmetry, complementarity);
+- :func:`verify_constraint_suite` checks the constraints behind the 2x2
+  closed form of :func:`qlr.quantum.posterior_2x2` (known-value tables,
+  row/column exchange symmetry, complementarity), which pin it only inside
+  the ansatz ``c_a = K * p_a**alpha * p_b**beta``: naive-Bayes blocks
+  ``x*y`` and comonotone blocks ``min(x, y)`` pass them too;
 - :func:`cross_path_suite` rebuilds the block-sum posterior of
   :func:`qlr.quantum.posterior_general` through the state-vector path of
   :mod:`qlr.wavefunction` and checks that the two agree.
@@ -214,7 +216,7 @@ def check_constraint_sample(sample: ConstraintSample) -> dict[str, float]:
 
 
 def verify_constraint_suite(sample_count: int, seed: int) -> ConstraintReport:
-    """Randomized verification of the constraints that pin the closed form.
+    """Randomized verification of the constraints behind the closed form.
 
     Draws ``sample_count`` samples with :func:`draw_constraint_samples` and
     checks each with :func:`check_constraint_sample`, against tolerances of

@@ -46,48 +46,23 @@ import io
 import json
 import re
 import sys
-from contextlib import suppress
 from dataclasses import replace
-from functools import cached_property
 from itertools import combinations
 from typing import Any, Sequence
 
 from . import __version__
+from .analysis import analyze
 from .checks import SUITES
-from .classical import (
-    bayes_posterior,
-    mean_frequency_posterior,
-    mean_range_posterior,
-    naive_posterior,
-)
 from .errors import (
-    BadIndex,
-    OverlapUnderflow,
     ParseError,
     QlrError,
     Unsupported,
 )
-from .quantum import (
-    OverlapMatrix,
-    hbar_moderated_coefficients,
-    moderation_scale,
-    overlap_coefficients,
-    posterior_2x2,
-)
-from .tables import (
-    ContingencyTable,
-    CountTable,
-    from_counts,
-    intersection_range,
-    new_table,
-)
-from .wavefunction import positive_definite, posterior_via_wavefunction
+from .quantum import moderation_scale
+from .tables import ContingencyTable, CountTable, intersection_range, new_table
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _POPULATION_LABEL = "__population__"
-
-# Expansion order of --method all; also the deterministic report order.
-_BASE_METHODS = ("naive", "mean-freq", "mean-range", "quantum", "wavefunction")
 
 
 def _parse_number(cell: str, line: int, column: int) -> float:
@@ -323,120 +298,6 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _expand_selectors(raw_methods: Sequence[str], m: int) -> tuple[list[str], set[str]]:
-    """Canonical selectors in first-request order, and the set the user named
-    explicitly (skipping one of those is an error, not a warning)."""
-    order: dict[str, None] = {}
-    explicit: set[str] = set()
-    for raw in raw_methods:
-        sel = raw.strip()
-        if sel == "all":
-            order.update(dict.fromkeys([*(f"bayes:{k}" for k in range(1, m + 1)),
-                                        *_BASE_METHODS]))
-            continue
-        if sel.startswith("bayes:"):
-            suffix = sel[len("bayes:"):]
-            try:
-                feature = int(suffix) if _INT_RE.match(suffix) else 0
-            except ValueError:  # more digits than the interpreter converts
-                raise ParseError(
-                    f"--method bayes feature index of {len(suffix)} digits is too long"
-                ) from None
-            if feature < 1:
-                raise ParseError(
-                    f"--method bayes needs a 1-based feature index, got {raw!r}"
-                )
-            sel = f"bayes:{feature}"
-        elif sel == "bayes":
-            raise ParseError("--method bayes needs a feature index, e.g. bayes:1")
-        elif sel not in _BASE_METHODS:
-            raise ParseError(f"unknown method {raw!r}")
-        order[sel] = None
-        explicit.add(sel)
-    return list(order), explicit
-
-
-class _AnalysisRun:
-    """Shared state while executing one analyze command on the loaded
-    table, a CountTable or a ContingencyTable, under its priors."""
-
-    def __init__(self, table: CountTable | ContingencyTable, hbar: float | None):
-        self.table = table
-        self.hbar = hbar
-        self.warnings: list[str] = []
-        # The report's diagnostics block; set by the first successful solve.
-        self.diagnostics: dict[str, Any] | None = None
-
-    @cached_property
-    def prob_table(self) -> ContingencyTable:
-        """The probability-matrix view of the input, built on first use.  For
-        counts input a single hypothesis or a zero count makes it
-        unavailable, and ``from_counts`` raises Unsupported."""
-        table = self.table
-        return from_counts(table) if isinstance(table, CountTable) else table
-
-    @cached_property
-    def overlap(self) -> OverlapMatrix:
-        """The overlap the state-vector method runs on: the solved 2x2 pair,
-        moderated when ``--hbar`` is given.
-
-        The first successful solve also sets :attr:`diagnostics`, whose
-        ``gram_positive_definite`` are this overlap's flags, and warns when
-        the solved pair leaves the unit interval, adding that the
-        state-vector cross-check may be unavailable when this overlap fails
-        the positive-definiteness gate.
-        """
-        solution = overlap_coefficients(self.prob_table)
-        pair = (solution.c1, solution.c2)
-        if self.hbar is not None:
-            pair = hbar_moderated_coefficients(*pair, self.hbar)
-        overlap = OverlapMatrix.from_pair(*pair)
-        flags = positive_definite(overlap)
-        self.diagnostics = {
-            "c1": solution.c1,
-            "c2": solution.c2,
-            "within_unit_interval": solution.within_unit_interval,
-            "gram_positive_definite": list(flags),
-        }
-        if self.hbar is not None:
-            self.diagnostics.update(hbar=self.hbar, c1_moderated=pair[0], c2_moderated=pair[1])
-        if not solution.within_unit_interval:
-            warning = (
-                "overlap coefficient magnitude >= 1 "
-                f"(c1={_format_float(solution.c1)}, c2={_format_float(solution.c2)})"
-            )
-            if not all(flags):
-                warning += "; state-vector cross-check may be unavailable"
-            self.warnings.append(warning)
-        return overlap
-
-    def run_method(self, selector: str):
-        if selector.startswith("bayes:"):
-            feature = int(selector.split(":", 1)[1])
-            table = self.prob_table
-            if feature > table.m:
-                raise BadIndex(
-                    f"feature index {feature} out of range for {table.m} features"
-                )
-            return bayes_posterior(table, feature - 1)
-        if selector == "naive":
-            return naive_posterior(self.prob_table)
-        if selector in ("mean-freq", "mean-range"):
-            if not isinstance(self.table, CountTable):
-                raise Unsupported(f"{selector} needs integer counts with populations")
-            mean = mean_frequency_posterior if selector == "mean-freq" else mean_range_posterior
-            return mean(self.table)
-        if selector == "quantum":
-            # The solve sets the diagnostics and the unit-interval warning.
-            # A solve that underflows leaves both out: posterior_2x2 then
-            # refuses the table itself (exit 3), except at hbar=0, which
-            # needs no coefficients.
-            with suppress(OverlapUnderflow):
-                self.overlap
-            return posterior_2x2(self.prob_table, self.hbar)
-        return posterior_via_wavefunction(self.prob_table, self.overlap)
-
-
 def _input_echo(path: str, table: CountTable | ContingencyTable) -> dict[str, Any]:
     is_counts = isinstance(table, CountTable)
     echo: dict[str, Any] = {
@@ -470,37 +331,24 @@ def cmd_analyze(args) -> dict[str, Any]:
     table = _load_input(args.input)
     if args.priors is not None:
         table = _with_priors_flag(table, args.priors)
-    run = _AnalysisRun(table, args.hbar)
-    selectors, explicit = _expand_selectors(args.method or ["all"], table.m)
-
-    if args.hbar == 0.0 and {"quantum", "wavefunction"} & set(selectors):
-        run.warnings.append("overlap disabled at hbar=0")
-
-    methods: dict[str, Any] = {}
-    for selector in selectors:
-        try:
-            pd = run.run_method(selector)
-        except Unsupported as exc:
-            if selector in explicit:
-                raise
-            run.warnings.append(f"skipped {selector}: {exc}")
-            continue
-        methods[selector] = {
-            "method": pd.method,
-            "probabilities": list(pd.probabilities),
-            "argmax_index": pd.argmax_index,
-            "argmax": table.hypotheses[pd.argmax_index],
-        }
-
+    analysis = analyze(table, args.method or ("all",), args.hbar)
     report: dict[str, Any] = {
         "command": "analyze",
         "version": __version__,
         "input": {**_input_echo(args.input, table), "priors": list(table.priors)},
-        "methods": methods,
-        "warnings": run.warnings,
+        "methods": {
+            selector: {
+                "method": pd.method,
+                "probabilities": list(pd.probabilities),
+                "argmax_index": pd.argmax_index,
+                "argmax": table.hypotheses[pd.argmax_index],
+            }
+            for selector, pd in analysis.posteriors.items()
+        },
+        "warnings": list(analysis.warnings),
     }
-    if run.diagnostics is not None:
-        report["diagnostics"] = run.diagnostics
+    if analysis.diagnostics is not None:
+        report["diagnostics"] = analysis.diagnostics
     if isinstance(table, CountTable) and table.m >= 2:
         report["ranges"] = _ranges_payload(table)
     return report

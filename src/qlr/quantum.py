@@ -11,9 +11,11 @@ where ``w_a`` is the prior weight.  For 2 features x 2 hypotheses the
 coefficients are fixed in closed form by symmetry and known-value
 constraints; for any other shape the caller supplies them.
 
-:func:`qlr.checks.verify_constraint_suite` re-derives the constraints that
-pin the closed form (known-value tables, row/column exchange symmetry,
-complementarity) and checks them over randomized inputs.
+:func:`qlr.checks.verify_constraint_suite` checks the constraints behind
+the closed form (known-value tables, row/column exchange symmetry,
+complementarity) over randomized inputs; they pin it only inside the ansatz
+of :func:`overlap_coefficients`, since naive-Bayes blocks ``x*y`` and
+comonotone blocks ``min(x, y)`` meet them too.
 
 Naive Bayes is a special case of the 2x2 closed form.  With ``x1, y1``
 hypothesis 1's cells, ``x2, y2`` hypothesis 2's and ``r = x1*y1 / (x2*y2)``,
@@ -133,11 +135,13 @@ def overlap_coefficients(table: ContingencyTable) -> CoefficientSolution:
         c1 = sqrt(x1 * y1) / (2 * x2 * y2)
         c2 = sqrt(x2 * y2) / (2 * x1 * y1)
 
-    This is the unique data-dependent solution compatible with row-exchange
-    symmetry, column-exchange duality, and the known-value tables exercised
-    by :func:`qlr.checks.verify_constraint_suite`.  The formula can leave
-    the unit interval for lopsided tables; ``within_unit_interval`` flags
-    that case.
+    Row-exchange symmetry, column-exchange duality and the known-value
+    tables of :func:`qlr.checks.verify_constraint_suite` pin this form only
+    inside the ansatz ``c_a = K * p_a**alpha * p_b**beta`` (``p_a`` the cell
+    product of hypothesis ``a``, ``b`` the other) with positive blocks.  They
+    do not pin the posterior: naive-Bayes blocks ``x*y`` and comonotone
+    blocks ``min(x, y)`` pass the same suite.  The formula can leave the unit
+    interval for lopsided tables; ``within_unit_interval`` flags that case.
 
     Raises:
         Unsupported: table shape is not 2x2.

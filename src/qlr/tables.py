@@ -159,7 +159,9 @@ def numeric_array(values, dtype, what: str, error: type[QlrError]) -> np.ndarray
             np.shape(values)
         except ValueError:
             raise BadShape(f"{what} must be a rectangular array") from exc
-        raise error(f"{what} must hold only numbers ({exc})") from exc
+        found = non_number_in(values)
+        detail = exc if found is None else f"{found} is not a number"
+        raise error(f"{what} must hold only numbers ({detail})") from exc
     found = non_number_in(values)
     if found is not None:
         raise error(f"{what} must hold only numbers ({found} is not a number)")

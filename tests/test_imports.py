@@ -4,11 +4,13 @@ name from a sibling module, the state-vector checker does not call the
 overlap kernels it checks, the kernel module holds none of the checker's
 names, the kernel modules import none of the randomized suites' code,
 every module but ``tables.py`` imports no numpy, the command line neither
-imports nor raises a table rule's error, every public name the package
-defines has a caller outside the tests, and priors reach the estimators
-only on a table."""
+imports nor raises a table rule's error and reaches the estimators only
+through ``qlr.analyze``, every public name the package defines has a
+caller outside the tests, and priors reach the estimators only on a
+table."""
 
 import ast
+import re
 import types
 from pathlib import Path
 
@@ -104,9 +106,17 @@ def test_no_private_names_cross_module_lines(path):
 # The state-vector path in wavefunction.py checks these kernels of
 # quantum.py, so it may not use them to compute its own posterior.  The
 # suite that compares the two paths lives in checks.py, so no function of
-# wavefunction.py may reference a kernel, and neither may an import.
+# wavefunction.py may reference a kernel, and neither may an import.  The
+# same holds for the enumeration oracle, and for ``analyze``, the route a
+# checker may check but never use as its reference.
 CHECKED_KERNELS = frozenset(
-    {"posterior_general", "posterior_2x2", "overlap_coefficients", "hbar_moderated_coefficients"}
+    {
+        "posterior_general",
+        "posterior_2x2",
+        "overlap_coefficients",
+        "hbar_moderated_coefficients",
+        "analyze",
+    }
 )
 
 
@@ -176,6 +186,23 @@ def test_checker_flags_the_suite_calling_the_block_sum_kernel():
 def test_state_vector_path_does_not_call_the_kernels_it_checks():
     source = (PACKAGE / "wavefunction.py").read_text(encoding="utf-8")
     assert kernel_references(source) == []
+
+
+def test_oracle_does_not_call_the_kernels_or_the_analysis_route():
+    source = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
+    assert kernel_references(source) == []
+
+
+def test_checker_flags_a_checker_using_the_analysis_route_as_its_reference():
+    source = (
+        "from .analysis import analyze\n"
+        "def oracle_mean_estimators(counts):\n"
+        "    return analyze(counts, ['mean-freq'])"
+    )
+    assert kernel_references(source) == [
+        "line 1: import analyze",
+        "line 3: analyze in oracle_mean_estimators",
+    ]
 
 
 # The state-vector path owns its feasibility rule and its basis, so the
@@ -381,6 +408,79 @@ def test_rule_flags_the_prior_count_check_planted_in_the_cli():
 
 def test_cli_neither_imports_nor_raises_a_table_rule_error():
     assert table_rule_errors((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+
+
+# The command line reaches the estimators through one route, ``qlr.analyze``,
+# so it neither imports nor references an estimator or a kernel: a second
+# route would be a second home for the skip rule, the solve and the
+# diagnostics.
+ESTIMATORS = re.compile(
+    r"bayes_posterior|naive_posterior|mean_\w+_posterior|overlap_coefficients"
+    r"|hbar_moderated_coefficients|posterior_2x2|posterior_general"
+    r"|posterior_via_wavefunction|positive_definite"
+)
+
+
+def estimator_references(source: str) -> list[str]:
+    """Imports of, and names, attributes or string constants spelling, an
+    estimator or a kernel, as ``line N: import name`` and ``line N: name``
+    strings."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ImportFrom, ast.Import)):
+            found.extend(
+                f"line {node.lineno}: import {alias.name}"
+                for alias in node.names
+                if ESTIMATORS.fullmatch(alias.name.split(".")[-1])
+            )
+            continue
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if ESTIMATORS.fullmatch(name):
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("from .classical import naive_posterior", ["line 1: import naive_posterior"]),
+        (
+            "from .classical import ParseError, mean_range_posterior as mean",
+            ["line 1: import mean_range_posterior"],
+        ),
+        ("import qlr.quantum.posterior_2x2", ["line 1: import qlr.quantum.posterior_2x2"]),
+        ("from . import quantum\nquantum.overlap_coefficients(t)", ["line 2: overlap_coefficients"]),
+        ("getattr(wavefunction, 'positive_definite')", ["line 1: positive_definite"]),
+        ("def f(t):\n    return mean_em_posterior(t)", ["line 2: mean_em_posterior"]),
+        ("from .analysis import analyze\nanalyze(table, ['naive'])", []),
+        ("from .quantum import moderation_scale\n'posterior_2x2 help text'", []),
+    ],
+)
+def test_rule_flags_estimator_references(source, expected):
+    assert estimator_references(source) == expected
+
+
+def test_rule_flags_the_solve_planted_in_the_cli():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8").replace(
+        "from .quantum import moderation_scale\n",
+        "from .quantum import moderation_scale, overlap_coefficients\n",
+        1,
+    ) + "\n\ndef _solve(table):\n    return overlap_coefficients(table)\n"
+    assert [entry.split(": ")[1] for entry in estimator_references(source)] == [
+        "import overlap_coefficients",
+        "overlap_coefficients",
+    ]
+
+
+def test_cli_reaches_the_estimators_only_through_analyze():
+    assert estimator_references((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
 
 
 # Every public name the package defines has a caller in the package itself

@@ -99,6 +99,18 @@ BAD_INPUTS = {
         InvalidCell,
         "probability matrix must hold only numbers (a str is not a number)",
     ),
+    # A string or bytes numpy cannot convert is named the same way, not in
+    # the conversion's own words.
+    "string_cell": (
+        lambda: new_table([[0.5, "a"], [0.5, 0.5]]),
+        InvalidCell,
+        "probability matrix must hold only numbers (a str is not a number)",
+    ),
+    "bytes_cell": (
+        lambda: new_table([[0.5, b"x"], [0.5, 0.5]]),
+        InvalidCell,
+        "probability matrix must hold only numbers (a bytes is not a number)",
+    ),
     "numpy_string_cell_row": (
         lambda: new_table([np.array(["0.5", "0.5"]), [0.5, 0.5]]),
         InvalidCell,

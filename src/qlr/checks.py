@@ -368,10 +368,18 @@ def check_cross_path_sample(sample: CrossPathSample) -> dict[str, float]:
     for a, (c, factor) in enumerate(zip(overlap.c, wavefunction.cholesky_factors(overlap))):
         roots = [math.sqrt(row[a]) for row in table.x]
         b = wavefunction.amplitudes(factor, roots)
-        for row, left, root in zip(c, factor, roots):
-            for cij, right, other in zip(row, factor, roots):
-                gaps.append(abs(math.fsum([p * q for p, q in zip(left, right)]) - cij))
+        for i, (row, left, root) in enumerate(zip(c, factor, roots)):
+            for j, (cij, right, other) in enumerate(zip(row, factor, roots)):
                 forms.append(root * cij * other)
+                # fsum is correctly rounded and p * q == q * p, so entry
+                # (j, i) of L L^T is entry (i, j): it is formed once, below
+                # the diagonal, and compared with both c[i][j] and c[j][i].
+                if j < i:
+                    entry = math.fsum([p * q for p, q in zip(left, right)])
+                    gaps.append(abs(entry - cij))
+                    gaps.append(abs(entry - c[j][i]))
+                elif j == i:
+                    gaps.append(abs(math.fsum([p * p for p in left]) - cij))
         misses.extend(abs(y - root) for y, root in zip(_back_substitute(factor, b), roots))
         squares.extend(v * v for v in b)
     wf = wavefunction.posterior_via_wavefunction(table, overlap)

@@ -121,23 +121,36 @@ def _products(rows: Sequence[Sequence[float]]) -> list[float]:
     float range.  The products are then scaled up so the largest lies in
     [0.5, 1]; where every plain product is a normal float the posterior is
     the plain products' bit for bit, since the common factor cancels in
-    normalization."""
+    normalization.
+
+    When nothing was rescaled, the common case, every separate power is 1
+    and every product a nonzero normal float, so multiplying each by the
+    one power of two that scales the largest up gives the same floats,
+    exactly, without taking each product apart by frexp.  ``rows`` holds
+    one row per hypothesis, so it is never empty."""
     products, exponents = [], []
+    rescaled = False
     for row in rows:
         product, exponent = 1.0, 0
         for factor in row:
             if factor < _RESCALE_BELOW:
                 factor, e = math.frexp(factor)
                 exponent += e
+                rescaled = True
             if product < _RESCALE_BELOW:
                 product, e = math.frexp(product)
                 exponent += e
+                rescaled = True
             product *= factor
-        product, e = math.frexp(product)
         products.append(product)
-        exponents.append(exponent + e)
-    top = min(0, max((e for product, e in zip(products, exponents) if product), default=0))
-    return [math.ldexp(product, e - top) for product, e in zip(products, exponents)]
+        exponents.append(exponent)
+    if not rescaled:
+        top = math.frexp(max(products))[1]
+        scale = math.ldexp(1.0, -top) if top < 0 else 1.0
+        return [product * scale for product in products]
+    split = [(m, exponent + e) for (m, e), exponent in zip(map(math.frexp, products), exponents)]
+    top = min(0, max((e for m, e in split if m), default=0))
+    return [math.ldexp(m, e - top) for m, e in split]
 
 
 def mean_frequency_posterior(counts: CountTable) -> PosteriorDistribution:

@@ -109,7 +109,15 @@ class OverlapMatrix:
 
     @classmethod
     def from_pair(cls, c1: float, c2: float) -> "OverlapMatrix":
-        """2 features x 2 hypotheses overlap with off-diagonals c1, c2."""
+        """2 features x 2 hypotheses overlap with off-diagonals c1, c2.
+
+        Two finite floats, the common case, are stored as they are: the
+        construction itself gives the unit diagonal and the symmetry.  Any
+        other value goes through the constructor's conversion and checks."""
+        if type(c1) is type(c2) is float and math.isfinite(c1) and math.isfinite(c2):
+            overlap = object.__new__(cls)
+            object.__setattr__(overlap, "c", (((1.0, c1), (c1, 1.0)), ((1.0, c2), (c2, 1.0))))
+            return overlap
         return cls([[[1.0, c1], [c1, 1.0]], [[1.0, c2], [c2, 1.0]]])
 
 

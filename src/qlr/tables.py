@@ -12,17 +12,19 @@ Conventions used throughout the package:
   their labels and priors: a count table's priors default to the population
   shares, and a probability table's to uniform weights.
 
-Input is converted and checked with numpy, but every table field is a
-tuple of Python numbers, one row tuple per feature, as an overlap's
-coefficients are.  All types are immutable after construction, safe to
-share across threads, and compare and hash by value.
+Input is converted with numpy and checked in plain Python, the prior sum
+included, and every table field is a tuple of Python numbers, one row
+tuple per feature, as an overlap's coefficients are.  All types are
+immutable after construction, safe to share across threads, and compare
+and hash by value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import KW_ONLY, dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -99,12 +101,33 @@ def validated_priors(priors: Sequence[float], n: int) -> tuple[float, ...]:
     weights = arr.tolist()
     if not all(0.0 <= w < math.inf for w in weights):
         raise InvalidPriors(f"priors must be finite and nonnegative, got {weights}")
-    # numpy's pairwise sum, not a sequential one: from 8 weights the two can
-    # round to opposite sides of the tolerance.
-    total = float(arr.sum())
+    # numpy's pairwise sum, ported to plain Python, not a sequential one:
+    # from 8 weights the two can round to opposite sides of the tolerance.
+    total = _pairwise_sum(weights)
     if abs(total - 1.0) > PRIOR_SUM_TOL:
         raise InvalidPriors(f"priors must sum to 1 within {PRIOR_SUM_TOL}, got {total!r}")
     return tuple(weights)
+
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """``np.sum`` of Python floats, bit for bit: numpy's float64 pairwise sum.
+
+    Below 8 values it is a sequential sum; up to 128, eight interleaved
+    sequential sums combined pairwise, then the rest added in order; above
+    128, the sum of the two halves, split at a multiple of 8.  numpy adds
+    the result to 0.0, which only turns -0.0 into 0.0; starting every
+    sequential sum from 0.0 does the same."""
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n <= 128:
+        stop = n - n % 8
+        r = [reduce(add, values[k:stop:8], 0.0) for k in range(8)]
+        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[stop:], head)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
 def is_integer(value) -> bool:

@@ -21,6 +21,7 @@ from qlr import (
     naive_posterior,
     new_table,
 )
+from qlr.classical import _products
 
 STREET = CountTable(np.array([[8, 7], [6, 5]]), np.array([10, 10]))
 
@@ -189,6 +190,30 @@ class TestNaivePosterior:
         for order in (rows, rows[::-1]):
             pd = naive_posterior(new_table(order, [2 / 3, 1 / 3]))
             np.testing.assert_allclose(pd.probabilities, (0.5, 0.5), atol=1e-15)
+
+
+class TestProducts:
+    # Factors and running products below 2^-511 are rescaled; products are
+    # then scaled up by one power of two so the largest lies in [0.5, 1].
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            # A factor of exactly 2^-511 is not rescaled; 2^-512 is.
+            ([[2.0**-511, 0.75], [0.5, 0.5]], [1.5 * 2.0**-511, 0.5]),
+            ([[2.0**-512, 0.75], [0.5, 0.5]], [1.5 * 2.0**-512, 0.5]),
+            # A running product of exactly 2^-511 is not rescaled; 2^-512 is.
+            ([[2.0**-255, 2.0**-256, 0.75], [0.5, 0.5]], [1.5 * 2.0**-511, 0.5]),
+            ([[2.0**-256, 2.0**-256, 0.75], [0.5, 0.5]], [1.5 * 2.0**-512, 0.5]),
+            # One row rescales beside rows that do not.
+            ([[0.5, 0.25], [2.0**-600, 0.75], [0.75, 0.5]], [0.25, 1.5 * 2.0**-600, 0.75]),
+            ([[0.5, 0.25], [1e-300, 1e-300], [0.75, 0.5]], [0.25, 0.0, 0.75]),
+            # A largest product at or above 0.5 is left as it is.
+            ([[1.0, 1.0], [0.5, 0.5]], [1.0, 0.25]),
+            ([[1.0 + 1e-12, 1.0], [0.5, 0.5]], [1.0 + 1e-12, 0.25]),
+        ],
+    )
+    def test_rescale_edges(self, rows, expected):
+        assert list(map(float.hex, _products(rows))) == list(map(float.hex, expected))
 
 
 class TestMeanFrequencyPosterior:

@@ -54,6 +54,28 @@ class TestOverlapMatrix:
         assert overlap.c[0][0][1] == 0.3
         assert overlap.c[1][1][0] == -0.2
 
+    @pytest.mark.parametrize(
+        "c1, c2", [(-0.0, 0.3), (5e-324, -5e-324), (1.5, -1.5), (1e308, 0.0), (0.2, np.float64(0.7))]
+    )
+    def test_from_pair_is_the_generic_overlap(self, c1, c2):
+        overlap = OverlapMatrix.from_pair(c1, c2)
+        generic = OverlapMatrix([[[1.0, c1], [c1, 1.0]], [[1.0, c2], [c2, 1.0]]])
+        assert overlap == generic and hash(overlap) == hash(generic)
+        hexes = [[list(map(float.hex, row)) for row in block] for block in overlap.c]
+        assert hexes == [[list(map(float.hex, row)) for row in block] for block in generic.c]
+        assert all(type(v) is float for block in overlap.c for row in block for v in row)
+
+    @pytest.mark.parametrize("bad", [True, "0.3", None, math.nan, math.inf, -math.inf, 10**400])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_from_pair_refuses_as_the_generic_overlap_does(self, bad, first):
+        c1, c2 = (bad, 0.5) if first else (0.5, bad)
+        with pytest.raises(InvalidOverlap) as generic:
+            OverlapMatrix([[[1.0, c1], [c1, 1.0]], [[1.0, c2], [c2, 1.0]]])
+        with pytest.raises(InvalidOverlap) as caught:
+            OverlapMatrix.from_pair(c1, c2)
+        assert type(caught.value) is type(generic.value)
+        assert str(caught.value) == str(generic.value)
+
     def test_read_only(self):
         overlap = identity_overlap(2, 2)
         assert overlap.c == (((1.0, 0.0), (0.0, 1.0)),) * 2

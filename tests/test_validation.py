@@ -3,6 +3,9 @@ exact message, the prior-sum boundary, read-only copied fields, typed
 errors for ragged or non-numeric input, and the rules for indices and for
 the suites' arguments."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,7 @@ from qlr import (
     posterior_independent,
     verify_constraint_suite,
 )
+from qlr.tables import _pairwise_sum
 
 NAN = float("nan")
 INF = float("inf")
@@ -450,8 +454,31 @@ def test_prior_sum_boundary(priors, accepted):
 
 
 def test_boundary_lists_tell_the_two_summation_orders_apart():
+    # The sequential sum spelled out: from Python 3.12 the built-in sum of
+    # floats is compensated, not left to right.
     for priors, accepted in PRIOR_BOUNDARY[3:]:
-        assert (abs(sum(priors) - 1.0) <= 1e-12) != accepted
+        assert (abs(functools.reduce(operator.add, priors) - 1.0) <= 1e-12) != accepted
+
+
+def test_prior_sum_is_numpys_pairwise_sum_bit_for_bit():
+    # Lengths 1-300 cross every branch edge: 7, 8, 9, 128, 129, 136.
+    rng = np.random.default_rng(33)
+    for n in [*range(1, 301), 511, 1000]:
+        for weights in (
+            rng.random(n),
+            rng.dirichlet(np.ones(n)),
+            10.0 ** rng.uniform(-300.0, 0.0, n),
+            rng.choice([0.0, -0.0, 5e-324], n),
+        ):
+            got = _pairwise_sum(weights.tolist())
+            assert float.hex(got) == float.hex(float(np.sum(weights))), n
+
+
+def test_a_zero_prior_sum_is_reported_as_numpy_reported_it():
+    # np.sum adds its pairwise sum to 0.0, so -0.0 weights total 0.0.
+    for n in (2, 9):
+        with pytest.raises(InvalidPriors, match=r"got 0\.0$"):
+            new_table([[0.5] * n], [-0.0] * n)
 
 
 def assert_tuple_of(values, kind):

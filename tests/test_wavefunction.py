@@ -32,7 +32,12 @@ from qlr import (
     posterior_independent,
     posterior_via_wavefunction,
 )
-from qlr.checks import random_positive_definite_overlap
+from qlr.checks import (
+    CrossPathSample,
+    check_cross_path_sample,
+    draw_cross_path_samples,
+    random_positive_definite_overlap,
+)
 from qlr.wavefunction import RESIDUAL_TOL, amplitudes
 
 STREET = from_counts(CountTable(np.array([[8, 7], [6, 5]]), np.array([10, 10])))
@@ -471,6 +476,25 @@ class TestCrossPathSuite:
 
     def test_deterministic_across_runs(self):
         assert cross_path_suite(50, 3).to_dict() == cross_path_suite(50, 3).to_dict()
+
+    def test_orthonormality_compares_every_entry_of_the_square(self):
+        # The check forms each entry of L L^T once but compares it with both
+        # c[i][j] and c[j][i]: an overlap asymmetric within tolerance must
+        # read the same as the full m x m comparison.
+        def full_square(sample):
+            return max(
+                abs(math.fsum([p * q for p, q in zip(left, right)]) - cij)
+                for c, factor in zip(sample.overlap.c, cholesky_factors(sample.overlap))
+                for row, left in zip(c, factor)
+                for cij, right in zip(row, factor)
+            )
+
+        skewed = [[[1.0, 0.3, 0.1], [0.3 + 6e-13, 1.0, -0.2], [0.1, -0.2 - 9e-13, 1.0]]] * 2
+        table = new_table([[0.5, 0.4], [0.3, 0.6], [0.7, 0.2]])
+        samples = [CrossPathSample(table, OverlapMatrix(skewed), 0)]
+        samples += draw_cross_path_samples(40, 5)
+        for sample in samples:
+            assert check_cross_path_sample(sample)["orthonormality"] == full_square(sample)
 
     def test_rejects_non_positive_sample_count(self):
         with pytest.raises(ValueError):
